@@ -1,6 +1,6 @@
 """Wall-clock benchmark harness for the rewritten hot paths.
 
-Times the rewritten greedy-descent engine against the retained
+Times the greedy remap descent against the retained
 O(E)-per-candidate reference (:func:`repro.regalloc.remap.
 _greedy_descent_reference`), the serial RegN sweep against its
 process-pool fan-out, the columnar simulation layer (fast
@@ -13,8 +13,8 @@ CI uploads the files as artifacts, so the speedups are tracked run over
 run; ``python -m repro bench-remap``, ``bench-sim`` and
 ``bench-analysis`` produce them locally.
 
-Every timed comparison also cross-checks outputs: the incremental engine
-must return exactly the reference's costs and permutations, the parallel
+Every timed comparison also cross-checks outputs: the descent must
+return exactly the reference's costs and permutations, the parallel
 sweep exactly the serial sweep's points, and the columnar path exactly
 the reference path's ``CycleReport`` per program — a benchmark that got
 faster by changing answers is a bug, not a result.
@@ -41,16 +41,20 @@ BENCH_SCHEMA = 1
 def bench_remap_descent(workload: str = "sha", reg_n: int = 16,
                         diff_n: int = 8, restarts: int = 100,
                         seed: int = 0) -> Dict[str, object]:
-    """Time the full restart schedule, reference vs incremental engine.
+    """Time the full restart schedule, reference vs the search's descent.
 
-    Both runs descend from the identical starting permutations; the
-    result records wall-times, the speedup, and whether every
-    ``(cost, permutation)`` outcome matched (with exact integer edge
-    weights it always should).
+    Both runs descend from the identical starting permutations — the
+    reference one start at a time, the search's descent (the lockstep
+    batch, or the pure engine without numpy) all at once; the result
+    records wall-times, the speedup, and whether every ``(cost,
+    permutation)`` outcome matched (with exact integer edge weights it
+    always should).  Both stop after the first zero-cost start, as the
+    restart fold does.
     """
     from repro.regalloc.iterated import iterated_allocate
-    from repro.regalloc.remap import (_edge_list, _greedy_descent_reference,
-                                      _make_engine, _start_perms)
+    from repro.regalloc.remap import (_descend_starts, _edge_list,
+                                      _greedy_descent_reference,
+                                      _numpy_or_none, _start_perms)
     from repro.analysis.frequency import estimate_block_frequencies
     from repro.workloads import get_workload
 
@@ -60,23 +64,23 @@ def bench_remap_descent(workload: str = "sha", reg_n: int = 16,
     free = list(range(reg_n))
     starts = _start_perms(list(range(reg_n)), free, restarts, seed)
 
-    # warm-up outside the timed regions: the first engine construction
-    # pays one-time process costs (the numpy import above all)
-    _make_engine(edges, reg_n, diff_n, free).descend(list(starts[0]))
+    # warm-up outside the timed regions: the first descent pays one-time
+    # process costs (the numpy import above all)
+    _descend_starts(edges, reg_n, diff_n, free, starts[:1])
 
     t0 = time.perf_counter()
-    reference = [
-        (_greedy_descent_reference(p, edges, reg_n, diff_n, free), p)
-        for p in [list(s) for s in starts]
-    ]
+    reference = []
+    for start in starts:
+        perm = list(start)
+        reference.append((_greedy_descent_reference(
+            perm, edges, reg_n, diff_n, free), perm))
+        if reference[-1][0] == 0:
+            break
     t_ref = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    engine = _make_engine(edges, reg_n, diff_n, free)
-    incremental = [
-        (engine.descend(p), p) for p in [list(s) for s in starts]
-    ]
-    t_inc = time.perf_counter() - t0
+    batched = _descend_starts(edges, reg_n, diff_n, free, starts)
+    t_fast = time.perf_counter() - t0
 
     return {
         "workload": workload,
@@ -85,11 +89,12 @@ def bench_remap_descent(workload: str = "sha", reg_n: int = 16,
         "restarts": restarts,
         "seed": seed,
         "edges": len(edges),
-        "engine": type(engine).__name__,
+        "engine": ("lockstep" if _numpy_or_none() is not None
+                   else "_PyDeltaEngine"),
         "reference_seconds": t_ref,
-        "incremental_seconds": t_inc,
-        "speedup": t_ref / t_inc if t_inc else float("inf"),
-        "identical_results": reference == incremental,
+        "incremental_seconds": t_fast,
+        "speedup": t_ref / t_fast if t_fast else float("inf"),
+        "identical_results": reference == batched,
     }
 
 
@@ -621,6 +626,9 @@ def collect_benchmarks(remap_restarts: int = 100,
         "schema": BENCH_SCHEMA,
         "remap": bench_remap_descent(workload=workload, reg_n=reg_n,
                                      restarts=remap_restarts),
+        # a wide register file: 20 restarts keep the reference under ~3 s
+        "remap_wide": bench_remap_descent(workload=workload, reg_n=64,
+                                          restarts=20),
         "sweep": bench_sweep(jobs=sweep_jobs),
         "wire": bench_wire(),
     }

@@ -438,11 +438,13 @@ def _cmd_bench_remap(args) -> int:
     doc = write_bench_json(args.out, remap_restarts=args.restarts,
                            sweep_jobs=jobs, workload=args.workload,
                            reg_n=args.reg_n)
-    remap, sweep, wire = doc["remap"], doc["sweep"], doc["wire"]
-    print(f"remap descent ({remap['workload']}, RegN={remap['reg_n']}, "
-          f"{remap['restarts']} restarts, {remap['engine']}): "
-          f"{remap['speedup']:.1f}x vs reference "
-          f"(identical={remap['identical_results']})")
+    sweep, wire = doc["sweep"], doc["wire"]
+    remaps = (doc["remap"], doc["remap_wide"])
+    for remap in remaps:
+        print(f"remap descent ({remap['workload']}, RegN={remap['reg_n']}, "
+              f"{remap['restarts']} restarts, {remap['engine']}): "
+              f"{remap['speedup']:.1f}x vs reference "
+              f"(identical={remap['identical_results']})")
     print(f"RegN sweep ({len(sweep['workloads'])} workloads, "
           f"{sweep['cpus']} cpus, {sweep['effective_workers']} effective "
           f"workers at jobs={sweep['jobs']}): jobs " + "  ".join(
@@ -453,8 +455,8 @@ def _cmd_bench_remap(args) -> int:
           f"{wire['bytes_ratio']:.1f}x smaller than pickle "
           f"({wire['wire_bytes']} vs {wire['pickle_bytes']} bytes)")
     print(f"written to {args.out}")
-    return 0 if remap["identical_results"] and sweep["identical_results"] \
-        else 1
+    identical = all(r["identical_results"] for r in remaps)
+    return 0 if identical and sweep["identical_results"] else 1
 
 
 def _cmd_bench_sim(args) -> int:
@@ -976,7 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("bench-remap",
-                       help="time the incremental remap engine against the "
+                       help="time the remap descent against the "
                             "reference descent and the parallel sweep "
                             "against serial; write BENCH_remap.json")
     p.add_argument("--out", default="BENCH_remap.json",

@@ -47,7 +47,9 @@ class ParseError(ValueError):
 
 _REG_RE = re.compile(r"^([vr])(\d+)(?:\.(\w+))?$")
 _FUNC_RE = re.compile(r"^func\s+(\w+)\s*\(([^)]*)\)\s*:$")
-_LABEL_RE = re.compile(r"^(\w+):$")
+# dotted labels are legal: SSA destruction names the blocks it splits off
+# critical edges ``pred.succ.crit``
+_LABEL_RE = re.compile(r"^([\w.]+):$")
 _MEM_RE = re.compile(r"^\[\s*([vr]\d+(?:\.\w+)?)\s*\+\s*(-?\d+)\s*\]$")
 _SLOT_RE = re.compile(r"^slot(\d+)$")
 

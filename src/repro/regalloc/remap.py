@@ -15,19 +15,24 @@ Two searches are provided, matching the paper:
   a number of random initial vectors (the paper uses 1000) and keeping the
   best local minimum.
 
-The descent evaluates swap candidates **incrementally**: swapping registers
-``a`` and ``b`` only changes the satisfaction of edges incident to ``a`` or
-``b``, so a candidate swap costs O(deg(a) + deg(b)) against per-register
-incident-edge buckets instead of a full O(E) cost re-evaluation, and a
-maintained table of candidate deltas is invalidated only for pairs whose
-incident edges reach the registers a step actually moved.  Edge weights are
-scaled to exact integers (see :data:`_WEIGHT_SCALE`), which makes every
-delta bit-identical to a full :func:`_perm_cost` recomputation no matter
-how — or on which engine — it is computed; the vectorised
-:class:`_NumpyDeltaEngine` and the pure-Python :class:`_PyDeltaEngine`
-return the same permutations, costs and restart counts as the
-O(E)-per-candidate :func:`_greedy_descent_reference` they replace.
-Restarts are independent, so ``jobs > 1`` fans them out over
+All restarts of one search descend **in lockstep**
+(:func:`_lockstep_descent`): the starting permutations form one
+``[starts, RegN]`` array, and each round computes every candidate swap's
+cost change for every still-descending start in one integer table, takes
+each row's first maximum (the scan-order tie-break of the O(E)-per-
+candidate :func:`_greedy_descent_reference` it replaces), applies the
+winning swaps and retires rows that found no improving swap.  A swap's
+gain is read off per-register placement tables — the satisfied weight
+of a register's incident edges at every number — built by one circular
+window sum per round.  Edge weights are scaled to exact integers (see
+:data:`_WEIGHT_SCALE`), so every gain equals the difference of two full
+:func:`_perm_cost` evaluations and each start returns the reference's
+permutation and cost bit for bit.  Without numpy (or with
+``REPRO_NO_NUMPY=1``, or weights beyond :data:`_NUMPY_WEIGHT_LIMIT`) the
+pure-Python :class:`_PyDeltaEngine` descends one start at a time, with
+per-register incident-edge buckets and a maintained delta table, to the
+same results.  Results are folded in restart order, stopping at the first
+zero-cost start; ``jobs > 1`` fans batches of restarts out over
 :func:`repro.parallel.parallel_map`, again with bit-identical results.
 """
 
@@ -68,6 +73,10 @@ _WEIGHT_SCALE = 720720
 #: Weights at or above this bound fall back to the pure-Python engine,
 #: whose arbitrary-precision integers cannot overflow int64 accumulation.
 _NUMPY_WEIGHT_LIMIT = 1 << 40
+
+#: Cells of the per-round tables (delta pairs plus the placement window)
+#: one lockstep block may hold; more starts than fit descend in blocks.
+_LOCKSTEP_CELLS = 1 << 20
 
 
 @dataclass
@@ -452,141 +461,6 @@ class _PyDeltaEngine:
                     del deltas[(ai, bi)]
 
 
-class _NumpyDeltaEngine:
-    """Vectorised twin of :class:`_PyDeltaEngine`.
-
-    The incident-edge buckets of every candidate pair are flattened into
-    one entry array grouped by pair, so recomputing the invalidated slice
-    of the delta table is a single masked gather + segmented int64 sum per
-    descent round.  All arithmetic is integer, so results are
-    bit-identical to the pure-Python engine; ``np.argmax`` returns the
-    first maximum, matching the scan order of the reference loops.
-    """
-
-    def __init__(self, edges: Sequence[Edge], reg_n: int, diff_n: int,
-                 free: Sequence[int], np_module) -> None:
-        np = np_module
-        self.np = np
-        self.reg_n = reg_n
-        self.diff_n = diff_n
-        self.edges = list(edges)
-        self.free = list(free)
-        self.U = np.array([e[0] for e in edges], dtype=np.int64)
-        self.V = np.array([e[1] for e in edges], dtype=np.int64)
-        self.W = np.array([e[2] for e in edges], dtype=np.int64)
-
-        incident: List[List[int]] = [[] for _ in range(reg_n)]
-        adj = np.zeros((reg_n, reg_n), dtype=bool)
-        for idx, (u, v, _) in enumerate(edges):
-            incident[u].append(idx)
-            if v != u:
-                incident[v].append(idx)
-            adj[u, v] = adj[v, u] = True
-        for r in range(reg_n):
-            adj[r, r] = True
-        self.adj = adj
-
-        pairs = [(free[ai], free[bi])
-                 for ai in range(len(free))
-                 for bi in range(ai + 1, len(free))]
-        self.PA = np.array([p[0] for p in pairs], dtype=np.int64)
-        self.PB = np.array([p[1] for p in pairs], dtype=np.int64)
-        self.n_pairs = len(pairs)
-
-        # The buckets of every candidate pair, flattened into one entry
-        # array grouped by pair.  Pairs with no incident edges get one
-        # zero-weight sentinel entry so reduceat segments are never empty.
-        eid: List[int] = []
-        pid: List[int] = []
-        starts: List[int] = []
-        for k, (a, b) in enumerate(pairs):
-            both = incident[a] + [i for i in incident[b]
-                                  if self.U[i] != a and self.V[i] != a]
-            starts.append(len(eid))
-            eid.extend(both or [-1])
-            pid.extend([k] * (len(both) or 1))
-        eid_arr = np.array(eid, dtype=np.int64)
-        sentinel = eid_arr < 0
-        eid_arr[sentinel] = 0
-        self.PID = np.array(pid, dtype=np.int64)
-        self.SEG_STARTS = np.array(starts, dtype=np.int64)
-        n = len(eid_arr)
-        self.EU = self.U[eid_arr] if len(edges) else np.zeros(n, np.int64)
-        self.EV = self.V[eid_arr] if len(edges) else np.zeros(n, np.int64)
-        self.EW = self.W[eid_arr] if len(edges) else np.zeros(n, np.int64)
-        self.EW[sentinel] = 0
-        EA = self.PA[self.PID]
-        EB = self.PB[self.PID]
-        self.EA, self.EB = EA, EB
-        # static: which entries' endpoints are the entry's own pair
-        self.EU_IS_A = self.EU == EA
-        self.EU_IS_B = self.EU == EB
-        self.EV_IS_A = self.EV == EA
-        self.EV_IS_B = self.EV == EB
-        # rounds invalidating less than this fraction of the table use the
-        # masked subset path; denser rounds recompute every segment, which
-        # costs fewer (and no gather-heavy) vector ops
-        self.subset_threshold = 0.25 * self.n_pairs
-
-    def _deltas_full(self, P):
-        """Every pair's delta in one segmented pass."""
-        np = self.np
-        pu, pv = P[self.EU], P[self.EV]
-        pa, pb = P[self.EA], P[self.EB]
-        nu = np.where(self.EU_IS_A, pb, np.where(self.EU_IS_B, pa, pu))
-        nv = np.where(self.EV_IS_A, pb, np.where(self.EV_IS_B, pa, pv))
-        before = (pv - pu) % self.reg_n >= self.diff_n
-        after = (nv - nu) % self.reg_n >= self.diff_n
-        contrib = self.EW * np.subtract(before, after, dtype=np.int64)
-        return np.add.reduceat(contrib, self.SEG_STARTS)
-
-    def _deltas_subset(self, P, deltas, pair_dirty):
-        """Recompute only the invalidated pairs' deltas, in place."""
-        np = self.np
-        sel = pair_dirty[self.PID]
-        eu, ev = self.EU[sel], self.EV[sel]
-        pu, pv = P[eu], P[ev]
-        pa, pb = P[self.EA[sel]], P[self.EB[sel]]
-        nu = np.where(self.EU_IS_A[sel], pb, np.where(self.EU_IS_B[sel], pa, pu))
-        nv = np.where(self.EV_IS_A[sel], pb, np.where(self.EV_IS_B[sel], pa, pv))
-        before = (pv - pu) % self.reg_n >= self.diff_n
-        after = (nv - nu) % self.reg_n >= self.diff_n
-        contrib = self.EW[sel] * np.subtract(before, after, dtype=np.int64)
-        fresh = np.zeros(self.n_pairs, dtype=np.int64)
-        np.add.at(fresh, self.PID[sel], contrib)
-        deltas[pair_dirty] = fresh[pair_dirty]
-
-    def descend(self, perm: List[int]) -> int:
-        np = self.np
-        reg_n, diff_n = self.reg_n, self.diff_n
-        P = np.array(perm, dtype=np.int64)
-        if not self.n_pairs or not len(self.edges):
-            return int(self.W[(P[self.V] - P[self.U]) % reg_n
-                              >= diff_n].sum())
-        cost = int(self.W[(P[self.V] - P[self.U]) % reg_n >= diff_n].sum())
-        deltas = self._deltas_full(P)
-        while True:
-            k = int(np.argmax(deltas))
-            best_delta = int(deltas[k])
-            if best_delta <= 0:
-                break
-            a, b = int(self.PA[k]), int(self.PB[k])
-            P[a], P[b] = int(P[b]), int(P[a])
-            cost -= best_delta
-            dirty_regs = self.adj[a] | self.adj[b]
-            pair_dirty = dirty_regs[self.PA] | dirty_regs[self.PB]
-            n_dirty = int(pair_dirty.sum())
-            if n_dirty > self.subset_threshold:
-                # recomputing clean pairs is harmless — exact arithmetic
-                # reproduces the cached values — and the full segmented
-                # pass is cheaper than gathering a large subset
-                deltas = self._deltas_full(P)
-            elif n_dirty:
-                self._deltas_subset(P, deltas, pair_dirty)
-        perm[:] = P.tolist()
-        return cost
-
-
 def _numpy_or_none():
     """The numpy module when present and not disabled, else ``None``."""
     if os.environ.get("REPRO_NO_NUMPY") == "1":
@@ -598,25 +472,127 @@ def _numpy_or_none():
     return numpy
 
 
-def _make_engine(edges: Sequence[Edge], reg_n: int, diff_n: int,
-                 free: Sequence[int]):
-    """The fastest available exact engine for this edge set."""
+def _lockstep_descent(np, edges: Sequence[Edge], reg_n: int, diff_n: int,
+                      free: Sequence[int], starts: Sequence[Sequence[int]]
+                      ) -> List[Tuple[int, List[int]]]:
+    """Every start's steepest descent at once, one delta table per round.
+
+    With ``place[r, x]`` the weight of register ``r``'s incident edges
+    that would be satisfied were ``r`` to take number ``x`` (every other
+    register staying put), swapping ``a`` and ``b`` gains
+    ``place[a, P[b]] + place[b, P[a]] - place[a, P[a]] - place[b, P[b]]``
+    plus an exact correction for the edges between ``a`` and ``b``, which
+    those four terms evaluate with both endpoints on one number.
+    ``place[r, x]`` is a circular window sum over ``r``'s edge weights
+    laid out by the partner's current number — the ``DiffN`` numbers from
+    ``x`` on for out-edges, up to ``x`` for in-edges — so one cumsum over
+    a ``[starts, numbers, registers]`` table yields it for every start;
+    registers without edges share one zero column.  Each round takes the
+    first maximum per row (the reference's scan-order tie-break), applies
+    the winning swaps and retires rows whose best gain is ``<= 0``.
+    Weights are non-negative, so a row at cost 0 is finished and the rows
+    after it are dropped — the restart fold stops there — and
+    ``(cost, perm)`` is returned up to that start.
+    """
+    P0 = np.array(starts, dtype=np.int64).reshape(len(starts), reg_n)
+    U, V, W = (np.array([e[i] for e in edges], dtype=np.int64)
+               for i in range(3))
+    costs = (((P0[:, V] - P0[:, U]) % reg_n >= diff_n) * W).sum(axis=1)
+    perms = P0.copy()
+    zero = np.flatnonzero(costs == 0)
+    limit = int(zero[0]) + 1 if len(zero) else len(starts)
+
+    Wm = np.zeros((reg_n, reg_n), dtype=np.int64)
+    np.add.at(Wm, (U, V), W)
+    np.fill_diagonal(Wm, 0)  # self-edges never change under a swap
+    link = Wm + Wm.T
+    used = np.flatnonzero(link.any(axis=1))
+    m = len(used)
+    col = np.full(reg_n, m, dtype=np.int64)
+    col[used] = np.arange(m)
+    free_arr = np.asarray(free, dtype=np.int64)
+    ai, bi = np.triu_indices(len(free), 1)
+    PA, PB = free_arr[ai], free_arr[bi]
+    if not m or not len(PA):
+        return list(zip(costs[:limit].tolist(), perms[:limit].tolist()))
+
+    D = min(max(diff_n, 0), reg_n)
+    t_out = np.zeros((reg_n, m + 1), dtype=np.int64)
+    t_out[:, :m] = Wm[used].T        # [partner, r]: weight of r -> partner
+    t_in = np.zeros((reg_n, m + 1), dtype=np.int64)
+    t_in[:, :m] = Wm[:, used]        # [partner, r]: weight of partner -> r
+    # in-partners are laid out D - 1 numbers later, so the forward window
+    # from x covers their numbers x - D + 1 .. x
+    shift = (np.arange(reg_n) - D + 1) % reg_n
+    colA, colB = col[PA], col[PB]
+    LK = np.flatnonzero(link[PA, PB])
+    LW = link[PA[LK], PB[LK]]
+    num = np.arange(reg_n)
+    sat = ((num[None, :] - num[:, None]) % reg_n < diff_n).astype(np.int64)
+    SS = (sat + sat.T - 2 * int(diff_n > 0)).ravel()
+    rows = max(1, _LOCKSTEP_CELLS // (len(PA) + (reg_n + D + 1) * (m + 1)))
+    lo = 0
+    while lo < limit:
+        act = np.arange(lo, min(lo + rows, limit))
+        lo += rows
+        P, cost = P0[act], costs[act]
+        Pinv = np.argsort(P, axis=1)  # number -> register
+        while len(act):
+            k = len(act)
+            G = np.zeros((k, reg_n + D + 1, m + 1), dtype=np.int64)
+            np.add(t_out[Pinv], t_in[Pinv[:, shift]], out=G[:, 1:reg_n + 1])
+            G[:, reg_n + 1:] = G[:, 1:D + 1]
+            np.cumsum(G, axis=1, out=G)
+            place = (G[:, D:D + reg_n] - G[:, :reg_n]).reshape(k, -1)
+            pa, pb = P[:, PA], P[:, PB]
+            delta = np.take_along_axis(place, pb * (m + 1) + colA, 1)
+            delta += np.take_along_axis(place, pa * (m + 1) + colB, 1)
+            own = np.take_along_axis(place, P * (m + 1) + col, 1)
+            delta -= own[:, PA] + own[:, PB]
+            if len(LK):
+                delta[:, LK] += LW * SS[pa[:, LK] * reg_n + pb[:, LK]]
+            pick = delta.argmax(axis=1)
+            best = delta[np.arange(k), pick]
+            r = np.flatnonzero(best > 0)
+            a, b = PA[pick[r]], PB[pick[r]]
+            xa, xb = P[r, a], P[r, b]
+            P[r, a], P[r, b] = xb, xa
+            Pinv[r, xa], Pinv[r, xb] = b, a
+            cost[r] -= best[r]
+            done = best <= 0
+            costs[act[done]], perms[act[done]] = cost[done], P[done]
+            zero = act[cost == 0]
+            if len(zero):
+                limit = min(limit, int(zero[0]) + 1)
+            keep = ~done & (act < limit)
+            act, P, Pinv, cost = act[keep], P[keep], Pinv[keep], cost[keep]
+    return list(zip(costs[:limit].tolist(), perms[:limit].tolist()))
+
+
+def _descend_starts(edges: Sequence[Edge], reg_n: int, diff_n: int,
+                    free: Sequence[int], starts: Sequence[Sequence[int]]
+                    ) -> List[Tuple[int, List[int]]]:
+    """Steepest descent (the paper's Figure 7 loop) from each start, in
+    order, up to and including the first that reaches cost 0.
+
+    Returns ``(cost, perm)`` pairs: the scaled integer local-minimum cost
+    and a fresh permutation list.  The lockstep numpy descent runs unless
+    numpy is absent (or ``REPRO_NO_NUMPY=1``) or a weight reaches
+    :data:`_NUMPY_WEIGHT_LIMIT`; then :class:`_PyDeltaEngine` descends
+    one start at a time to the same results.
+    """
     np = _numpy_or_none()
-    if np is not None and all(abs(w) < _NUMPY_WEIGHT_LIMIT for _, _, w in edges):
-        return _NumpyDeltaEngine(edges, reg_n, diff_n, free, np)
-    return _PyDeltaEngine(edges, reg_n, diff_n, free)
-
-
-def _greedy_descent(perm: List[int], edges: Sequence[Edge],
-                    reg_n: int, diff_n: int, free: Sequence[int],
-                    engine=None) -> int:
-    """Steepest-descent over element swaps (the paper's Figure 7 loop),
-    via the incremental delta engines.  Mutates and returns through
-    ``perm``; the return value is the (scaled, integer) local-minimum
-    cost."""
-    if engine is None:
-        engine = _make_engine(edges, reg_n, diff_n, free)
-    return engine.descend(perm)
+    if np is not None and all(abs(w) < _NUMPY_WEIGHT_LIMIT
+                              for _, _, w in edges):
+        return _lockstep_descent(np, edges, reg_n, diff_n, free, starts)
+    engine = _PyDeltaEngine(edges, reg_n, diff_n, free)
+    results: List[Tuple[int, List[int]]] = []
+    for start in starts:
+        perm = list(start)
+        results.append((engine.descend(perm), perm))
+        if results[-1][0] == 0:
+            break
+    return results
 
 
 def _greedy_descent_reference(perm: List[int], edges: Sequence[Edge],
@@ -665,12 +641,9 @@ def _descent_batch(payload: Tuple[Tuple[Edge, ...], int, int,
                    ) -> List[Tuple[int, List[int]]]:
     """Worker task: run the descent on a batch of starting permutations.
 
-    Module-level and pure so it pickles into a process pool; one engine is
-    shared across the batch.
+    Module-level and pure so it pickles into a process pool.
     """
-    edges, reg_n, diff_n, free, starts = payload
-    engine = _make_engine(edges, reg_n, diff_n, free)
-    return [(engine.descend(perm), perm) for perm in starts]
+    return _descend_starts(*payload)
 
 
 def differential_remap(fn: Function, reg_n: int, diff_n: int,
@@ -717,24 +690,14 @@ def differential_remap(fn: Function, reg_n: int, diff_n: int,
                                              jobs=n_jobs)
             for result in batch_result
         ]
-        results = iter(outcomes)
-
-        def next_descent() -> Tuple[int, List[int]]:
-            return next(results)
     else:
-        engine = _make_engine(edges, reg_n, diff_n, free)
-        starts_iter = iter(starts)
+        outcomes = _descend_starts(edges, reg_n, diff_n, free, starts)
 
-        def next_descent() -> Tuple[int, List[int]]:
-            perm = next(starts_iter)
-            return engine.descend(perm), perm
-
-    best_cost, best_perm = next_descent()
+    best_cost, best_perm = outcomes[0]
     used = 1
-    for _ in range(max(0, restarts - 1)):
+    for cost, perm in outcomes[1:]:
         if best_cost == 0:
             break
-        cost, perm = next_descent()
         used += 1
         if cost < best_cost:
             best_perm, best_cost = perm, cost

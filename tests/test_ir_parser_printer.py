@@ -56,6 +56,27 @@ class TestRoundTrip:
         regs = fn.registers()
         assert any(r.cls == "float" for r in regs)
 
+    def test_dotted_block_label(self):
+        fn = parse_function(
+            "func f():\nentry:\n    br a.b.crit\na.b.crit:\n    ret v0\n"
+        )
+        assert [b.name for b in fn.blocks] == ["entry", "a.b.crit"]
+
+    def test_ssa_spill_split_edge_round_trips(self, sum_fn):
+        """An ssa_spill allocation with a split critical edge prints,
+        parses back and computes the same value."""
+        from repro.ir import Interpreter
+        from repro.regalloc import ssa_spill_allocate
+
+        allocated = ssa_spill_allocate(sum_fn, 8).fn
+        assert any(b.name.endswith(".crit") for b in allocated.blocks)
+        parsed = parse_function(format_function(allocated))
+        assert format_function(parsed) == format_function(allocated)
+        for n in (0, 1, 7):
+            assert (Interpreter().run(parsed, (n,)).return_value
+                    == Interpreter().run(allocated, (n,)).return_value
+                    == sum(range(n)))
+
     def test_comments_ignored(self):
         fn = parse_function(
             "func f():  # header\nentry:\n    ret v0  # done\n"

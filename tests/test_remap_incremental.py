@@ -1,36 +1,65 @@
-"""Incremental remap-engine equivalence tests.
+"""Remap descent equivalence tests.
 
-The rewritten greedy descent evaluates swaps against per-register
-incident-edge buckets with a maintained delta table; these tests pin the
-contract that made that rewrite safe: on exact (integer) edge weights,
-every incremental quantity equals the corresponding full recomputation —
-the swap delta equals a difference of two :func:`_perm_cost` evaluations,
-and whole descents reproduce the retained O(E)-per-candidate reference
-bit for bit, on random graphs and on bundled workloads alike.
+The greedy descent runs as one lockstep numpy search over every restart
+(:func:`_lockstep_descent`) or, without numpy, through the pure-Python
+:class:`_PyDeltaEngine`; both are pinned here against the retained
+O(E)-per-candidate :func:`_greedy_descent_reference`.  On exact (integer)
+edge weights every quantity must match bit for bit: the swap delta
+equals a difference of two :func:`_perm_cost` evaluations, and every
+start's (cost, permutation) equals the reference's, on random graphs and
+on bundled workloads alike.  Under ``REPRO_NO_NUMPY=1`` the lockstep-only
+cases skip and :func:`_descend_starts` exercises the pure fallback.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import estimate_block_frequencies
+from repro.ir import parse_function
 from repro.regalloc import iterated_allocate
+from repro.regalloc import remap
 from repro.regalloc.remap import (
-    _NumpyDeltaEngine,
     _PyDeltaEngine,
     _WEIGHT_SCALE,
+    _descend_starts,
     _edge_list,
-    _greedy_descent,
     _greedy_descent_reference,
-    _make_engine,
+    _lockstep_descent,
     _numpy_or_none,
     _perm_cost,
     _start_perms,
+    differential_remap,
 )
 from repro.workloads import get_workload
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 REG_N, DIFF_N = 8, 4
+
+
+def _numpy():
+    np = _numpy_or_none()
+    if np is None:
+        pytest.skip("numpy unavailable or disabled")
+    return np
+
+
+def _per_start(descend, starts):
+    """``descend`` applied to each start in order, up to and including
+    the first zero-cost one (the prefix the restart fold reads)."""
+    results = []
+    for start in starts:
+        perm = list(start)
+        results.append((descend(perm), perm))
+        if results[-1][0] == 0:
+            break
+    return results
+
+
+def _reference(edges, reg_n, diff_n, free, starts):
+    return _per_start(
+        lambda p: _greedy_descent_reference(p, edges, reg_n, diff_n, free),
+        starts)
 
 
 @st.composite
@@ -54,6 +83,22 @@ def graph_and_perm(draw):
     edges = draw(random_graph())
     perm = draw(st.permutations(list(range(REG_N))))
     return edges, list(perm)
+
+
+@st.composite
+def search_problem(draw):
+    """A whole restart schedule: any register count and ``DiffN``,
+    self-edges, parallel (repeated) edges and pinned registers allowed."""
+    reg_n = draw(st.integers(1, 9))
+    diff_n = draw(st.integers(0, reg_n + 1))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, reg_n - 1), st.integers(0, reg_n - 1),
+                  st.integers(1, 1000)), max_size=30))
+    pinned = draw(st.sets(st.integers(0, reg_n - 1)))
+    free = [r for r in range(reg_n) if r not in pinned]
+    starts = _start_perms(list(range(reg_n)), free,
+                          draw(st.integers(0, 8)), draw(st.integers(0, 99)))
+    return edges, reg_n, diff_n, free, starts
 
 
 class TestSwapDelta:
@@ -97,15 +142,54 @@ class TestDescentEquivalence:
     @given(graph_and_perm())
     @settings(**COMMON)
     def test_numpy_engine_matches_python_engine(self, gp):
-        np = _numpy_or_none()
-        if np is None:
-            pytest.skip("numpy unavailable")
+        """The lockstep numpy descent from one start equals the pure
+        engine's descent from it."""
+        np = _numpy()
         edges, perm = gp
         free = list(range(REG_N))
-        p_py, p_np = list(perm), list(perm)
+        p_py = list(perm)
         c_py = _PyDeltaEngine(edges, REG_N, DIFF_N, free).descend(p_py)
-        c_np = _NumpyDeltaEngine(edges, REG_N, DIFF_N, free, np).descend(p_np)
-        assert (c_py, p_py) == (c_np, p_np)
+        assert _lockstep_descent(np, edges, REG_N, DIFF_N, free,
+                                 [perm]) == [(c_py, p_py)]
+
+    @given(search_problem())
+    @settings(max_examples=150, **COMMON)
+    def test_lockstep_matches_engine_and_reference(self, problem):
+        """Every start of a lockstep search returns the pure engine's and
+        the reference's cost and permutation."""
+        np = _numpy()
+        edges, reg_n, diff_n, free, starts = problem
+        ref = _reference(edges, reg_n, diff_n, free, starts)
+        engine = _PyDeltaEngine(edges, reg_n, diff_n, free)
+        assert _per_start(engine.descend, starts) == ref
+        assert _lockstep_descent(np, edges, reg_n, diff_n, free,
+                                 starts) == ref
+
+    @given(search_problem())
+    @settings(max_examples=60, **COMMON)
+    def test_descend_starts_matches_reference(self, problem):
+        """The dispatching entry point — lockstep with numpy, the pure
+        engine without — against the reference."""
+        edges, reg_n, diff_n, free, starts = problem
+        assert (_descend_starts(edges, reg_n, diff_n, free, starts)
+                == _reference(edges, reg_n, diff_n, free, starts))
+
+    @given(search_problem())
+    @settings(max_examples=60, **COMMON)
+    def test_lockstep_blocks_match_one_block(self, problem):
+        """Starts split over many lockstep blocks (one row each here)
+        descend exactly as in one block."""
+        np = _numpy()
+        edges, reg_n, diff_n, free, starts = problem
+        whole = _lockstep_descent(np, edges, reg_n, diff_n, free, starts)
+        saved = remap._LOCKSTEP_CELLS
+        remap._LOCKSTEP_CELLS = 1
+        try:
+            blocked = _lockstep_descent(np, edges, reg_n, diff_n, free,
+                                        starts)
+        finally:
+            remap._LOCKSTEP_CELLS = saved
+        assert blocked == whole
 
     @given(graph_and_perm())
     @settings(**COMMON)
@@ -114,22 +198,35 @@ class TestDescentEquivalence:
         the final permutation — no drift accumulates."""
         edges, perm = gp
         free = list(range(REG_N))
-        cost = _greedy_descent(perm, edges, REG_N, DIFF_N, free)
-        assert cost == _perm_cost(perm, edges, REG_N, DIFF_N)
+        [(cost, final)] = _descend_starts(edges, REG_N, DIFF_N, free, [perm])
+        assert cost == _perm_cost(final, edges, REG_N, DIFF_N)
 
     def test_pinned_free_subset_matches_reference(self):
         edges = [(0, 1, 5), (1, 2, 3), (2, 3, 7), (3, 0, 2), (1, 3, 4)]
         free = [0, 2, 3]  # register 1 pinned
-        for start in ([0, 1, 2, 3], [3, 1, 0, 2], [2, 1, 3, 0]):
-            p_ref, p_inc = list(start), list(start)
-            c_ref = _greedy_descent_reference(p_ref, edges, 4, 2, free)
-            c_inc = _greedy_descent(p_inc, edges, 4, 2, free)
-            assert (c_ref, p_ref) == (c_inc, p_inc)
+        starts = [[0, 1, 2, 3], [3, 1, 0, 2], [2, 1, 3, 0]]
+        assert (_descend_starts(edges, 4, 2, free, starts)
+                == _reference(edges, 4, 2, free, starts))
+
+    @pytest.mark.parametrize("diff_n", [0, 3, 8, 9])
+    def test_empty_edge_list(self, diff_n):
+        """No edges: every start is already a zero-cost local minimum,
+        so only the first is descended."""
+        starts = _start_perms(list(range(8)), list(range(8)), 5, 1)
+        assert _descend_starts([], 8, diff_n, list(range(8)),
+                               starts) == [(0, starts[0])]
+
+    def test_diff_n_equal_to_reg_n(self):
+        """DiffN == RegN satisfies every edge: cost 0 from the start."""
+        edges = [(0, 5, 3), (5, 2, 4), (2, 2, 9), (2, 5, 1)]
+        starts = _start_perms(list(range(6)), list(range(6)), 4, 2)
+        assert _descend_starts(edges, 6, 6, list(range(6)),
+                               starts) == [(0, starts[0])]
 
 
 @pytest.mark.parametrize("name", ["sha", "crc32", "stringsearch"])
 def test_workload_descents_match_reference(name):
-    """Whole restart schedules on bundled kernels: the engine the search
+    """Whole restart schedules on bundled kernels: the descent the search
     actually uses returns the reference's (cost, permutation) for every
     start — including stringsearch, whose fractional frequency shares
     made float arithmetic noisy before weights were scaled to integers."""
@@ -137,12 +234,61 @@ def test_workload_descents_match_reference(name):
     freq = estimate_block_frequencies(fn)
     edges = _edge_list(fn, 12, "src_first", freq)
     free = list(range(12))
-    engine = _make_engine(edges, 12, 8, free)
-    for start in _start_perms(list(range(12)), free, 10, seed=5):
-        p_ref, p_inc = list(start), list(start)
-        c_ref = _greedy_descent_reference(p_ref, edges, 12, 8, free)
-        c_inc = engine.descend(p_inc)
-        assert (c_ref, p_ref) == (c_inc, p_inc)
+    starts = _start_perms(list(range(12)), free, 10, seed=5)
+    assert (_descend_starts(edges, 12, 8, free, starts)
+            == _reference(edges, 12, 8, free, starts))
+
+
+ZERO_AT_START = """
+func f(r0):
+entry:
+    mov r1, r0
+    addi r2, r1, 1
+    ret r2
+"""
+
+
+class TestRemapResult:
+    """Whole :func:`differential_remap` results across engines and jobs."""
+
+    @staticmethod
+    def _key(result):
+        return (result.permutation, result.cost_before, result.cost_after,
+                result.restarts)
+
+    @pytest.mark.parametrize("restarts", [0, 1, 7])
+    def test_pure_engine_matches_lockstep(self, monkeypatch, restarts):
+        fn = iterated_allocate(get_workload("sha").function(), 12).fn
+        fast = differential_remap(fn, 12, 8, restarts=restarts, seed=3)
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        pure = differential_remap(fn, 12, 8, restarts=restarts, seed=3)
+        assert self._key(fast) == self._key(pure)
+        assert fast.restarts == max(1, restarts)
+
+    def test_zero_cost_hit_at_start_zero(self, monkeypatch):
+        """Identity already costs 0: the fold stops after one start on
+        either engine."""
+        fn = parse_function(ZERO_AT_START)
+        fast = differential_remap(fn, 8, 4, restarts=20)
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        pure = differential_remap(fn, 8, 4, restarts=20)
+        assert fast.cost_before == fast.cost_after == 0
+        assert fast.restarts == pure.restarts == 1
+        assert self._key(fast) == self._key(pure)
+
+    @pytest.mark.parametrize("name, diff_n, restarts, used", [
+        ("sha", 8, 12, 12),      # no zero-cost hit
+        ("bitcount", 8, 12, 3),  # hit in the first worker's batch
+        ("dct", 11, 4, 4),       # hit in the second worker's batch
+    ])
+    def test_jobs_two_equals_serial(self, name, diff_n, restarts, used):
+        fn = iterated_allocate(get_workload(name).function(), 12).fn
+        serial = differential_remap(fn, 12, diff_n, restarts=restarts,
+                                    seed=4)
+        fanned = differential_remap(fn, 12, diff_n, restarts=restarts,
+                                    seed=4, jobs=2)
+        assert self._key(serial) == self._key(fanned)
+        assert serial.restarts == used
 
 
 class TestEdgeList:
