@@ -118,8 +118,8 @@ def _decode_rows(uniq_words, ufid, views, np, frozen=True):
     into ``(function, byte column, byte value)`` keys; each distinct
     byte pattern becomes a frozenset once — unioned from the view's
     singleton :attr:`~repro.ir.columnar.ColumnarFunction.reg_sets`, so
-    ``Reg.__hash__`` runs once per register per view — and row sets
-    union the byte sets on stored hashes.  ``frozen=False`` yields
+    each register is hashed once per view — and row sets union the byte
+    sets on stored hashes.  ``frozen=False`` yields
     mutable sets instead; rows sharing a pattern share one set object,
     so callers must treat the results as read-only until copied.
     """
@@ -309,10 +309,11 @@ def _liveness_kernel(views: Sequence[ColumnarFunction], np,
     # sets), so intern rows first and decode each distinct one once.
     # Identical patterns from different functions decode differently, so
     # the function id is part of the interning key.  Decoding goes
-    # through interned per-byte frozensets: hashing a ``Reg`` costs a
-    # Python-level ``__hash__`` call, but ``frozenset.union`` merges
-    # entries on stored hashes, so building each distinct byte pattern
-    # once and unioning cuts the hash count to the distinct-byte tail.
+    # through interned per-byte frozensets: a ``Reg`` is a tuple, whose
+    # hash is recomputed on every insertion (tuples do not cache it),
+    # but ``frozenset.union`` merges entries on stored hashes, so
+    # building each distinct byte pattern once and unioning cuts the
+    # hash count to the distinct-byte tail.
     fid_row = np.concatenate(
         [np.repeat(np.arange(n_fns), nb)] * 2
         + [np.repeat(np.arange(n_fns), ni)] * 2)
@@ -571,8 +572,8 @@ def _interference_kernel(views: Sequence[ColumnarFunction],
                 sq |= sq.T.copy()
 
     # node dicts cloned from the view's memoized per-class seed —
-    # ``dict(seed)`` reuses the stored key hashes, so seeding costs no
-    # ``Reg.__hash__`` calls after the first run.  Nodes that keep no
+    # ``dict(seed)`` reuses the stored key hashes, so seeding rehashes no
+    # register after the first run.  Nodes that keep no
     # edges share the module-level empty set, which is safe because the
     # kernel's graphs are only ever read or deep-copied:
     # ``build_interference`` memoizes them and hands each caller a

@@ -62,6 +62,10 @@ class EncodingConfig:
         if not 0 <= self.initial_last_reg < self.reg_n:
             raise ValueError("initial_last_reg out of range")
         object.__setattr__(self, "direct_slots", dict(self.direct_slots))
+        # derived once: is_special/is_encodable run per register field.
+        # Not a dataclass field, so equality and repr ignore it.
+        object.__setattr__(self, "_special_ids",
+                           frozenset(self.direct_slots.values()))
         width = self.field_bits
         for code, rid in self.direct_slots.items():
             if not self.diff_n <= code < (1 << width):
@@ -103,7 +107,7 @@ class EncodingConfig:
 
     def special_register_ids(self) -> frozenset:
         """Register ids addressed through reserved direct slots."""
-        return frozenset(self.direct_slots.values())
+        return self._special_ids
 
     def code_for_register(self, r: Reg) -> int:
         """Direct slot code for a special register; KeyError otherwise."""
@@ -114,11 +118,11 @@ class EncodingConfig:
 
     def is_special(self, r: Reg) -> bool:
         """Whether ``r`` is a reserved special-purpose register."""
-        return r.id in self.special_register_ids()
+        return r.id in self._special_ids
 
     def is_encodable(self, r: Reg) -> bool:
         """Whether ``r`` participates in differential encoding."""
-        return r.cls in self.classes and not self.is_special(r)
+        return r.cls in self.classes and r.id not in self._special_ids
 
     @staticmethod
     def direct(reg_n: int, **kw) -> "EncodingConfig":

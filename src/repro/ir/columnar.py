@@ -431,8 +431,8 @@ class ColumnarFunction:
 
         ``dict(seed)`` clones a dict reusing its stored key hashes, so a
         consumer that seeds a per-class node table for every analysis
-        run (the interference kernel) pays the per-``Reg`` ``__hash__``
-        calls once per view instead of once per run.  Callers must treat
+        run (the interference kernel) hashes each register once per
+        view instead of once per run.  Callers must treat
         the shared ``empty`` value as immutable.
         """
         seed = self._cls_seeds.get(cls)

@@ -46,7 +46,8 @@ decoder's ``last_reg`` chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -64,22 +65,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Reg:
+class Reg(tuple):
     """A register operand.
 
     ``virtual`` registers (``v0, v1, ...``) exist before register allocation;
     physical registers (``r0, r1, ...``) exist after.  ``cls`` names the
     register class (Section 9.1) — the default single class is ``"int"``.
+
+    A ``Reg`` is an immutable ``(id, virtual, cls)`` tuple, so hashing,
+    equality and ordering run as C tuple operations.  The hash equals
+    ``hash((id, virtual, cls))`` — the value a frozen dataclass over the
+    same three fields produces — and ordering is tuple order.  Being a
+    tuple it also equals the plain tuple of its fields and has length 3;
+    format it with ``str()`` or an f-string, never ``"%s" % reg``.
     """
 
-    id: int
-    virtual: bool = True
-    cls: str = "int"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"register id must be non-negative, got {self.id}")
+    def __new__(klass, id: int, virtual: bool = True,
+                cls: str = "int") -> "Reg":
+        if id < 0:
+            raise ValueError(f"register id must be non-negative, got {id}")
+        return tuple.__new__(klass, (id, virtual, cls))
+
+    id = property(itemgetter(0), doc="register number")
+    virtual = property(itemgetter(1), doc="True before allocation")
+    cls = property(itemgetter(2), doc="register class name")
+
+    def __getnewargs__(self) -> Tuple[int, bool, str]:
+        return tuple(self)
 
     def __str__(self) -> str:
         prefix = "v" if self.virtual else "r"
@@ -162,7 +176,7 @@ def _next_uid() -> int:
     return _counter[0]
 
 
-@dataclass
+@dataclass(slots=True)
 class Instr:
     """One three-address instruction.
 
@@ -248,6 +262,7 @@ class Instr:
 
         Registers absent from ``mapping`` are kept as-is.
         """
+        new = self.copy()
         sub = lambda r: mapping.get(r, r)  # noqa: E731 - tiny local helper
         if self.op == "permi":
             # permi's registers live in its immediate; a renaming sigma
@@ -262,18 +277,32 @@ class Instr:
             new_perm = list(range(len(perm)))
             for i, p in enumerate(perm):
                 new_perm[sigma[i]] = sigma[p]
-            return replace(self, imm=tuple(new_perm))
-        return replace(
-            self,
-            dst=sub(self.dst) if self.dst is not None else None,
-            srcs=tuple(sub(s) for s in self.srcs),
-            call_uses=tuple(sub(s) for s in self.call_uses),
-            call_defs=tuple(sub(s) for s in self.call_defs),
-        )
+            new.imm = tuple(new_perm)
+            return new
+        if self.dst is not None:
+            new.dst = sub(self.dst)
+        new.srcs = tuple(sub(s) for s in self.srcs)
+        new.call_uses = tuple(sub(s) for s in self.call_uses)
+        new.call_defs = tuple(sub(s) for s in self.call_defs)
+        return new
 
     def copy(self) -> "Instr":
-        """Shallow copy preserving ``uid``."""
-        return replace(self)
+        """Shallow copy preserving ``uid``.
+
+        The fields of an existing instruction were validated when it was
+        built, so the copy is assembled slot by slot without re-running
+        ``__init__``.
+        """
+        new = object.__new__(Instr)
+        new.op = self.op
+        new.dst = self.dst
+        new.srcs = self.srcs
+        new.imm = self.imm
+        new.label = self.label
+        new.call_uses = self.call_uses
+        new.call_defs = self.call_defs
+        new.uid = self.uid
+        return new
 
     def is_move(self) -> bool:
         """Whether this is a register-to-register copy."""

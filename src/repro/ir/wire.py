@@ -110,14 +110,10 @@ def to_wire(fn: Function) -> bytes:
             string_index[s] = idx
         return idx
 
-    # Memoized per object identity: Reg is a frozen dataclass whose
-    # value-hash runs at Python speed, and the function keeps every reg
-    # alive for the duration of the call, so id() keys are stable and
-    # much cheaper.  Equal-but-distinct objects just recompute.
-    reg_memo: Dict[int, int] = {}
+    reg_memo: Dict[Reg, int] = {}
 
     def reg_code(reg: Reg) -> int:
-        code = reg_memo.get(id(reg))
+        code = reg_memo.get(reg)
         if code is None:
             if reg.id > _MAX_REG_ID:
                 raise WireError(f"register id {reg.id} exceeds the "
@@ -126,7 +122,7 @@ def to_wire(fn: Function) -> bytes:
             if cls_idx >= _MAX_CLASSES:
                 raise WireError("more than 256 distinct register classes")
             code = (reg.id << 9) | (cls_idx << 1) | (1 if reg.virtual else 0)
-            reg_memo[id(reg)] = code
+            reg_memo[reg] = code
         return code
 
     block_names: List[int] = []

@@ -35,7 +35,8 @@ the graph.  We reproduce that structure:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Any, Dict, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.analysis.frequency import estimate_block_frequencies
 from repro.analysis.liveness import LivenessInfo, compute_liveness
@@ -139,6 +140,157 @@ def _forced_points(fn: Function) -> Set[Tuple[Reg, str, int]]:
 # ----------------------------------------------------------------------
 
 
+@dataclass
+class _IlpModel:
+    """The residence ILP in the COO form ``scipy.optimize.milp`` takes.
+
+    Row blocks in order: capacity per live point, loads, stores, edge
+    equalities.  ``x_index`` maps ``(v, block, point)`` to its binary
+    column; the transition cost columns follow the ``n_x`` x columns.
+    """
+
+    x_index: Dict[Tuple[Reg, str, int], int]
+    c: Any
+    rows: Any
+    cols: Any
+    vals: Any
+    lb: Any
+    ub: Any
+    var_lb: Any
+    var_ub: Any
+    integrality: Any
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return len(self.lb), len(self.c)
+
+
+def _build_ilp_model(fn: Function, k: int, pts: _Points,
+                     freq: Mapping[str, float],
+                     forced: Set[Tuple[Reg, str, int]],
+                     load_cost: float, store_cost: float,
+                     max_ilp_vars: int) -> Optional[_IlpModel]:
+    """Build the residence ILP; None when it exceeds ``max_ilp_vars``.
+
+    Variable and constraint order never depends on set iteration order
+    (every live set is walked sorted), or the solver's tie-breaks would
+    vary with the process hash seed.
+    """
+    import numpy as np
+
+    # variable layout: x vars first (binary), then transition cost vars.
+    # The x columns of one point are contiguous, ascending in register
+    # order, starting at base[(block, j)].
+    x_index: Dict[Tuple[Reg, str, int], int] = {}
+    base: Dict[Tuple[str, int], int] = {}
+    for point, live in sorted(pts.live_at.items(), key=lambda it: it[0]):
+        block, j = point
+        base[point] = len(x_index)
+        for v in sorted(live):
+            x_index[(v, block, j)] = len(x_index)
+    n_x = len(x_index)
+
+    # transitions: (x_pre, x_post) pairs and their block frequency
+    pre: List[int] = []
+    post: List[int] = []
+    weight: List[float] = []
+    for b in fn.blocks:
+        name = b.name
+        w = freq.get(name, 1.0)
+        for j, instr in enumerate(b.instrs):
+            defs = instr.defs()
+            after = pts.live_at[(name, j + 1)]
+            for v in sorted(pts.live_at[(name, j)]):
+                if v not in after:
+                    continue  # value dies: no transition cost
+                if v in defs:
+                    continue  # def transitions are free (writes a register)
+                pre.append(x_index[(v, name, j)])
+                post.append(x_index[(v, name, j + 1)])
+                weight.append(w)
+
+    # one load and one store cost column per transition
+    n_t = len(pre)
+    n_vars = n_x + 2 * n_t
+    if n_vars > max_ilp_vars:
+        return None
+
+    w_arr = np.array(weight, dtype=float)
+    c = np.zeros(n_vars)
+    c[n_x:n_x + n_t] = w_arr * load_cost
+    c[n_x + n_t:] = w_arr * store_cost
+
+    # capacity per point: sum of the point's x columns <= k - phys pressure
+    cap_cols: List[int] = []
+    cap_len: List[int] = []
+    cap_ub: List[float] = []
+    for point, live in pts.live_at.items():
+        if not live:
+            continue
+        start = base[point]
+        cap_cols.extend(range(start, start + len(live)))
+        cap_len.append(len(live))
+        cap_ub.append(float(k - pts.phys_pressure(*point)))
+    n_cap = len(cap_len)
+
+    # load: x_post - x_pre - l <= 0; store: x_pre - x_post - s <= 0
+    pre_arr = np.array(pre, dtype=np.int64)
+    post_arr = np.array(post, dtype=np.int64)
+    t_arr = np.arange(n_t, dtype=np.int64)
+    load_cols = np.stack([post_arr, pre_arr, n_x + t_arr], axis=1)
+    store_cols = np.stack([pre_arr, post_arr, n_x + n_t + t_arr], axis=1)
+
+    # edge equality: x[v, exit(P)] == x[v, entry(B)]
+    edge_cols: List[int] = []
+    succs, _ = fn.cfg()
+    for p in fn.blocks:
+        np_ = len(p.instrs)
+        for s in succs[p.name]:
+            for v in sorted(pts.live_at[(s, 0)]):
+                xp = x_index.get((v, p.name, np_))
+                if xp is None:
+                    continue
+                edge_cols.append(xp)
+                edge_cols.append(x_index[(v, s, 0)])
+    n_e = len(edge_cols) // 2
+
+    n_ineq = n_cap + 2 * n_t
+    n_rows = n_ineq + n_e
+    rows = np.concatenate([
+        np.repeat(np.arange(n_cap, dtype=np.int64),
+                  np.array(cap_len, dtype=np.int64)),
+        np.repeat(np.arange(n_cap, n_ineq, dtype=np.int64), 3),
+        np.repeat(np.arange(n_ineq, n_rows, dtype=np.int64), 2),
+    ])
+    cols = np.concatenate([
+        np.array(cap_cols, dtype=np.int64),
+        load_cols.reshape(-1),
+        store_cols.reshape(-1),
+        np.array(edge_cols, dtype=np.int64),
+    ])
+    vals = np.concatenate([
+        np.ones(len(cap_cols)),
+        np.tile([1.0, -1.0, -1.0], 2 * n_t),
+        np.tile([1.0, -1.0], n_e),
+    ])
+    lb = np.full(n_rows, -np.inf)
+    lb[n_ineq:] = 0.0
+    ub = np.zeros(n_rows)
+    ub[:n_cap] = cap_ub
+
+    var_lb = np.zeros(n_vars)
+    var_ub = np.ones(n_vars)
+    for key in forced:
+        col = x_index.get(key)
+        if col is not None:
+            var_lb[col] = 1.0
+
+    integrality = np.zeros(n_vars)
+    integrality[:n_x] = 1
+    return _IlpModel(x_index, c, rows, cols, vals, lb, ub, var_lb, var_ub,
+                     integrality)
+
+
 def _solve_ilp(fn: Function, k: int, pts: _Points,
                freq: Mapping[str, float],
                forced: Set[Tuple[Reg, str, int]],
@@ -151,123 +303,24 @@ def _solve_ilp(fn: Function, k: int, pts: _Points,
     except ImportError:
         return None
 
-    # variable layout: x vars first (binary), then transition cost vars
-    x_index: Dict[Tuple[Reg, str, int], int] = {}
-    for (block, j), live in sorted(
-            pts.live_at.items(), key=lambda it: (it[0][0], it[0][1])):
-        for v in sorted(live):
-            x_index[(v, block, j)] = len(x_index)
-    n_x = len(x_index)
-    if n_x == 0:
+    model = _build_ilp_model(fn, k, pts, freq, forced, load_cost,
+                             store_cost, max_ilp_vars)
+    if model is None:
+        return None
+    x_index = model.x_index
+    if not x_index:
         return ResidencePlan({}, set(), 0.0, "ilp")
 
-    cost_terms: List[Tuple[int, int, float]] = []  # (x_pre, x_post, weight), load
-    store_terms: List[Tuple[int, int, float]] = []
-    for b in fn.blocks:
-        w = freq.get(b.name, 1.0)
-        for j, instr in enumerate(b.instrs):
-            defs = set(instr.defs())
-            # sorted: variable/constraint order must not depend on set
-            # iteration order, or the solver's tie-breaks vary with the
-            # process hash seed
-            for v in sorted(pts.live_at[(b.name, j)]):
-                if v not in pts.live_at[(b.name, j + 1)]:
-                    continue  # value dies: no transition cost
-                if v in defs:
-                    continue  # def transitions are free (writes a register)
-                pre = x_index[(v, b.name, j)]
-                post = x_index[(v, b.name, j + 1)]
-                cost_terms.append((pre, post, w * load_cost))
-                store_terms.append((pre, post, w * store_cost))
-
-    n_l = len(cost_terms)
-    n_s = len(store_terms)
-    n_vars = n_x + n_l + n_s
-    if n_vars > max_ilp_vars:
-        return None
-
-    c = np.zeros(n_vars)
-    for t, (_, _, w) in enumerate(cost_terms):
-        c[n_x + t] = w
-    for t, (_, _, w) in enumerate(store_terms):
-        c[n_x + n_l + t] = w
-
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-    lb: List[float] = []
-    ub: List[float] = []
-    row = 0
-
-    def add_entry(r: int, col: int, val: float) -> None:
-        rows.append(r)
-        cols.append(col)
-        vals.append(val)
-
-    # capacity per point
-    for (block, j), live in pts.live_at.items():
-        if not live:
-            continue
-        for v in sorted(live):
-            add_entry(row, x_index[(v, block, j)], 1.0)
-        lb.append(-np.inf)
-        ub.append(float(k - pts.phys_pressure(block, j)))
-        row += 1
-
-    # load: x_post - x_pre - l <= 0
-    for t, (pre, post, _) in enumerate(cost_terms):
-        add_entry(row, post, 1.0)
-        add_entry(row, pre, -1.0)
-        add_entry(row, n_x + t, -1.0)
-        lb.append(-np.inf)
-        ub.append(0.0)
-        row += 1
-
-    # store: x_pre - x_post - s <= 0
-    for t, (pre, post, _) in enumerate(store_terms):
-        add_entry(row, pre, 1.0)
-        add_entry(row, post, -1.0)
-        add_entry(row, n_x + n_l + t, -1.0)
-        lb.append(-np.inf)
-        ub.append(0.0)
-        row += 1
-
-    # edge equality: x[v, exit(P)] == x[v, entry(B)]
-    succs, _ = fn.cfg()
-    for p in fn.blocks:
-        np_ = len(p.instrs)
-        for s in succs[p.name]:
-            for v in sorted(pts.live_at[(s, 0)]):
-                kp = (v, p.name, np_)
-                ks = (v, s, 0)
-                if kp not in x_index or ks not in x_index:
-                    continue
-                add_entry(row, x_index[kp], 1.0)
-                add_entry(row, x_index[ks], -1.0)
-                lb.append(0.0)
-                ub.append(0.0)
-                row += 1
-
-    var_lb = np.zeros(n_vars)
-    var_ub = np.ones(n_vars)
-    for key in forced:
-        if key in x_index:
-            var_lb[x_index[key]] = 1.0
-
-    integrality = np.zeros(n_vars)
-    integrality[:n_x] = 1
-
     constraints = LinearConstraint(
-        sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(row, n_vars)
-        ),
-        np.array(lb), np.array(ub),
+        sparse.csr_matrix((model.vals, (model.rows, model.cols)),
+                          shape=model.shape),
+        model.lb, model.ub,
     )
     res = milp(
-        c=c,
+        c=model.c,
         constraints=constraints,
-        bounds=Bounds(var_lb, var_ub),
-        integrality=integrality,
+        bounds=Bounds(model.var_lb, model.var_ub),
+        integrality=model.integrality,
         options={"time_limit": 60.0},
     )
     if not res.success or res.x is None:
@@ -276,6 +329,7 @@ def _solve_ilp(fn: Function, k: int, pts: _Points,
     # vectors default to False; True only at live points where the value is
     # resident.  Dead points read as non-resident so segment walking starts
     # a fresh segment at every definition after a liveness gap.
+    resident_at = (res.x > 0.5).tolist()
     residence: Dict[Reg, Dict[str, List[bool]]] = {}
     spilled: Set[Reg] = set()
     for b in fn.blocks:
@@ -285,7 +339,7 @@ def _solve_ilp(fn: Function, k: int, pts: _Points,
                 vec = residence.setdefault(v, {}).setdefault(
                     b.name, [False] * (n + 1)
                 )
-                resident = res.x[x_index[(v, b.name, j)]] > 0.5
+                resident = resident_at[x_index[(v, b.name, j)]]
                 vec[j] = resident
                 if not resident:
                     spilled.add(v)

@@ -251,30 +251,52 @@ class TestPipelineParity:
     def test_hash_seed_determinism(self):
         """The same divergence seen across engines also appears across
         *processes* when allocators iterate sets whose layout depends on
-        the randomized string hash: pin that ospill/coalesce results are
-        now identical under different PYTHONHASHSEED values."""
+        the randomized string hash: pin that the whole figure grid —
+        mibench x the paper setups — allocates, encodes and simulates
+        identically under different PYTHONHASHSEED values."""
         import subprocess
         import sys
 
         prog = (
             "import hashlib\n"
-            "from repro.regalloc import run_setup\n"
-            "from repro.workloads import get_workload\n"
+            "from repro.analysis.profile import "
+            "block_frequencies_from_counts\n"
             "from repro.ir.printer import format_function\n"
+            "from repro.machine import interpret_or_derive, "
+            "record_reference_run\n"
+            "from repro.machine.lowend import LowEndTimingModel\n"
+            "from repro.machine.spec import LOWEND\n"
+            "from repro.regalloc import PAPER_SETUPS, run_setup\n"
+            "from repro.workloads.mibench import MIBENCH\n"
             "h = hashlib.sha256()\n"
-            "fn = get_workload('crc32').build()\n"
-            "for setup in ('ospill', 'coalesce'):\n"
-            "    p = run_setup(fn, setup)\n"
-            "    h.update(format_function(p.final_fn).encode())\n"
-            "    h.update(repr(sorted((r.id, r.cls, c) for r, c in\n"
-            "             p.allocation.coloring.items())).encode())\n"
+            "timing = LowEndTimingModel(LOWEND)\n"
+            "for w in MIBENCH:\n"
+            "    fn = w.function()\n"
+            "    rec = record_reference_run(fn, w.default_args)\n"
+            "    freq = block_frequencies_from_counts(\n"
+            "        fn, rec.block_instr_counts)\n"
+            "    for setup in PAPER_SETUPS:\n"
+            "        p = run_setup(fn, setup, freq=freq, remap_restarts=50)\n"
+            "        res = interpret_or_derive(p.final_fn, w.default_args,\n"
+            "                                  rec)\n"
+            "        cycles = timing.time(res.columnar if res.columnar\n"
+            "                             is not None else res.trace).cycles\n"
+            "        h.update(format_function(p.final_fn).encode())\n"
+            "        h.update(repr((w.name, setup, p.n_spills, p.n_setlr,\n"
+            "                       cycles)).encode())\n"
+            "        h.update(repr(sorted((r.id, r.cls, c) for r, c in\n"
+            "                 p.allocation.coloring.items())).encode())\n"
             "print(h.hexdigest())\n"
         )
+        # both seeds run at once: each process is one grid pass
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", prog],
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for seed in ("1", "2")]
         digests = set()
-        for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            out = subprocess.run(
-                [sys.executable, "-c", prog], env=env, capture_output=True,
-                text=True, check=True)
-            digests.add(out.stdout.strip())
+        for proc in procs:
+            out, err = proc.communicate()
+            assert proc.returncode == 0, err
+            digests.add(out.strip())
         assert len(digests) == 1, digests

@@ -72,3 +72,16 @@ class TestSpecialRegisters:
     def test_special_register_ids(self):
         cfg = EncodingConfig(reg_n=15, diff_n=7, direct_slots={7: 15})
         assert cfg.special_register_ids() == frozenset({15})
+
+    def test_special_ids_computed_once_and_not_a_field(self):
+        from dataclasses import fields, replace
+
+        cfg = EncodingConfig(reg_n=15, diff_n=7, direct_slots={7: 15})
+        assert cfg.special_register_ids() is cfg.special_register_ids()
+        assert "_special_ids" not in {f.name for f in fields(cfg)}
+        assert cfg == EncodingConfig(reg_n=15, diff_n=7,
+                                     direct_slots={7: 15})
+        assert "_special_ids" not in repr(cfg)
+        moved = replace(cfg, direct_slots={7: 16})
+        assert moved.special_register_ids() == frozenset({16})
+        assert moved.is_special(phys(16)) and not moved.is_special(phys(15))
