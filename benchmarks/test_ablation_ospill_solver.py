@@ -1,18 +1,16 @@
 """Ablation: exact MILP residence decisions vs the greedy fallback.
 
 The paper's optimal-spill substrate uses CPLEX; ours uses HiGHS via scipy
-with a spill-everywhere greedy fallback for environments without scipy.
-The exact solver should never lose on the weighted load/store objective.
+with a spill-everywhere greedy fallback for instances past the ILP's size
+cap.  The exact solver should never lose on the weighted load/store
+objective.
 """
 
-import pytest
 from conftest import show
 
 from repro.experiments.reporting import Table, arith_mean
 from repro.regalloc.optimal_spill import decide_residence
 from repro.workloads import MIBENCH
-
-scipy = pytest.importorskip("scipy")
 
 
 def _objectives(use_ilp):

@@ -16,13 +16,9 @@ import os
 import pytest
 
 from repro.benchtrack import bench_analysis, write_bench_json
-from repro.ir.trace import numpy_or_none
 
 BENCH_JSON = os.path.join(os.path.dirname(__file__), os.pardir,
                           "BENCH_analysis.json")
-
-pytestmark = pytest.mark.skipif(numpy_or_none() is None,
-                                reason="numpy unavailable")
 
 
 @pytest.fixture(scope="module")

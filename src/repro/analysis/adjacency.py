@@ -183,26 +183,15 @@ def build_adjacency(fn: Function, order: str = "src_first", cls: str = "int",
     :meth:`AdjacencyGraph.copy`, because coalescing mutates its graph via
     :meth:`AdjacencyGraph.merge`.
     """
+    from repro.analysis import batched
     from repro.analysis.cache import fingerprint_function, memoize_analysis
 
     freq_key = None if freq is None else tuple(sorted(freq.items()))
     fp = fingerprint_function(fn)
     key = ("adjacency", order, cls, freq_key, fp)
     graph = memoize_analysis(
-        key, lambda: _build_adjacency(fn, order, cls, freq, fp))
+        key, lambda: batched.adjacency_one(fn, order, cls, freq, fp))
     return graph.copy()
-
-
-def _build_adjacency(fn: Function, order: str, cls: str,
-                     freq: Optional[Mapping[str, float]],
-                     fp=None) -> AdjacencyGraph:
-    from repro.analysis import batched
-
-    if batched.vectors_enabled():
-        g = batched.adjacency_one(fn, order, cls, freq, fp)
-        if g is not None:
-            return g
-    return _build_adjacency_ref(fn, order, cls, freq)
 
 
 def _build_adjacency_ref(fn: Function, order: str, cls: str,

@@ -34,40 +34,24 @@ The equivalence is enforced on mibench, a 200-function fuzz corpus and
 hypothesis-generated programs by ``tests/test_batched_analysis.py``,
 and re-checked (with the speedup floor) by
 ``benchmarks/test_analysis_speed.py``.
-
-Set ``REPRO_NO_ANALYSIS_VECTOR=1`` to force the reference engines (the
-same escape hatch shape as ``REPRO_NO_SIM_VECTOR``); without numpy the
-reference engines are used automatically.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.ir.columnar import ColumnarFunction, columnar_view
 from repro.ir.function import Function
-from repro.ir.trace import numpy_or_none
 
 __all__ = [
-    "vectors_enabled",
     "batched_liveness",
     "liveness_one",
     "interference_one",
     "adjacency_one",
     "prewarm_corpus",
 ]
-
-
-def vectors_enabled() -> bool:
-    """Whether the vectorized analysis path is active.
-
-    Checked at call time (like the sim layer's ``REPRO_NO_SIM_VECTOR``)
-    so tests and benchmarks can flip the environment variable without
-    re-importing anything.
-    """
-    return (os.environ.get("REPRO_NO_ANALYSIS_VECTOR") != "1"
-            and numpy_or_none() is not None)
 
 
 def _bases(sizes: List[int]) -> List[int]:
@@ -88,7 +72,7 @@ _BITS = [tuple(b for b in range(8) if v >> b & 1) for v in range(256)]
 _EMPTY_NODE_SET: set = set()
 
 
-def _intern_rows(words, fid_row, np):
+def _intern_rows(words, fid_row):
     """Group equal ``(fid, bitset row)`` pairs.
 
     Returns ``(inverse, rep_idx)``: ``words[rep_idx]`` are the distinct
@@ -110,7 +94,7 @@ def _intern_rows(words, fid_row, np):
     return key.reshape(-1), rep_idx
 
 
-def _decode_rows(uniq_words, ufid, views, np, frozen=True):
+def _decode_rows(uniq_words, ufid, views, frozen=True):
     """Decode distinct bitset rows into sets of ``Reg`` objects.
 
     Returns a list aligned with ``uniq_words``; ``ufid`` names each
@@ -158,24 +142,22 @@ def _decode_rows(uniq_words, ufid, views, np, frozen=True):
             for s, c in zip(starts, counts)]
 
 
-def _catter(np):
+def _cat(parts, dtype=np.int64):
     """Concatenation that tolerates empty part lists and skips the copy
     when only one part is non-empty."""
-    def cat(parts, dtype=np.int64):
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return np.zeros(0, dtype=dtype)
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
-    return cat
+    parts = [p for p in parts if len(p)]
+    if not parts:
+        return np.zeros(0, dtype=dtype)
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts)
 
 
 # ----------------------------------------------------------------------
 # stacked bitset liveness
 # ----------------------------------------------------------------------
 
-def _liveness_kernel(views: Sequence[ColumnarFunction], np,
+def _liveness_kernel(views: Sequence[ColumnarFunction],
                      fps: Optional[Sequence[Tuple]] = None):
     """Fixed-point liveness for a stack of views in shared matrices.
 
@@ -201,7 +183,6 @@ def _liveness_kernel(views: Sequence[ColumnarFunction], np,
     W = max(1, (max_regs + 63) // 64)
     u64, one = np.uint64, np.uint64(1)
 
-    cat = _catter(np)
     nb_arr = np.asarray(nb)
     ni_arr = np.asarray(ni)
     ib_arr = np.asarray(instr_base)
@@ -211,21 +192,21 @@ def _liveness_kernel(views: Sequence[ColumnarFunction], np,
     # ids by per-function bases with a single repeat — instruction and
     # block numbering become corpus-global, register bits stay
     # function-local (rows never mix functions)
-    blen = cat([v.block_len for v in views])
-    bstart = cat([v.block_start for v in views]) + np.repeat(ib_arr,
-                                                             nb_arr)
-    es = np.repeat(np.arange(B), cat([v.succ_cnt for v in views]))
-    ed = cat([v.succ for v in views]) + np.repeat(
+    blen = _cat([v.block_len for v in views])
+    bstart = _cat([v.block_start for v in views]) + np.repeat(ib_arr,
+                                                              nb_arr)
+    es = np.repeat(np.arange(B), _cat([v.succ_cnt for v in views]))
+    ed = _cat([v.succ for v in views]) + np.repeat(
         bb_arr, np.asarray([len(v.succ) for v in views]))
 
     # per-instruction use/def bitsets
     U = np.zeros((I, W), dtype=u64)
     D = np.zeros((I, W), dtype=u64)
     for mat, cnts, regs in (
-            (U, cat([v.use_cnt for v in views]),
-             cat([v.use_reg for v in views])),
-            (D, cat([v.def_cnt for v in views]),
-             cat([v.def_reg for v in views]))):
+            (U, _cat([v.use_cnt for v in views]),
+             _cat([v.use_reg for v in views])),
+            (D, _cat([v.def_cnt for v in views]),
+             _cat([v.def_reg for v in views]))):
         if len(regs):
             rows = np.repeat(np.arange(I), cnts)
             np.bitwise_or.at(
@@ -242,8 +223,8 @@ def _liveness_kernel(views: Sequence[ColumnarFunction], np,
     # carries garbage bits above each function's register count (from
     # ``~D``); they are harmless because ``K`` is only ever ANDed
     # against clean rows.
-    seg = cat([v.block_of_instr for v in views]) + np.repeat(bb_arr,
-                                                             ni_arr)
+    seg = _cat([v.block_of_instr for v in views]) + np.repeat(bb_arr,
+                                                              ni_arr)
     max_len = int(blen.max()) if B else 0
     K = ~D
     G = U.copy()
@@ -318,8 +299,8 @@ def _liveness_kernel(views: Sequence[ColumnarFunction], np,
         [np.repeat(np.arange(n_fns), nb)] * 2
         + [np.repeat(np.arange(n_fns), ni)] * 2)
     words = np.concatenate([live_in, live_out, LI, LO])
-    inverse, rep_idx = _intern_rows(words, fid_row, np)
-    sets = _decode_rows(words[rep_idx], fid_row[rep_idx], views, np)
+    inverse, rep_idx = _intern_rows(words, fid_row)
+    sets = _decode_rows(words[rep_idx], fid_row[rep_idx], views)
 
     # the block use/def dicts are syntactic summaries — no dataflow in
     # them — so like the view's other derived structural tables they are
@@ -333,8 +314,8 @@ def _liveness_kernel(views: Sequence[ColumnarFunction], np,
         fid2 = np.repeat(np.asarray(need), np.asarray(nbn))
         words2 = np.concatenate([use_blk[sel], def_blk[sel]])
         fid_row2 = np.concatenate([fid2, fid2])
-        inv2, rep2 = _intern_rows(words2, fid_row2, np)
-        sets2 = _decode_rows(words2[rep2], fid_row2[rep2], views, np)
+        inv2, rep2 = _intern_rows(words2, fid_row2)
+        sets2 = _decode_rows(words2[rep2], fid_row2[rep2], views)
         inv2_list = inv2.tolist()
         gs2 = sets2.__getitem__
         off, L2 = 0, len(sel)
@@ -396,15 +377,12 @@ def _liveness_kernel(views: Sequence[ColumnarFunction], np,
 
 def liveness_one(fn: Function, fp: Optional[Tuple] = None):
     """Vectorized :class:`LivenessInfo` of one function (a corpus of
-    one), or ``None`` when numpy is unavailable.  Callers memoize."""
-    np = numpy_or_none()
-    if np is None:
-        return None
+    one).  Callers memoize."""
     from repro.analysis.cache import fingerprint_function
 
     if fp is None:
         fp = fingerprint_function(fn)
-    infos, _ = _liveness_kernel([columnar_view(fn, fp)], np, [fp])
+    infos, _ = _liveness_kernel([columnar_view(fn, fp)], [fp])
     return infos[0]
 
 
@@ -414,21 +392,15 @@ def batched_liveness(fns: Sequence[Function]) -> List:
     Returns :class:`LivenessInfo` objects aligned with ``fns`` and
     populates the analysis cache, so subsequent ``compute_liveness``
     calls on the same functions hit.  Functions already cached keep
-    their cached result and are excluded from the stack.  Falls back to
-    per-function :func:`compute_liveness` when the vector path is off.
+    their cached result and are excluded from the stack.
     """
     from repro.analysis.cache import fingerprint_function
-    from repro.analysis.liveness import compute_liveness
 
     fns = list(fns)
-    np = numpy_or_none()
-    if np is None or not vectors_enabled():
-        return [compute_liveness(fn) for fn in fns]
-    return _batched_liveness(fns, [fingerprint_function(fn) for fn in fns],
-                             np)
+    return _batched_liveness(fns, [fingerprint_function(fn) for fn in fns])
 
 
-def _batched_liveness(fns: List[Function], fps: List[Tuple], np) -> List:
+def _batched_liveness(fns: List[Function], fps: List[Tuple]) -> List:
     from repro.analysis.cache import MISSING, memoize_analysis, peek_analysis
 
     keys = [("liveness", fp) for fp in fps]
@@ -436,14 +408,14 @@ def _batched_liveness(fns: List[Function], fps: List[Tuple], np) -> List:
     todo = [i for i, v in enumerate(out) if v is MISSING]
     if todo:
         infos, _ = _liveness_kernel(
-            [columnar_view(fns[i], fps[i]) for i in todo], np,
+            [columnar_view(fns[i], fps[i]) for i in todo],
             [fps[i] for i in todo])
         for i, info in zip(todo, infos):
             out[i] = memoize_analysis(keys[i], lambda info=info: info)
     return out
 
 
-def _live_bits(fn: Function, view: ColumnarFunction, fp: Tuple, np):
+def _live_bits(fn: Function, view: ColumnarFunction, fp: Tuple):
     """Per-instruction live-out bitset rows for ``fn`` (``(n_instrs, W)``
     uint64), reusing the memoized rows from a previous liveness run when
     available."""
@@ -451,7 +423,7 @@ def _live_bits(fn: Function, view: ColumnarFunction, fp: Tuple, np):
 
     bits = peek_analysis(("livebits", fp))
     if bits is MISSING:
-        _, slices = _liveness_kernel([view], np, [fp])
+        _, slices = _liveness_kernel([view], [fp])
         bits = slices[0]
     return bits
 
@@ -461,7 +433,7 @@ def _live_bits(fn: Function, view: ColumnarFunction, fp: Tuple, np):
 # ----------------------------------------------------------------------
 
 def _interference_kernel(views: Sequence[ColumnarFunction],
-                         bits: Sequence, freqs: Sequence, cls: str, np
+                         bits: Sequence, freqs: Sequence, cls: str
                          ) -> List:
     """Interference graphs for a corpus in one numpy pass.
 
@@ -488,16 +460,15 @@ def _interference_kernel(views: Sequence[ColumnarFunction],
     W = max((b.shape[1] for b in bits if b is not None and len(b)),
             default=1)
 
-    cat = _catter(np)
     I = instr_base[-1] + ni[-1] if n_fns else 0
     codes_arr = np.asarray([c if c is not None else -1 for c in codes])
     rb_arr = np.asarray(reg_base)
     ib_arr = np.asarray(instr_base)
     def_tot = np.asarray([len(v.def_reg) for v in views])
-    regcls = cat([v.reg_cls for v in views]) if n_fns else None
+    regcls = _cat([v.reg_cls for v in views]) if n_fns else None
     mv_rows = mv_fid = None
     if I:
-        is_mv_all = cat([v.is_move for v in views], dtype=bool)
+        is_mv_all = _cat([v.is_move for v in views], dtype=bool)
         mv_rows = np.nonzero(is_mv_all)[0]
         mv_fid = np.searchsorted(np.append(ib_arr[1:], I), mv_rows,
                                  side="right")
@@ -516,8 +487,8 @@ def _interference_kernel(views: Sequence[ColumnarFunction],
                     :bf.shape[1]] = bf
         # class-filtered def occurrences, corpus-global instruction ids,
         # function-local register ids
-        iod = np.repeat(np.arange(I), cat([v.def_cnt for v in views]))
-        drl = cat([v.def_reg for v in views])
+        iod = np.repeat(np.arange(I), _cat([v.def_cnt for v in views]))
+        drl = _cat([v.def_reg for v in views])
         fid = np.repeat(np.arange(n_fns), def_tot)
         drg = drl + rb_arr[fid]
         m = regcls[drg] == codes_arr[fid]
@@ -540,7 +511,7 @@ def _interference_kernel(views: Sequence[ColumnarFunction],
                     regcls == codes_arr[fid_of_reg])
             bb &= clsmask[fid]
             bb[np.arange(P), drl] = False
-            mv_src = cat([v.move_src for v in views])
+            mv_src = _cat([v.move_src for v in views])
             mv = is_mv_all[iod]
             rows = np.nonzero(mv)[0]
             if len(rows):
@@ -602,8 +573,8 @@ def _interference_kernel(views: Sequence[ColumnarFunction],
                                    side="right")
             NB = np.packbits(M[unodes], axis=-1,
                              bitorder="little").view(np.uint64)
-            inv_rows, rep_idx = _intern_rows(NB, ufid, np)
-            row_sets = _decode_rows(NB[rep_idx], ufid[rep_idx], views, np,
+            inv_rows, rep_idx = _intern_rows(NB, ufid)
+            row_sets = _decode_rows(NB[rep_idx], ufid[rep_idx], views,
                                     frozen=False)
             objs = list(map(geti, unodes.tolist()))
             node_sets = list(map(row_sets.__getitem__, inv_rows.tolist()))
@@ -620,8 +591,8 @@ def _interference_kernel(views: Sequence[ColumnarFunction],
     # repeated ``add_move`` calls; with no frequencies every term is 1.0
     # and the sum is the exact float count.
     if mv_rows is not None and len(mv_rows):
-        mlo = cat([v.move_canon()[0] for v in views])
-        mhi = cat([v.move_canon()[1] for v in views])
+        mlo = _cat([v.move_canon()[0] for v in views])
+        mhi = _cat([v.move_canon()[1] for v in views])
         glo = mlo.clip(min=0) + rb_arr[mv_fid]
         ghi = mhi.clip(min=0) + rb_arr[mv_fid]
         ok = ((mlo >= 0) & (regcls[glo] == codes_arr[mv_fid])
@@ -665,18 +636,14 @@ def _interference_kernel(views: Sequence[ColumnarFunction],
 
 def interference_one(fn: Function, freq: Optional[Dict[str, float]],
                      cls: str, fp: Optional[Tuple] = None):
-    """Vectorized interference graph of one function, or ``None``
-    without numpy."""
-    np = numpy_or_none()
-    if np is None:
-        return None
+    """Vectorized interference graph of one function."""
     from repro.analysis.cache import fingerprint_function
 
     if fp is None:
         fp = fingerprint_function(fn)
     v = columnar_view(fn, fp)
-    bits = _live_bits(fn, v, fp, np)
-    return _interference_kernel([v], [bits], [freq], cls, np)[0]
+    bits = _live_bits(fn, v, fp)
+    return _interference_kernel([v], [bits], [freq], cls)[0]
 
 
 # ----------------------------------------------------------------------
@@ -684,7 +651,7 @@ def interference_one(fn: Function, freq: Optional[Dict[str, float]],
 # ----------------------------------------------------------------------
 
 def _adjacency_kernel(views: Sequence[ColumnarFunction], order: str,
-                      cls: str, freqs: Sequence, np) -> List:
+                      cls: str, freqs: Sequence) -> List:
     """Adjacency graphs for a corpus in one numpy pass.
 
     Edge weights are accumulated per key in the reference's exact
@@ -710,14 +677,13 @@ def _adjacency_kernel(views: Sequence[ColumnarFunction], order: str,
         all_regs.extend(v.regs)
     graphs = [AdjacencyGraph() for _ in views]
 
-    cat = _catter(np)
     if all(f is None for f in freqs):
         fvals = np.ones(Btot, dtype=float)
     else:
-        fvals = cat([np.array([freqs[f].get(nm, 1.0)
-                               for nm in v.block_names], dtype=float)
-                     if freqs[f] else np.ones(nb[f], dtype=float)
-                     for f, v in enumerate(views)], dtype=float)
+        fvals = _cat([np.array([freqs[f].get(nm, 1.0)
+                                for nm in v.block_names], dtype=float)
+                      if freqs[f] else np.ones(nb[f], dtype=float)
+                      for f, v in enumerate(views)], dtype=float)
 
     # one globally-shifted access stream for the whole corpus: fields of
     # every selected view concatenated once, register/block/instruction
@@ -732,10 +698,10 @@ def _adjacency_kernel(views: Sequence[ColumnarFunction], order: str,
     bb_arr = np.asarray(block_base)
     ib_arr = np.asarray(_bases([v.n_instrs for v in views]))
     fof = np.repeat(np.asarray(use_f), lens)
-    gflat = cat([t[0] for t in flats]) + rb_arr[fof]
-    giof = cat([t[1] for t in flats]) + ib_arr[fof]
-    regcls = cat([v.reg_cls for v in views])
-    boi = cat([v.block_of_instr for v in views])
+    gflat = _cat([t[0] for t in flats]) + rb_arr[fof]
+    giof = _cat([t[1] for t in flats]) + ib_arr[fof]
+    regcls = _cat([v.reg_cls for v in views])
+    boi = _cat([v.block_of_instr for v in views])
     codes_arr = np.asarray([c if c is not None else -1 for c in
                             (v.cls_code(cls) for v in views)])
     m = regcls[gflat] == codes_arr[fof]
@@ -843,17 +809,13 @@ def _adjacency_kernel(views: Sequence[ColumnarFunction], order: str,
 def adjacency_one(fn: Function, order: str, cls: str,
                   freq: Optional[Mapping[str, float]],
                   fp: Optional[Tuple] = None):
-    """Vectorized adjacency graph of one function, or ``None`` without
-    numpy."""
-    np = numpy_or_none()
-    if np is None:
-        return None
+    """Vectorized adjacency graph of one function."""
     from repro.analysis.cache import fingerprint_function
 
     if fp is None:
         fp = fingerprint_function(fn)
-    return _adjacency_kernel([columnar_view(fn, fp)], order, cls, [freq],
-                             np)[0]
+    return _adjacency_kernel([columnar_view(fn, fp)], order, cls,
+                             [freq])[0]
 
 
 # ----------------------------------------------------------------------
@@ -869,28 +831,26 @@ def prewarm_corpus(fns: Sequence[Function], cls: str = "int",
     Liveness runs as one stacked fixed point over the whole batch;
     interference (``freq=None`` — the graph the allocator's first
     iteration asks for) reuses each function's live-out bitsets in a
-    second corpus pass.  A no-op when the vector path is disabled: the
-    reference engines fill the same cache lazily.
+    second corpus pass.
     """
     from repro.analysis.cache import (MISSING, fingerprint_function,
                                       memoize_analysis, peek_analysis)
 
     fns = list(fns)
-    np = numpy_or_none()
-    if not fns or np is None or not vectors_enabled():
+    if not fns:
         return 0
     fps = [fingerprint_function(fn) for fn in fns]
-    _batched_liveness(fns, fps, np)
+    _batched_liveness(fns, fps)
     if interference:
         todo = [i for i in range(len(fns))
                 if peek_analysis(("interference", cls, None, fps[i]))
                 is MISSING]
         if todo:
             views = [columnar_view(fns[i], fps[i]) for i in todo]
-            bits = [_live_bits(fns[i], v, fps[i], np)
+            bits = [_live_bits(fns[i], v, fps[i])
                     for i, v in zip(todo, views)]
             graphs = _interference_kernel(views, bits,
-                                          [None] * len(todo), cls, np)
+                                          [None] * len(todo), cls)
             for i, g in zip(todo, graphs):
                 memoize_analysis(("interference", cls, None, fps[i]),
                                  lambda g=g: g)

@@ -19,12 +19,10 @@ Correctness rule: a cache hit must be indistinguishable from a recompute.
   shared; its contract is read-only (all sets are frozen).
 
 The cache is per-process (each pool worker warms its own) and bounded LRU.
-Set ``REPRO_NO_ANALYSIS_CACHE=1`` to disable it when bisecting.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Callable, Dict, Hashable, Tuple, TypeVar
 
@@ -47,7 +45,7 @@ V = TypeVar("V")
 _MAX_ENTRIES = 256
 _cache: "OrderedDict[Hashable, object]" = OrderedDict()
 _stats: Dict[str, int] = {"hits": 0, "misses": 0}
-_enabled = os.environ.get("REPRO_NO_ANALYSIS_CACHE") != "1"
+_enabled = True
 
 
 def fingerprint_function(fn: Function) -> Tuple:

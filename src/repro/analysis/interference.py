@@ -153,6 +153,7 @@ def build_interference(fn: Function,
     ``liveness`` other than the canonical memoized one bypasses the memo
     (and the vectorized kernel, which derives liveness itself).
     """
+    from repro.analysis import batched
     from repro.analysis.cache import (MISSING, fingerprint_function,
                                       memoize_analysis, peek_analysis)
 
@@ -163,19 +164,8 @@ def build_interference(fn: Function,
     freq_key = None if freq is None else tuple(sorted(freq.items()))
     key = ("interference", cls, freq_key, fp)
     graph = memoize_analysis(
-        key, lambda: _build_interference_impl(fn, freq, cls, fp))
+        key, lambda: batched.interference_one(fn, freq, cls, fp))
     return graph.copy()
-
-
-def _build_interference_impl(fn: Function, freq: Optional[Dict[str, float]],
-                             cls: str, fp=None) -> InterferenceGraph:
-    from repro.analysis import batched
-
-    if batched.vectors_enabled():
-        g = batched.interference_one(fn, freq, cls, fp)
-        if g is not None:
-            return g
-    return _build_interference_ref(fn, None, freq, cls)
 
 
 def _build_interference_ref(fn: Function,

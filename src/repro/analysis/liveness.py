@@ -61,27 +61,18 @@ def compute_liveness(fn: Function) -> LivenessInfo:
     copies.  The returned object is shared between hits — treat it as
     read-only (every set in it is frozen).
 
-    When numpy is available the result is produced by the vectorized
-    bitset kernel (:mod:`repro.analysis.batched`), which is exactly
-    equivalent; set ``REPRO_NO_ANALYSIS_VECTOR=1`` to force the
+    The result is produced by the vectorized bitset kernel
+    (:mod:`repro.analysis.batched`), which is exactly equivalent to the
     object-walking reference below.  Whole corpora should go through
     :func:`repro.analysis.batched.batched_liveness`, which stacks every
     function into one fixed point and warms this memo.
     """
+    from repro.analysis import batched
     from repro.analysis.cache import fingerprint_function, memoize_analysis
 
     fp = fingerprint_function(fn)
-    return memoize_analysis(("liveness", fp), lambda: _liveness_impl(fn, fp))
-
-
-def _liveness_impl(fn: Function, fp=None) -> LivenessInfo:
-    from repro.analysis import batched
-
-    if batched.vectors_enabled():
-        info = batched.liveness_one(fn, fp)
-        if info is not None:
-            return info
-    return _compute_liveness(fn)
+    return memoize_analysis(("liveness", fp),
+                            lambda: batched.liveness_one(fn, fp))
 
 
 def _compute_liveness(fn: Function) -> LivenessInfo:

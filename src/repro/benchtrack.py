@@ -44,17 +44,16 @@ def bench_remap_descent(workload: str = "sha", reg_n: int = 16,
     """Time the full restart schedule, reference vs the search's descent.
 
     Both runs descend from the identical starting permutations — the
-    reference one start at a time, the search's descent (the lockstep
-    batch, or the pure engine without numpy) all at once; the result
-    records wall-times, the speedup, and whether every ``(cost,
-    permutation)`` outcome matched (with exact integer edge weights it
-    always should).  Both stop after the first zero-cost start, as the
-    restart fold does.
+    reference one start at a time, the search's lockstep descent all at
+    once; the result records wall-times, the speedup, and whether every
+    ``(cost, permutation)`` outcome matched (with exact integer edge
+    weights it always should).  Both stop after the first zero-cost
+    start, as the restart fold does.
     """
     from repro.regalloc.iterated import iterated_allocate
-    from repro.regalloc.remap import (_descend_starts, _edge_list,
-                                      _greedy_descent_reference,
-                                      _numpy_or_none, _start_perms)
+    from repro.regalloc.remap import (_descend_starts,
+                                      _descend_starts_reference, _edge_list,
+                                      _start_perms)
     from repro.analysis.frequency import estimate_block_frequencies
     from repro.workloads import get_workload
 
@@ -65,17 +64,11 @@ def bench_remap_descent(workload: str = "sha", reg_n: int = 16,
     starts = _start_perms(list(range(reg_n)), free, restarts, seed)
 
     # warm-up outside the timed regions: the first descent pays one-time
-    # process costs (the numpy import above all)
+    # process costs
     _descend_starts(edges, reg_n, diff_n, free, starts[:1])
 
     t0 = time.perf_counter()
-    reference = []
-    for start in starts:
-        perm = list(start)
-        reference.append((_greedy_descent_reference(
-            perm, edges, reg_n, diff_n, free), perm))
-        if reference[-1][0] == 0:
-            break
+    reference = _descend_starts_reference(edges, reg_n, diff_n, free, starts)
     t_ref = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -89,8 +82,6 @@ def bench_remap_descent(workload: str = "sha", reg_n: int = 16,
         "restarts": restarts,
         "seed": seed,
         "edges": len(edges),
-        "engine": ("lockstep" if _numpy_or_none() is not None
-                   else "_PyDeltaEngine"),
         "reference_seconds": t_ref,
         "incremental_seconds": t_fast,
         "speedup": t_ref / t_fast if t_fast else float("inf"),
@@ -255,7 +246,7 @@ def bench_sim(n_workloads: int = 15,
         ]
         programs.append((fn, w.bench_args, variants))
 
-    # warm-up outside the timed regions (the numpy import above all)
+    # warm-up outside the timed regions
     Interpreter(trace_format="columnar").run(programs[0][0], programs[0][1])
 
     t0 = time.perf_counter()
@@ -533,13 +524,7 @@ def bench_analysis(n_workloads: int = 0, cls: str = "int",
     from repro.analysis.interference import _build_interference_ref
     from repro.analysis.liveness import _compute_liveness
     from repro.ir.columnar import ColumnarFunction
-    from repro.ir.trace import numpy_or_none
     from repro.workloads import MIBENCH
-
-    np = numpy_or_none()
-    if np is None:
-        raise RuntimeError("bench-analysis needs numpy (the vectorized "
-                           "side has nothing to run without it)")
 
     workloads = MIBENCH[:n_workloads] if n_workloads else list(MIBENCH)
     fns = [w.function() for w in workloads]
@@ -550,19 +535,19 @@ def bench_analysis(n_workloads: int = 0, cls: str = "int",
     # singletons, class seeds, access fields, byte-decode entries) the
     # way repeated pipeline use would; kernel *results* are not cached
     # (no fingerprints are passed), so every timed run recomputes them
-    bits = batched._liveness_kernel(views, np)[1]
-    batched._interference_kernel(views, bits, nones, cls, np)
-    batched._adjacency_kernel(views, order, cls, nones, np)
+    bits = batched._liveness_kernel(views)[1]
+    batched._interference_kernel(views, bits, nones, cls)
+    batched._adjacency_kernel(views, order, cls, nones)
 
     ref_live = [_compute_liveness(fn) for fn in fns]
     runs = [
         lambda: [_compute_liveness(fn) for fn in fns],
-        lambda: batched._liveness_kernel(views, np),
+        lambda: batched._liveness_kernel(views),
         lambda: [_build_interference_ref(fn, live, None, cls)
                  for fn, live in zip(fns, ref_live)],
-        lambda: batched._interference_kernel(views, bits, nones, cls, np),
+        lambda: batched._interference_kernel(views, bits, nones, cls),
         lambda: [_build_adjacency_ref(fn, order, cls, None) for fn in fns],
-        lambda: batched._adjacency_kernel(views, order, cls, nones, np),
+        lambda: batched._adjacency_kernel(views, order, cls, nones),
         lambda: [ColumnarFunction(fn) for fn in fns],
     ]
     best = [float("inf")] * len(runs)

@@ -442,7 +442,7 @@ def _cmd_bench_remap(args) -> int:
     remaps = (doc["remap"], doc["remap_wide"])
     for remap in remaps:
         print(f"remap descent ({remap['workload']}, RegN={remap['reg_n']}, "
-              f"{remap['restarts']} restarts, {remap['engine']}): "
+              f"{remap['restarts']} restarts): "
               f"{remap['speedup']:.1f}x vs reference "
               f"(identical={remap['identical_results']})")
     print(f"RegN sweep ({len(sweep['workloads'])} workloads, "

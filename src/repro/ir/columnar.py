@@ -41,40 +41,31 @@ Views are immutable and memoized on the analysis cache's structural
 fingerprint (:func:`repro.analysis.cache.fingerprint_function`), so the
 batched analyses (:mod:`repro.analysis.batched`), repeated pipeline
 stages and corpus sweeps share one derivation per structural function.
-Columns are numpy arrays when numpy is available and plain lists
-otherwise — the object-walking reference engines remain the fallback
-when it is not.
+Columns are numpy arrays.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.ir.function import Function
 from repro.ir.instr import ALU_REG_OPS, Instr, Reg
-from repro.ir.trace import OP_CODE, numpy_or_none
+from repro.ir.trace import OP_CODE
 
 __all__ = ["ColumnarFunction", "columnar_view"]
 
 # opcode -> is-two-address-collapsible ALU form, as a dense lookup row
 # (indexing a bool table is far cheaper than ``np.isin`` per function)
-_ALU_MASK = None
-
-
-def _alu_mask(np):
-    global _ALU_MASK
-    if _ALU_MASK is None:
-        mask = np.zeros(max(OP_CODE.values()) + 1, dtype=bool)
-        for o in ALU_REG_OPS:
-            mask[OP_CODE[o]] = True
-        _ALU_MASK = mask
-    return _ALU_MASK
+_ALU_MASK = np.zeros(max(OP_CODE.values()) + 1, dtype=bool)
+_ALU_MASK[[OP_CODE[o] for o in ALU_REG_OPS]] = True
 
 
 class ColumnarFunction:
     """Read-only flat-column view of one function.
 
-    Attributes (``np.ndarray`` when numpy is available):
+    Attributes (columns are ``np.ndarray``):
 
     * ``fn`` — the source function (the view keeps it alive; analysis
       results reference its ``Reg`` objects and block names).
@@ -99,7 +90,7 @@ class ColumnarFunction:
     """
 
     __slots__ = (
-        "fn", "np", "strings", "block_names", "regs", "reg_index",
+        "fn", "strings", "block_names", "regs", "reg_index",
         "reg_cls", "n_blocks", "n_instrs", "block_start", "block_len",
         "succ_off", "succ", "pred_off", "pred",
         "op", "block_of_instr", "uid", "def_off", "def_reg", "def_cnt",
@@ -110,9 +101,7 @@ class ColumnarFunction:
     )
 
     def __init__(self, fn: Function) -> None:
-        np = numpy_or_none()
         self.fn = fn
-        self.np = np
 
         strings: List[str] = [fn.name]
         string_index: Dict[str, int] = {fn.name: 0}
@@ -222,36 +211,6 @@ class ColumnarFunction:
         self._use_defs = None
 
         mov_code = OP_CODE["mov"]
-        if np is None:
-            self.reg_cls = reg_cls
-            self.block_start = [0] * len(block_len)
-            for i in range(1, len(block_len)):
-                self.block_start[i] = (self.block_start[i - 1]
-                                       + block_len[i - 1])
-            self.block_len = block_len
-            self.succ_off, self.succ = succ_off, succ
-            self.pred_off, self.pred = pred_off, pred
-            self.op, self.uid = op, uid
-            self.block_of_instr = [b for b, n in enumerate(block_len)
-                                   for _ in range(n)]
-            self.def_off, self.def_reg = def_off, def_reg
-            self.def_cnt = [def_off[i + 1] - def_off[i]
-                            for i in range(index)]
-            self.use_off, self.use_reg = use_off, use_reg
-            self.field_off, self.field_reg = field_off, field_reg
-            self.has_dst = has_dst
-            alu_codes = {OP_CODE[o] for o in ALU_REG_OPS}
-            self.two_address = [
-                has_dst[i] and op[i] in alu_codes
-                and field_reg[field_off[i]] == field_reg[field_off[i + 1] - 1]
-                for i in range(index)]
-            self.is_move = [c == mov_code for c in op]
-            self.move_dst = [def_reg[def_off[i]] if op[i] == mov_code
-                             else -1 for i in range(index)]
-            self.move_src = [use_reg[use_off[i]] if op[i] == mov_code
-                             else -1 for i in range(index)]
-            return
-
         i64 = np.int64
         self.reg_cls = np.asarray(reg_cls, dtype=i64)
         blen = np.asarray(block_len, dtype=i64)
@@ -287,7 +246,7 @@ class ColumnarFunction:
         # always has exactly one def and one use, so its endpoints sit
         # at the start of its CSR rows.
         if index and len(f_reg):
-            self.two_address = (hd & _alu_mask(np)[op_arr]
+            self.two_address = (hd & _ALU_MASK[op_arr]
                                 & (f_reg[(f_off[1:] - 1).clip(min=0)]
                                    == f_reg[f_off[:-1].clip(
                                        max=len(f_reg) - 1)]))
@@ -308,16 +267,6 @@ class ColumnarFunction:
     # derived columns
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _rank_list(rpo: List[int]) -> List[int]:
-        """``postorder_rank[b]``: blocks late in reverse postorder have
-        low rank — the order a backward sweep should visit them in."""
-        rank = [0] * len(rpo)
-        n = len(rpo)
-        for pos, b in enumerate(rpo):
-            rank[b] = n - 1 - pos
-        return rank
-
     @property
     def n_regs(self) -> int:
         return len(self.regs)
@@ -331,35 +280,32 @@ class ColumnarFunction:
 
             block_id = {b.name: i for i, b in enumerate(self.fn.blocks)}
             rpo = [block_id[name] for name in reverse_postorder(self.fn)]
-            self._rpo = rpo if self.np is None \
-                else self.np.asarray(rpo, dtype=self.np.int64)
+            self._rpo = np.asarray(rpo, dtype=np.int64)
         return self._rpo
 
     @property
     def postorder_rank(self):
-        """``postorder_rank[b]``: position of ``b`` in postorder."""
+        """``postorder_rank[b]``: position of ``b`` in postorder — blocks
+        late in reverse postorder have low rank, the order a backward
+        sweep should visit them in."""
         rpo = self.rpo
-        rank = self._rank_list(list(rpo) if self.np is None
-                               else rpo.tolist())
-        return rank if self.np is None \
-            else self.np.asarray(rank, dtype=self.np.int64)
+        n = len(rpo)
+        rank = np.zeros(n, dtype=np.int64)
+        rank[rpo] = np.arange(n - 1, -1, -1, dtype=np.int64)
+        return rank
 
     @property
     def use_cnt(self):
         """Uses per instruction (``diff`` of :attr:`use_off`), cached."""
         if self._use_cnt is None:
-            off = self.use_off
-            self._use_cnt = (self.np.diff(off) if self.np is not None
-                             else [b - a for a, b in zip(off, off[1:])])
+            self._use_cnt = np.diff(self.use_off)
         return self._use_cnt
 
     @property
     def succ_cnt(self):
         """Successors per block (``diff`` of :attr:`succ_off`), cached."""
         if self._succ_cnt is None:
-            off = self.succ_off
-            self._succ_cnt = (self.np.diff(off) if self.np is not None
-                              else [b - a for a, b in zip(off, off[1:])])
+            self._succ_cnt = np.diff(self.succ_off)
         return self._succ_cnt
 
     @property
@@ -461,13 +407,10 @@ class ColumnarFunction:
         """
         canon = self._move_canon
         if canon is None:
-            np = self.np
             regs = self.regs
             lo: List[int] = []
             hi: List[int] = []
-            rows = np.nonzero(self.is_move)[0].tolist() if np is not None \
-                else [i for i, m in enumerate(self.is_move) if m]
-            for i in rows:
+            for i in np.nonzero(self.is_move)[0].tolist():
                 d = int(self.move_dst[i])
                 s = int(self.move_src[i])
                 if d == s:
@@ -479,10 +422,8 @@ class ColumnarFunction:
                 else:
                     lo.append(s)
                     hi.append(d)
-            if np is not None:
-                lo = np.asarray(lo, dtype=np.int64)
-                hi = np.asarray(hi, dtype=np.int64)
-            canon = (lo, hi)
+            canon = (np.asarray(lo, dtype=np.int64),
+                     np.asarray(hi, dtype=np.int64))
             self._move_canon = canon
         return canon
 
@@ -496,12 +437,9 @@ class ColumnarFunction:
         ``dst_first`` hoists the destination field to the front of its
         instruction, ``two_address`` drops the destination field of
         collapsed THUMB forms (its register equals the first source, so
-        the remaining fields are exactly ``dst, src2``).  Requires
-        numpy; results are memoized on the view.
+        the remaining fields are exactly ``dst, src2``).  Results are
+        memoized on the view.
         """
-        np = self.np
-        if np is None:
-            raise RuntimeError("access_fields requires numpy")
         cached = self._field_orders.get((order, ""))
         if cached is not None:
             return cached

@@ -16,10 +16,10 @@ Two engines implement the same semantics:
   :class:`repro.ir.trace.ColumnarTrace`; ``trace_format="objects"``
   expands that to the classic ``TraceEntry`` list for compatibility.
 * the **reference engine** is the original per-step dispatch loop, kept
-  verbatim as ``_run_reference``.  ``engine="reference"`` or
-  ``REPRO_SIM_REFERENCE=1`` selects it; the fast engine also falls back
-  to it for functions outside the structural model it compiles (a branch
-  that is not the last instruction of its block).
+  verbatim as ``_run_reference``.  ``engine="reference"`` selects it;
+  the fast engine also falls back to it for functions outside the
+  structural model it compiles (a branch that is not the last
+  instruction of its block).
 
 Semantics notes:
 
@@ -34,7 +34,6 @@ Semantics notes:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -222,19 +221,14 @@ class Interpreter:
             column form in ``result.columnar`` and leaves ``result.trace``
             empty.
         engine: ``"fast"`` (pre-decoded closures) or ``"reference"`` (the
-            original dispatch loop).  Defaults to fast unless
-            ``REPRO_SIM_REFERENCE=1`` is set.
+            original dispatch loop).
     """
 
     def __init__(self, max_steps: int = 2_000_000, record_trace: bool = True,
                  trace_format: str = "objects",
-                 engine: Optional[str] = None) -> None:
+                 engine: str = "fast") -> None:
         if trace_format not in ("objects", "columnar"):
             raise ValueError(f"unknown trace_format {trace_format!r}")
-        if engine is None:
-            engine = ("reference"
-                      if os.environ.get("REPRO_SIM_REFERENCE") == "1"
-                      else "fast")
         if engine not in ("fast", "reference"):
             raise ValueError(f"unknown engine {engine!r}")
         self.max_steps = max_steps

@@ -23,16 +23,15 @@ preserves both the block path and the data addresses, so the transformed
 function's trace is assembled from its own pre-decode plus the recorded
 path — no re-execution (see :mod:`repro.machine.reuse`).
 
-Columns are numpy arrays when numpy is available (the vectorized timing
-model requires them) and plain lists otherwise; everything here is exact
-either way.
+Columns are int64 numpy arrays.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.ir.function import Function
 from repro.ir.instr import BRANCH_OPS, Instr, OPCODES
@@ -63,17 +62,6 @@ _SPILL_REGION_BASE = 1 << 24  # mirrors repro.ir.interp
 _DYNAMIC_MEM_OPS = frozenset({"ld", "st"})
 
 
-def numpy_or_none():
-    """The numpy module when present and not disabled, else ``None``."""
-    if os.environ.get("REPRO_NO_NUMPY") == "1":
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - the list fallback is complete
-        return None
-    return numpy
-
-
 class FunctionCodec:
     """Per-function pre-decode for columnar tracing.
 
@@ -86,7 +74,6 @@ class FunctionCodec:
 
     def __init__(self, fn: Function) -> None:
         self.fn = fn
-        self.np = numpy_or_none()
         self.block_names: Tuple[str, ...] = tuple(b.name for b in fn.blocks)
         self.instr_by_index: List[Instr] = list(fn.instructions())
 
@@ -140,30 +127,16 @@ class FunctionCodec:
         #: (and its dynamic addresses) to be replayable on another function
         self.signature: Tuple = tuple(sig_rows)
 
-        if self.np is not None:
-            np = self.np
-            self._g_static = np.asarray(g_static, dtype=np.int64)
-            self._g_op = np.asarray(g_op, dtype=np.int64)
-            self._g_mem = np.asarray(g_mem, dtype=np.int64)
-            self._starts = np.asarray(starts, dtype=np.int64)
-            self._lens = np.asarray(lens, dtype=np.int64)
-        else:
-            self._g_static = g_static
-            self._g_op = g_op
-            self._g_mem = g_mem
-            self._starts = starts
-            self._lens = lens
+        self._g_static = np.asarray(g_static, dtype=np.int64)
+        self._g_op = np.asarray(g_op, dtype=np.int64)
+        self._g_mem = np.asarray(g_mem, dtype=np.int64)
+        self._starts = np.asarray(starts, dtype=np.int64)
+        self._lens = np.asarray(lens, dtype=np.int64)
 
     def assemble(self, block_path: Sequence[int],
                  dyn_mem: Sequence[int]) -> "ColumnarTrace":
         """Concatenate per-block columns along ``block_path`` and splice the
         recorded ``ld``/``st`` addresses into the dynamic positions."""
-        if self.np is not None:
-            return self._assemble_numpy(block_path, dyn_mem)
-        return self._assemble_python(block_path, dyn_mem)
-
-    def _assemble_numpy(self, block_path, dyn_mem) -> "ColumnarTrace":
-        np = self.np
         path = np.asarray(block_path, dtype=np.int64)
         dyn = np.asarray(dyn_mem, dtype=np.int64)
         if path.size == 0:
@@ -197,37 +170,6 @@ class FunctionCodec:
             source=self,
         )
 
-    def _assemble_python(self, block_path, dyn_mem) -> "ColumnarTrace":
-        static: List[int] = []
-        ops: List[int] = []
-        mem: List[int] = []
-        blk: List[int] = []
-        starts, lens = self._starts, self._lens
-        g_static, g_op, g_mem = self._g_static, self._g_op, self._g_mem
-        for bid in block_path:
-            lo, n = starts[bid], lens[bid]
-            hi = lo + n
-            static.extend(g_static[lo:hi])
-            ops.extend(g_op[lo:hi])
-            mem.extend(g_mem[lo:hi])
-            blk.extend([bid] * n)
-        it = iter(dyn_mem)
-        try:
-            mem = [next(it) if v == _DYN_ADDR else v for v in mem]
-        except StopIteration:
-            raise ValueError(
-                f"{self.fn.name}: fewer recorded data addresses than the "
-                "block path needs"
-            )
-        remaining = sum(1 for _ in it)
-        if remaining:
-            raise ValueError(
-                f"{self.fn.name}: {remaining} recorded data addresses left "
-                "over after assembling the block path"
-            )
-        return ColumnarTrace(static, ops, mem, blk, list(block_path),
-                             list(dyn_mem), self)
-
 
 @dataclass
 class ColumnarTrace:
@@ -253,27 +195,11 @@ class ColumnarTrace:
     def __len__(self) -> int:
         return len(self.static_index)
 
-    @property
-    def is_vector(self) -> bool:
-        """Whether the columns are numpy arrays (vectorized timing ok)."""
-        return self.source.np is not None and not isinstance(
-            self.static_index, list
-        )
-
     def counts(self) -> Dict[str, int]:
         """Dynamic opcode counts, computed in one pass over the column."""
-        if self.is_vector:
-            np = self.source.np
-            bins = np.bincount(self.op_code, minlength=len(OP_NAMES))
-            return {
-                OP_NAMES[code]: int(bins[code])
-                for code in np.flatnonzero(bins)
-            }
-        out: Dict[str, int] = {}
-        for code in self.op_code:
-            name = OP_NAMES[code]
-            out[name] = out.get(name, 0) + 1
-        return out
+        bins = np.bincount(self.op_code, minlength=len(OP_NAMES))
+        return {OP_NAMES[code]: int(bins[code])
+                for code in np.flatnonzero(bins)}
 
     def to_entries(self) -> List["TraceEntry"]:
         """Expand to the object-trace form (reference/debug only)."""

@@ -7,19 +7,20 @@ Two equivalent implementations:
   recent last), so a hit is O(1) instead of the O(assoc) ``list.remove``
   of the original list-based sets.
 * :func:`access_hit_flags` — batch form: the per-access hit/miss flags
-  for a whole address sequence at once.  With numpy it groups accesses by
-  set with one stable argsort, collapses consecutive same-line accesses
-  (always hits, no LRU state change), and resolves the rest with exact
-  closed forms for 1- and 2-way caches; higher associativities fall back
-  to a per-set walk of the compressed stream.  Without numpy it simply
-  replays a :class:`Cache`.  Both agree with :class:`Cache` bit-for-bit
-  on every access.
+  for a whole address sequence at once.  It groups accesses by set with
+  one stable argsort, collapses consecutive same-line accesses (always
+  hits, no LRU state change), and resolves the rest with exact closed
+  forms for 1- and 2-way caches; higher associativities fall back to a
+  per-set walk of the compressed stream.  It agrees with :class:`Cache`
+  bit-for-bit on every access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
+
+import numpy as np
 
 __all__ = ["Cache", "CacheStats", "access_hit_flags"]
 
@@ -88,18 +89,12 @@ class Cache:
 
 
 def access_hit_flags(addrs: Sequence[int], size: int, line_size: int = 32,
-                     assoc: int = 2, np=None):
+                     assoc: int = 2) -> np.ndarray:
     """Hit/miss flag per access for a whole address sequence.
 
     Exactly equivalent to feeding ``addrs`` through ``Cache.access`` one
-    at a time.  When ``np`` (the numpy module) is given and ``addrs`` is
-    an array, the result is a boolean array computed with vector passes;
-    otherwise a plain list from a scalar replay.
+    at a time; the result is a boolean array computed with vector passes.
     """
-    if np is None:
-        cache = Cache(size, line_size, assoc)
-        return [cache.access(a) for a in addrs]
-
     n_sets = _check_geometry(size, line_size, assoc)
     addrs = np.asarray(addrs, dtype=np.int64)
     n = addrs.size

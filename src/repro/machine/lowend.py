@@ -14,12 +14,11 @@ stream; this model assigns cycles to it:
   cycle like any single-cycle instruction but produces no data-side traffic.
 
 ``time`` accepts either trace form.  A :class:`~repro.ir.trace.
-ColumnarTrace` with numpy columns goes through the vectorized engine
-(segmented passes for latency/branch accounting plus the batch LRU of
-:func:`repro.machine.cache.access_hit_flags`); ``REPRO_NO_SIM_VECTOR=1``
-or list columns select a scalar walk of the same columns.  An object
-trace goes through the original per-entry loop, kept verbatim as
-``_time_reference`` — every engine returns bit-identical
+ColumnarTrace` goes through the vectorized engine (segmented passes for
+latency/branch accounting plus the batch LRU of
+:func:`repro.machine.cache.access_hit_flags`).  An object trace goes
+through the original per-entry loop, kept verbatim as
+``_time_reference`` — both engines return bit-identical
 :class:`CycleReport` fields.
 
 The absolute numbers are not SimpleScalar's; the relative effects the paper
@@ -29,9 +28,10 @@ directly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.ir.function import Function
 from repro.ir.instr import COND_BRANCH_OPS
@@ -101,10 +101,7 @@ class LowEndTimingModel:
              ) -> CycleReport:
         """Assign cycles (and cache/energy events) to a dynamic trace."""
         if isinstance(trace, ColumnarTrace):
-            if (trace.is_vector
-                    and os.environ.get("REPRO_NO_SIM_VECTOR") != "1"):
-                return self._time_vectorized(trace)
-            return self._time_columnar_scalar(trace)
+            return self._time_vectorized(trace)
         return self._time_reference(trace)
 
     # ------------------------------------------------------------------
@@ -113,7 +110,6 @@ class LowEndTimingModel:
 
     def _time_vectorized(self, trace: ColumnarTrace) -> CycleReport:
         cfg = self.config
-        np = trace.source.np
         si = trace.static_index
         opc = trace.op_code
         mem = trace.mem_addr
@@ -130,13 +126,13 @@ class LowEndTimingModel:
         branch_penalties = int((is_br[:-1] & (si[1:] != si[:-1] + 1)).sum())
 
         ihits = access_hit_flags(si * cfg.instr_bytes, cfg.icache_size,
-                                 cfg.icache_line, cfg.icache_assoc, np=np)
+                                 cfg.icache_line, cfg.icache_assoc)
         icache_misses = n - int(ihits.sum())
 
         daddr = mem[mem != NO_ADDR] * 4
         dcache_accesses = int(daddr.size)
         dhits = access_hit_flags(daddr, cfg.dcache_size, cfg.dcache_line,
-                                 cfg.dcache_assoc, np=np)
+                                 cfg.dcache_assoc)
         dcache_misses = dcache_accesses - int(dhits.sum())
 
         cycles = (
@@ -157,59 +153,8 @@ class LowEndTimingModel:
         )
 
     # ------------------------------------------------------------------
-    # scalar engines
+    # reference engine
     # ------------------------------------------------------------------
-
-    def _time_columnar_scalar(self, trace: ColumnarTrace) -> CycleReport:
-        """Walk the columns with the reference loop's exact accounting
-        (used when numpy is unavailable or ``REPRO_NO_SIM_VECTOR=1``)."""
-        cfg = self.config
-        icache = Cache(cfg.icache_size, cfg.icache_line, cfg.icache_assoc)
-        dcache = Cache(cfg.dcache_size, cfg.dcache_line, cfg.dcache_assoc)
-        lat = cfg.extra_latency_table(OP_NAMES)
-        cycles = 0
-        branch_penalties = 0
-        setlr = 0
-        prev_index: Optional[int] = None
-        prev_was_branch = False
-
-        si_col = trace.static_index
-        opc_col = trace.op_code
-        mem_col = trace.mem_addr
-        if trace.is_vector:
-            si_col = si_col.tolist()
-            opc_col = opc_col.tolist()
-            mem_col = mem_col.tolist()
-
-        for si, opc, mem in zip(si_col, opc_col, mem_col):
-            if (prev_was_branch and prev_index is not None
-                    and si != prev_index + 1):
-                cycles += cfg.taken_branch_penalty
-                branch_penalties += 1
-
-            cycles += 1  # issue slot
-            if not icache.access(si * cfg.instr_bytes):
-                cycles += cfg.cache_miss_penalty
-            cycles += lat[opc]
-            if mem != NO_ADDR:
-                if not dcache.access(mem * 4):
-                    cycles += cfg.cache_miss_penalty
-            if opc == _SETLR_CODE:
-                setlr += 1
-
-            prev_index = si
-            prev_was_branch = _IS_BRANCH_CODE[opc]
-
-        return CycleReport(
-            cycles=cycles,
-            instructions=len(trace),
-            icache_misses=icache.stats.misses,
-            dcache_misses=dcache.stats.misses,
-            dcache_accesses=dcache.stats.accesses,
-            branch_penalties=branch_penalties,
-            setlr_executed=setlr,
-            config=cfg,
-        )
 
     def _time_reference(self, trace: Sequence[TraceEntry]) -> CycleReport:
         """The original per-entry loop over an object trace."""

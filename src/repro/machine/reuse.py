@@ -98,7 +98,7 @@ def derive_execution(recorded: ExecutionResult,
         return None
     codec = ct.source
     bic: Dict[str, int] = {name: 0 for name in codec.block_names}
-    for bid in (ct.block_path.tolist() if ct.is_vector else ct.block_path):
+    for bid in ct.block_path.tolist():
         bic[codec.block_names[bid]] += len(codec.prefix_ops[bid])
     return ExecutionResult(
         return_value=recorded.return_value,

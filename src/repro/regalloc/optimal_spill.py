@@ -13,8 +13,8 @@ the graph.  We reproduce that structure:
    weighted loads (memory→register transitions) plus stores
    (register→memory transitions of dirty values).  Solved exactly with
    ``scipy.optimize.milp`` (HiGHS) — the authors used CPLEX — with a greedy
-   spill-everywhere fallback when scipy is unavailable or the instance
-   exceeds ``max_ilp_vars``.
+   spill-everywhere fallback when the instance exceeds ``max_ilp_vars`` or
+   the solver returns no solution.
 
    One deliberate simplification versus Appel-George: residence may not
    change on a CFG *edge* (no edge splitting), so loads/stores live inside
@@ -37,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Set,
                     Tuple)
+
+import numpy as np
 
 from repro.analysis.frequency import estimate_block_frequencies
 from repro.analysis.liveness import LivenessInfo, compute_liveness
@@ -176,8 +178,6 @@ def _build_ilp_model(fn: Function, k: int, pts: _Points,
     (every live set is walked sorted), or the solver's tie-breaks would
     vary with the process hash seed.
     """
-    import numpy as np
-
     # variable layout: x vars first (binary), then transition cost vars.
     # The x columns of one point are contiguous, ascending in register
     # order, starting at base[(block, j)].
@@ -296,12 +296,10 @@ def _solve_ilp(fn: Function, k: int, pts: _Points,
                forced: Set[Tuple[Reg, str, int]],
                load_cost: float, store_cost: float,
                max_ilp_vars: int) -> Optional[ResidencePlan]:
-    try:
-        import numpy as np
-        from scipy import sparse
-        from scipy.optimize import Bounds, LinearConstraint, milp
-    except ImportError:
-        return None
+    # imported here: scipy's import time would otherwise land on every
+    # ``import repro``, ILP or not
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
     model = _build_ilp_model(fn, k, pts, freq, forced, load_cost,
                              store_cost, max_ilp_vars)

@@ -27,22 +27,22 @@ of a register's incident edges at every number — built by one circular
 window sum per round.  Edge weights are scaled to exact integers (see
 :data:`_WEIGHT_SCALE`), so every gain equals the difference of two full
 :func:`_perm_cost` evaluations and each start returns the reference's
-permutation and cost bit for bit.  Without numpy (or with
-``REPRO_NO_NUMPY=1``, or weights beyond :data:`_NUMPY_WEIGHT_LIMIT`) the
-pure-Python :class:`_PyDeltaEngine` descends one start at a time, with
-per-register incident-edge buckets and a maintained delta table, to the
-same results.  Results are folded in restart order, stopping at the first
-zero-cost start; ``jobs > 1`` fans batches of restarts out over
-:func:`repro.parallel.parallel_map`, again with bit-identical results.
+permutation and cost bit for bit.  Weights beyond
+:data:`_NUMPY_WEIGHT_LIMIT` descend through the reference itself, one
+start at a time, to the same results.  Results are folded in restart
+order, stopping at the first zero-cost start; ``jobs > 1`` fans batches
+of restarts out over :func:`repro.parallel.parallel_map`, again with
+bit-identical results.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.analysis.adjacency import build_adjacency
 from repro.analysis.frequency import estimate_block_frequencies
@@ -64,14 +64,15 @@ Edge = Tuple[int, int, int]
 #: Edge weights enter as floats — block frequencies plus predecessor shares
 #: ``freq / len(preds)`` — and are scaled by lcm(1..16) = 720720 into exact
 #: integers.  Exact weights make the swap search deterministic: a delta is
-#: the same number whether it is computed incrementally over two registers'
-#: buckets, vectorised over all candidate pairs, or by differencing two
-#: full-cost evaluations, so every engine (and every ``jobs`` setting)
-#: picks the same swap at every step.  Reported costs are divided back.
+#: the same number whether it is read off the lockstep placement tables or
+#: computed by differencing two full-cost evaluations, so the lockstep
+#: descent, the reference (and every ``jobs`` setting) pick the same swap
+#: at every step.  Reported costs are divided back.
 _WEIGHT_SCALE = 720720
 
-#: Weights at or above this bound fall back to the pure-Python engine,
-#: whose arbitrary-precision integers cannot overflow int64 accumulation.
+#: Weights at or above this bound descend through
+#: :func:`_greedy_descent_reference`, whose arbitrary-precision integers
+#: cannot overflow int64 accumulation.
 _NUMPY_WEIGHT_LIMIT = 1 << 40
 
 #: Cells of the per-round tables (delta pairs plus the placement window)
@@ -368,111 +369,7 @@ def remap_optimality_gap(fn: Function, reg_n: int, diff_n: int,
     }
 
 
-class _PyDeltaEngine:
-    """Per-register incident-edge buckets for O(deg) swap evaluation.
-
-    ``buckets[r]`` holds every edge with an endpoint at original register
-    ``r``; an edge between two distinct registers appears in both buckets.
-    Cost terms depend only on the permutation's values at an edge's
-    endpoints, so the cost change of swapping ``perm[a], perm[b]`` is
-    confined to ``buckets[a] ∪ buckets[b]``.  One engine serves every
-    restart of a search (it never holds permutation state).
-    """
-
-    def __init__(self, edges: Sequence[Edge], reg_n: int, diff_n: int,
-                 free: Sequence[int]) -> None:
-        self.reg_n = reg_n
-        self.diff_n = diff_n
-        self.free = list(free)
-        buckets: List[List[Edge]] = [[] for _ in range(reg_n)]
-        neighbors: List[Set[int]] = [set() for _ in range(reg_n)]
-        for edge in edges:
-            u, v, _ = edge
-            buckets[u].append(edge)
-            neighbors[u].add(v)
-            if v != u:
-                buckets[v].append(edge)
-                neighbors[v].add(u)
-        self.edges = list(edges)
-        self.buckets = buckets
-        self.neighbors = neighbors
-
-    def _incident_cost(self, perm: Sequence[int], a: int, b: int) -> int:
-        """Violation weight of the edges touching ``a`` or ``b`` under
-        ``perm`` (edges in both buckets counted once)."""
-        reg_n, diff_n = self.reg_n, self.diff_n
-        total = 0
-        for u, v, w in self.buckets[a]:
-            if (perm[v] - perm[u]) % reg_n >= diff_n:
-                total += w
-        for u, v, w in self.buckets[b]:
-            if u == a or v == a:
-                continue  # already counted via a's bucket
-            if (perm[v] - perm[u]) % reg_n >= diff_n:
-                total += w
-        return total
-
-    def swap_delta(self, perm: List[int], a: int, b: int) -> int:
-        """Cost decrease of swapping ``perm[a]`` and ``perm[b]``.
-
-        Positive means the swap improves.  O(deg(a) + deg(b)): only the
-        incident edges are evaluated, before and after the swap.
-        """
-        before = self._incident_cost(perm, a, b)
-        perm[a], perm[b] = perm[b], perm[a]
-        after = self._incident_cost(perm, a, b)
-        perm[a], perm[b] = perm[b], perm[a]
-        return before - after
-
-    def descend(self, perm: List[int]) -> int:
-        """Steepest-descent to a local minimum; mutates ``perm``.
-
-        The delta table survives across descent rounds: applying swap
-        ``(a, b)`` changes permutation values only at ``a`` and ``b``, so
-        a cached candidate ``(x, y)`` stays valid unless one of its
-        incident edges reaches a moved register — that is, unless ``x`` or
-        ``y`` lies in ``{a, b} ∪ N(a) ∪ N(b)``.
-        """
-        free = self.free
-        n = len(free)
-        cost = _perm_cost(perm, self.edges, self.reg_n, self.diff_n)
-        deltas: Dict[Tuple[int, int], int] = {}
-        while True:
-            best_delta = 0
-            best_swap: Optional[Tuple[int, int]] = None
-            for ai in range(n):
-                a = free[ai]
-                for bi in range(ai + 1, n):
-                    pair = (ai, bi)
-                    delta = deltas.get(pair)
-                    if delta is None:
-                        delta = self.swap_delta(perm, a, free[bi])
-                        deltas[pair] = delta
-                    if delta > best_delta:
-                        best_delta, best_swap = delta, (a, free[bi])
-            if best_swap is None:
-                return cost
-            a, b = best_swap
-            perm[a], perm[b] = perm[b], perm[a]
-            cost -= best_delta
-            stale = {a, b} | self.neighbors[a] | self.neighbors[b]
-            for ai, bi in list(deltas):
-                if free[ai] in stale or free[bi] in stale:
-                    del deltas[(ai, bi)]
-
-
-def _numpy_or_none():
-    """The numpy module when present and not disabled, else ``None``."""
-    if os.environ.get("REPRO_NO_NUMPY") == "1":
-        return None
-    try:
-        import numpy
-    except ImportError:  # numpy is optional: the pure engine is complete
-        return None
-    return numpy
-
-
-def _lockstep_descent(np, edges: Sequence[Edge], reg_n: int, diff_n: int,
+def _lockstep_descent(edges: Sequence[Edge], reg_n: int, diff_n: int,
                       free: Sequence[int], starts: Sequence[Sequence[int]]
                       ) -> List[Tuple[int, List[int]]]:
     """Every start's steepest descent at once, one delta table per round.
@@ -576,20 +473,27 @@ def _descend_starts(edges: Sequence[Edge], reg_n: int, diff_n: int,
     order, up to and including the first that reaches cost 0.
 
     Returns ``(cost, perm)`` pairs: the scaled integer local-minimum cost
-    and a fresh permutation list.  The lockstep numpy descent runs unless
-    numpy is absent (or ``REPRO_NO_NUMPY=1``) or a weight reaches
-    :data:`_NUMPY_WEIGHT_LIMIT`; then :class:`_PyDeltaEngine` descends
-    one start at a time to the same results.
+    and a fresh permutation list.  The lockstep descent runs unless a
+    weight reaches :data:`_NUMPY_WEIGHT_LIMIT`; then
+    :func:`_descend_starts_reference` descends one start at a time to the
+    same results.
     """
-    np = _numpy_or_none()
-    if np is not None and all(abs(w) < _NUMPY_WEIGHT_LIMIT
-                              for _, _, w in edges):
-        return _lockstep_descent(np, edges, reg_n, diff_n, free, starts)
-    engine = _PyDeltaEngine(edges, reg_n, diff_n, free)
+    if all(abs(w) < _NUMPY_WEIGHT_LIMIT for _, _, w in edges):
+        return _lockstep_descent(edges, reg_n, diff_n, free, starts)
+    return _descend_starts_reference(edges, reg_n, diff_n, free, starts)
+
+
+def _descend_starts_reference(edges: Sequence[Edge], reg_n: int,
+                              diff_n: int, free: Sequence[int],
+                              starts: Sequence[Sequence[int]]
+                              ) -> List[Tuple[int, List[int]]]:
+    """:func:`_descend_starts` through :func:`_greedy_descent_reference`,
+    one start at a time."""
     results: List[Tuple[int, List[int]]] = []
     for start in starts:
         perm = list(start)
-        results.append((engine.descend(perm), perm))
+        results.append((_greedy_descent_reference(perm, edges, reg_n, diff_n,
+                                                  free), perm))
         if results[-1][0] == 0:
             break
     return results

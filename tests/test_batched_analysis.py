@@ -8,8 +8,7 @@ orders (the allocators' tie-breaks walk them), and bit-identical floats
 (weights accumulate in the same left-to-right order).  Checked here on
 the full mibench suite, a 200-function seeded fuzz corpus, and
 hypothesis-generated programs over the whole fuzz knob set; plus the
-``REPRO_NO_ANALYSIS_VECTOR`` opt-out and the ``prewarm_corpus`` /
-pipeline wiring.
+``prewarm_corpus`` / pipeline wiring.
 """
 
 import os
@@ -20,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tests.conftest import fuzz_programs
 from repro.analysis import batched
-from repro.analysis.adjacency import _build_adjacency_ref, build_adjacency
+from repro.analysis.adjacency import _build_adjacency_ref
 from repro.analysis.cache import (
     clear_analysis_cache,
     fingerprint_function,
@@ -34,11 +33,7 @@ from repro.analysis.interference import (
 from repro.analysis.liveness import _compute_liveness, compute_liveness
 from repro.fuzz.gen import generate_fuzz_function
 from repro.ir.columnar import columnar_view
-from repro.ir.trace import numpy_or_none
 from repro.workloads import MIBENCH
-
-np = numpy_or_none()
-pytestmark = pytest.mark.skipif(np is None, reason="numpy unavailable")
 
 ORDERS = ("src_first", "dst_first", "two_address")
 
@@ -115,10 +110,9 @@ class TestMibenchCorpus:
             assert_same_liveness(_compute_liveness(fn), info)
 
     def test_interference_kernel(self, mibench_fns, views):
-        _, bits = batched._liveness_kernel(views, np)
+        _, bits = batched._liveness_kernel(views)
         nones = [None] * len(views)
-        graphs = batched._interference_kernel(views, bits, nones, "int",
-                                              np)
+        graphs = batched._interference_kernel(views, bits, nones, "int")
         for fn, g in zip(mibench_fns, graphs):
             assert_same_interference(
                 _build_interference_ref(fn, None, None, "int"), g)
@@ -128,8 +122,7 @@ class TestMibenchCorpus:
         for freqs in ([None] * len(views),
                       [estimate_block_frequencies(fn)
                        for fn in mibench_fns]):
-            adjs = batched._adjacency_kernel(views, order, "int", freqs,
-                                             np)
+            adjs = batched._adjacency_kernel(views, order, "int", freqs)
             for fn, fq, g in zip(mibench_fns, freqs, adjs):
                 assert_same_adjacency(
                     _build_adjacency_ref(fn, order, "int", fq), g)
@@ -149,18 +142,16 @@ class TestFuzzCorpus:
         clear_analysis_cache()
         views = [columnar_view(fn, fingerprint_function(fn))
                  for fn in corpus]
-        infos, bits = batched._liveness_kernel(views, np)
+        infos, bits = batched._liveness_kernel(views)
         for fn, info in zip(corpus, infos):
             assert_same_liveness(_compute_liveness(fn), info)
         nones = [None] * len(views)
-        graphs = batched._interference_kernel(views, bits, nones, "int",
-                                              np)
+        graphs = batched._interference_kernel(views, bits, nones, "int")
         for fn, g in zip(corpus, graphs):
             assert_same_interference(
                 _build_interference_ref(fn, None, None, "int"), g)
         for order in ORDERS:
-            adjs = batched._adjacency_kernel(views, order, "int", nones,
-                                             np)
+            adjs = batched._adjacency_kernel(views, order, "int", nones)
             for fn, g in zip(corpus, adjs):
                 assert_same_adjacency(
                     _build_adjacency_ref(fn, order, "int", None), g)
@@ -194,29 +185,6 @@ class TestHypothesisEquivalence:
         assert_fn_equivalent(fn, orders=(order,))
 
 
-class TestOptOut:
-    def test_env_disables_vector_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_ANALYSIS_VECTOR", "1")
-        assert not batched.vectors_enabled()
-        fn = MIBENCH[0].build()
-        clear_analysis_cache()
-        # public API still works and matches the reference bit-for-bit
-        assert_same_liveness(_compute_liveness(fn), compute_liveness(fn))
-        assert_same_interference(
-            _build_interference_ref(fn, None, None, "int"),
-            build_interference(fn))
-        assert_same_adjacency(
-            _build_adjacency_ref(fn, "src_first", "int", None),
-            build_adjacency(fn))
-        # prewarm degrades to a no-op rather than raising
-        batched.prewarm_corpus([fn])
-        clear_analysis_cache()
-
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_ANALYSIS_VECTOR", raising=False)
-        assert batched.vectors_enabled()
-
-
 class TestPipelineParity:
     # ospill and coalesce are the regression setups: their solvers used
     # to iterate raw liveness/neighbor sets, so any difference in set
@@ -241,10 +209,23 @@ class TestPipelineParity:
                            for r, c in prog.allocation.coloring.items()),
                     prog.n_spills)
 
-        monkeypatch.setenv("REPRO_NO_ANALYSIS_VECTOR", "1")
-        ref = outcome()
-        monkeypatch.delenv("REPRO_NO_ANALYSIS_VECTOR")
         vec = outcome()
+        # the reference engines behind the same public entry points; the
+        # reference fills the analysis cache lazily, so prewarm is a no-op
+        monkeypatch.setattr(
+            batched, "liveness_one",
+            lambda fn, fp=None: _compute_liveness(fn))
+        monkeypatch.setattr(
+            batched, "interference_one",
+            lambda fn, freq, cls, fp=None:
+            _build_interference_ref(fn, None, freq, cls))
+        monkeypatch.setattr(
+            batched, "adjacency_one",
+            lambda fn, order, cls, freq, fp=None:
+            _build_adjacency_ref(fn, order, cls, freq))
+        monkeypatch.setattr(batched, "prewarm_corpus",
+                            lambda fns, cls="int", interference=True: 0)
+        ref = outcome()
         clear_analysis_cache()
         assert ref == vec
 

@@ -13,13 +13,12 @@ import pickle
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
+import numpy as np
 import pytest
 
 from repro.ir import Instr, Reg, phys, vreg
 from repro.ir.function import BasicBlock, Function
 from repro.ir.wire import from_wire, functions_structurally_equal, to_wire
-
-np = pytest.importorskip("numpy")
 
 
 @dataclass(frozen=True, order=True)
@@ -308,7 +307,6 @@ def _mibench():
 
 @pytest.mark.parametrize("k", [7, 8, 12])
 def test_ilp_model_matches_per_entry_builder_mibench(k):
-    pytest.importorskip("scipy")
     for fn in _mibench():
         model, oracle = _models(fn, k)
         _assert_same_model(model, oracle)
@@ -316,7 +314,6 @@ def test_ilp_model_matches_per_entry_builder_mibench(k):
 
 @pytest.mark.parametrize("seed", [1, 7, 23, 42])
 def test_ilp_model_matches_per_entry_builder_fuzz(seed):
-    pytest.importorskip("scipy")
     from repro.fuzz.gen import generate_fuzz_function
 
     fn = generate_fuzz_function(seed)
@@ -326,7 +323,6 @@ def test_ilp_model_matches_per_entry_builder_fuzz(seed):
 
 
 def test_ilp_model_size_cap_matches_oracle():
-    pytest.importorskip("scipy")
     fn = _mibench()[0]
     model, oracle = _models(fn, 8, max_ilp_vars=10)
     assert model is None and oracle is None

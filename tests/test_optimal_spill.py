@@ -13,14 +13,6 @@ from repro.regalloc.optimal_spill import (
 from tests.conftest import make_pressure_fn
 
 
-def has_scipy():
-    try:
-        import scipy.optimize  # noqa: F401
-        return True
-    except ImportError:
-        return False
-
-
 class TestDecideResidence:
     def test_no_spills_when_pressure_fits(self, sum_fn):
         plan = decide_residence(sum_fn, 4)
@@ -49,7 +41,6 @@ class TestDecideResidence:
                     if v.virtual and v in plan.spilled:
                         assert plan.is_resident(v, b.name, j)
 
-    @pytest.mark.skipif(not has_scipy(), reason="scipy not installed")
     def test_ilp_solver_used(self, pressure_fn):
         plan = decide_residence(pressure_fn, 8, use_ilp=True)
         assert plan.solver == "ilp"
@@ -59,13 +50,28 @@ class TestDecideResidence:
         assert plan.solver == "greedy"
         assert plan.spilled
 
-    @pytest.mark.skipif(not has_scipy(), reason="scipy not installed")
     def test_ilp_objective_not_worse_than_greedy(self, pressure_fn):
         ilp = decide_residence(pressure_fn, 8, use_ilp=True)
         greedy = decide_residence(pressure_fn, 8, use_ilp=False)
         # counted on the same weighted-transitions metric the ILP minimises,
         # greedy spill-everywhere can only do worse or equal
         assert ilp.objective <= greedy.objective
+
+
+def test_mibench_ilp_setups_solve_with_ilp():
+    """Every MiBench run of the two ILP setups is solved by the ILP, not
+    by the greedy fallback."""
+    from repro.regalloc import run_setup
+    from repro.workloads.mibench import MIBENCH
+
+    fallbacks = [
+        (w.name, setup)
+        for w in MIBENCH
+        for setup in ("ospill", "coalesce")
+        if run_setup(w.function(), setup).allocation.stats["ospill_solver"]
+        != 1.0
+    ]
+    assert fallbacks == []
 
 
 class TestApplyResidence:

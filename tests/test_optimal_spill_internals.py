@@ -22,8 +22,7 @@ class TestPlanCostEvaluator:
 
     def test_ilp_objective_matches_evaluator(self, pressure_fn):
         plan = decide_residence(pressure_fn, 8, use_ilp=True)
-        if plan.solver != "ilp":
-            pytest.skip("scipy unavailable")
+        assert plan.solver == "ilp"
         assert residence_plan_cost(pressure_fn, plan) == pytest.approx(
             plan.objective
         )

@@ -1,14 +1,12 @@
 """Remap descent equivalence tests.
 
 The greedy descent runs as one lockstep numpy search over every restart
-(:func:`_lockstep_descent`) or, without numpy, through the pure-Python
-:class:`_PyDeltaEngine`; both are pinned here against the retained
-O(E)-per-candidate :func:`_greedy_descent_reference`.  On exact (integer)
-edge weights every quantity must match bit for bit: the swap delta
-equals a difference of two :func:`_perm_cost` evaluations, and every
-start's (cost, permutation) equals the reference's, on random graphs and
-on bundled workloads alike.  Under ``REPRO_NO_NUMPY=1`` the lockstep-only
-cases skip and :func:`_descend_starts` exercises the pure fallback.
+(:func:`_lockstep_descent`), or, for weights at or above
+:data:`_NUMPY_WEIGHT_LIMIT`, one start at a time through the retained
+O(E)-per-candidate :func:`_greedy_descent_reference`; both are pinned
+here against that reference.  On exact (integer) edge weights every
+start's (cost, permutation) must match bit for bit, on random graphs and
+on bundled workloads alike.
 """
 
 import pytest
@@ -19,13 +17,13 @@ from repro.ir import parse_function
 from repro.regalloc import iterated_allocate
 from repro.regalloc import remap
 from repro.regalloc.remap import (
-    _PyDeltaEngine,
+    _NUMPY_WEIGHT_LIMIT,
     _WEIGHT_SCALE,
     _descend_starts,
+    _descend_starts_reference,
     _edge_list,
     _greedy_descent_reference,
     _lockstep_descent,
-    _numpy_or_none,
     _perm_cost,
     _start_perms,
     differential_remap,
@@ -37,29 +35,18 @@ COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 REG_N, DIFF_N = 8, 4
 
 
-def _numpy():
-    np = _numpy_or_none()
-    if np is None:
-        pytest.skip("numpy unavailable or disabled")
-    return np
-
-
-def _per_start(descend, starts):
-    """``descend`` applied to each start in order, up to and including
-    the first zero-cost one (the prefix the restart fold reads)."""
+def _reference(edges, reg_n, diff_n, free, starts):
+    """The reference descent from each start in order, up to and
+    including the first zero-cost one (the prefix the restart fold
+    reads)."""
     results = []
     for start in starts:
         perm = list(start)
-        results.append((descend(perm), perm))
+        results.append((_greedy_descent_reference(perm, edges, reg_n, diff_n,
+                                                  free), perm))
         if results[-1][0] == 0:
             break
     return results
-
-
-def _reference(edges, reg_n, diff_n, free, starts):
-    return _per_start(
-        lambda p: _greedy_descent_reference(p, edges, reg_n, diff_n, free),
-        starts)
 
 
 @st.composite
@@ -101,75 +88,22 @@ def search_problem(draw):
     return edges, reg_n, diff_n, free, starts
 
 
-class TestSwapDelta:
-    @given(graph_and_perm(),
-           st.integers(0, REG_N - 1), st.integers(0, REG_N - 1))
-    @settings(**COMMON)
-    def test_incremental_delta_equals_full_recomputation(self, gp, a, b):
-        """The bucket-based swap delta is exactly the difference of two
-        full cost evaluations (the satellite property)."""
-        edges, perm = gp
-        engine = _PyDeltaEngine(edges, REG_N, DIFF_N, list(range(REG_N)))
-        before = _perm_cost(perm, edges, REG_N, DIFF_N)
-        swapped = list(perm)
-        swapped[a], swapped[b] = swapped[b], swapped[a]
-        after = _perm_cost(swapped, edges, REG_N, DIFF_N)
-        assert engine.swap_delta(perm, a, b) == before - after
-
-    @given(graph_and_perm(),
-           st.integers(0, REG_N - 1), st.integers(0, REG_N - 1))
-    @settings(**COMMON)
-    def test_swap_delta_leaves_perm_unchanged(self, gp, a, b):
-        edges, perm = gp
-        engine = _PyDeltaEngine(edges, REG_N, DIFF_N, list(range(REG_N)))
-        snapshot = list(perm)
-        engine.swap_delta(perm, a, b)
-        assert perm == snapshot
-
-
 class TestDescentEquivalence:
-    @given(graph_and_perm())
-    @settings(**COMMON)
-    def test_python_engine_matches_reference(self, gp):
-        edges, perm = gp
-        free = list(range(REG_N))
-        p_ref, p_inc = list(perm), list(perm)
-        c_ref = _greedy_descent_reference(p_ref, edges, REG_N, DIFF_N, free)
-        engine = _PyDeltaEngine(edges, REG_N, DIFF_N, free)
-        c_inc = engine.descend(p_inc)
-        assert (c_ref, p_ref) == (c_inc, p_inc)
-
-    @given(graph_and_perm())
-    @settings(**COMMON)
-    def test_numpy_engine_matches_python_engine(self, gp):
-        """The lockstep numpy descent from one start equals the pure
-        engine's descent from it."""
-        np = _numpy()
-        edges, perm = gp
-        free = list(range(REG_N))
-        p_py = list(perm)
-        c_py = _PyDeltaEngine(edges, REG_N, DIFF_N, free).descend(p_py)
-        assert _lockstep_descent(np, edges, REG_N, DIFF_N, free,
-                                 [perm]) == [(c_py, p_py)]
-
     @given(search_problem())
     @settings(max_examples=150, **COMMON)
     def test_lockstep_matches_engine_and_reference(self, problem):
-        """Every start of a lockstep search returns the pure engine's and
-        the reference's cost and permutation."""
-        np = _numpy()
+        """Every start of a lockstep search returns the reference's cost
+        and permutation, as does the per-start large-weight route."""
         edges, reg_n, diff_n, free, starts = problem
         ref = _reference(edges, reg_n, diff_n, free, starts)
-        engine = _PyDeltaEngine(edges, reg_n, diff_n, free)
-        assert _per_start(engine.descend, starts) == ref
-        assert _lockstep_descent(np, edges, reg_n, diff_n, free,
-                                 starts) == ref
+        assert _descend_starts_reference(edges, reg_n, diff_n, free,
+                                         starts) == ref
+        assert _lockstep_descent(edges, reg_n, diff_n, free, starts) == ref
 
     @given(search_problem())
     @settings(max_examples=60, **COMMON)
     def test_descend_starts_matches_reference(self, problem):
-        """The dispatching entry point — lockstep with numpy, the pure
-        engine without — against the reference."""
+        """The dispatching entry point against the reference."""
         edges, reg_n, diff_n, free, starts = problem
         assert (_descend_starts(edges, reg_n, diff_n, free, starts)
                 == _reference(edges, reg_n, diff_n, free, starts))
@@ -179,14 +113,12 @@ class TestDescentEquivalence:
     def test_lockstep_blocks_match_one_block(self, problem):
         """Starts split over many lockstep blocks (one row each here)
         descend exactly as in one block."""
-        np = _numpy()
         edges, reg_n, diff_n, free, starts = problem
-        whole = _lockstep_descent(np, edges, reg_n, diff_n, free, starts)
+        whole = _lockstep_descent(edges, reg_n, diff_n, free, starts)
         saved = remap._LOCKSTEP_CELLS
         remap._LOCKSTEP_CELLS = 1
         try:
-            blocked = _lockstep_descent(np, edges, reg_n, diff_n, free,
-                                        starts)
+            blocked = _lockstep_descent(edges, reg_n, diff_n, free, starts)
         finally:
             remap._LOCKSTEP_CELLS = saved
         assert blocked == whole
@@ -215,6 +147,29 @@ class TestDescentEquivalence:
         starts = _start_perms(list(range(8)), list(range(8)), 5, 1)
         assert _descend_starts([], 8, diff_n, list(range(8)),
                                starts) == [(0, starts[0])]
+
+    @pytest.mark.parametrize("edges, used", [
+        # no start reaches cost 0: every start descends
+        ([(0, 5, 3), (5, 2, 4), (2, 4, 9), (4, 1, 1), (1, 3, 8), (3, 0, 6),
+          (0, 2, 5), (5, 3, 2), (4, 0, 7), (1, 5, 3)], 8),
+        # a chain every start can satisfy: only the first descends
+        ([(0, 1, 3), (1, 2, 4)], 1),
+    ])
+    def test_weights_past_int64_limit_take_reference(self, monkeypatch,
+                                                     edges, used):
+        """Weights at or above the limit descend one start at a time
+        through the reference, never through the int64 lockstep tables,
+        and stop after the first zero-cost start."""
+        def no_lockstep(*args):
+            raise AssertionError("lockstep descent used past the limit")
+
+        big = [(u, v, _NUMPY_WEIGHT_LIMIT + w) for u, v, w in edges]
+        starts = _start_perms(list(range(6)), list(range(6)), 8, 3)
+        monkeypatch.setattr(remap, "_lockstep_descent", no_lockstep)
+        got = _descend_starts(big, 6, 3, list(range(6)), starts)
+        assert got == _reference(big, 6, 3, list(range(6)), starts)
+        assert len(got) == used
+        assert (got[-1][0] == 0) == (used < len(starts))
 
     def test_diff_n_equal_to_reg_n(self):
         """DiffN == RegN satisfies every edge: cost 0 from the start."""
@@ -249,7 +204,7 @@ entry:
 
 
 class TestRemapResult:
-    """Whole :func:`differential_remap` results across engines and jobs."""
+    """Whole :func:`differential_remap` results across descents and jobs."""
 
     @staticmethod
     def _key(result):
@@ -260,17 +215,19 @@ class TestRemapResult:
     def test_pure_engine_matches_lockstep(self, monkeypatch, restarts):
         fn = iterated_allocate(get_workload("sha").function(), 12).fn
         fast = differential_remap(fn, 12, 8, restarts=restarts, seed=3)
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        monkeypatch.setattr(remap, "_descend_starts",
+                            _descend_starts_reference)
         pure = differential_remap(fn, 12, 8, restarts=restarts, seed=3)
         assert self._key(fast) == self._key(pure)
         assert fast.restarts == max(1, restarts)
 
     def test_zero_cost_hit_at_start_zero(self, monkeypatch):
         """Identity already costs 0: the fold stops after one start on
-        either engine."""
+        either descent."""
         fn = parse_function(ZERO_AT_START)
         fast = differential_remap(fn, 8, 4, restarts=20)
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        monkeypatch.setattr(remap, "_descend_starts",
+                            _descend_starts_reference)
         pure = differential_remap(fn, 8, 4, restarts=20)
         assert fast.cost_before == fast.cost_after == 0
         assert fast.restarts == pure.restarts == 1

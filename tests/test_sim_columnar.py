@@ -11,21 +11,19 @@ asserted bit-identical to its fast counterpart:
 * the fast (pre-compiled) interpreter engine vs ``engine="reference"``,
   on random generated programs and the MIBENCH suite — return value,
   step count, dynamic opcode counts and the full object trace;
-* the three timing engines (vectorized, columnar-scalar, per-entry
-  reference) on the resulting traces — every :class:`CycleReport` field.
+* the vectorized timing engine vs the per-entry reference on the
+  resulting traces — every :class:`CycleReport` field.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.ir import Interpreter
-from repro.ir.trace import NO_ADDR, OP_NAMES, numpy_or_none
+from repro.ir.trace import NO_ADDR, OP_NAMES
 from repro.machine import LOWEND, Cache, LowEndTimingModel, access_hit_flags
 from repro.workloads import generate_function
 from repro.workloads.mibench import MIBENCH
-
-np = numpy_or_none()
-needs_numpy = pytest.mark.skipif(np is None, reason="numpy unavailable")
 
 COMMON = dict(
     deadline=None,
@@ -50,11 +48,6 @@ def report_fields(report):
             report.branch_penalties, report.setlr_executed)
 
 
-def column(col):
-    """A column as a plain list, whether numpy array or list."""
-    return col.tolist() if hasattr(col, "tolist") else list(col)
-
-
 def synth_programs():
     return st.builds(
         generate_function,
@@ -65,7 +58,6 @@ def synth_programs():
     )
 
 
-@needs_numpy
 class TestCacheBatchEquivalence:
     @given(data=st.data())
     @settings(max_examples=120, **COMMON)
@@ -79,7 +71,7 @@ class TestCacheBatchEquivalence:
         cache = Cache(size, line, assoc)
         expected = [cache.access(a) for a in addrs]
         flags = access_hit_flags(np.asarray(addrs, dtype=np.int64),
-                                 size, line, assoc, np=np)
+                                 size, line, assoc)
         assert flags.tolist() == expected
 
     @given(data=st.data())
@@ -92,14 +84,8 @@ class TestCacheBatchEquivalence:
         cache = Cache(size, line, assoc)
         expected = [cache.access(a) for a in addrs]
         flags = access_hit_flags(np.asarray(addrs, dtype=np.int64),
-                                 size, line, assoc, np=np)
+                                 size, line, assoc)
         assert flags.tolist() == expected
-
-    def test_scalar_fallback_matches(self):
-        addrs = [0, 32, 64, 0, 32, 4096, 0, -32, -64, -32]
-        cache = Cache(512, 32, 2)
-        expected = [cache.access(a) for a in addrs]
-        assert access_hit_flags(addrs, 512, 32, 2, np=None) == expected
 
 
 class TestInterpreterEngineEquivalence:
@@ -161,22 +147,18 @@ class TestInterpreterEngineEquivalence:
 
 class TestTimingEngineEquivalence:
     @pytest.mark.parametrize("w", MIBENCH, ids=lambda w: w.name)
-    def test_three_engines_agree_on_mibench(self, w, monkeypatch):
+    def test_three_engines_agree_on_mibench(self, w):
+        """The object trace and the columns' own expansion through the
+        reference, and the columns through the vectorized engine."""
         fn = w.function()
         result = Interpreter(engine="fast").run(fn, w.default_args)
         model = LowEndTimingModel(LOWEND)
         reference = model.time(result.trace)
         assert result.columnar is not None
-        scalar = model._time_columnar_scalar(result.columnar)
-        assert report_fields(scalar) == report_fields(reference)
-        if result.columnar.is_vector:
-            vectorized = model._time_vectorized(result.columnar)
-            assert report_fields(vectorized) == report_fields(reference)
-            # and the escape hatch routes the public entry point the
-            # same place as the scalar engine
-            monkeypatch.setenv("REPRO_NO_SIM_VECTOR", "1")
-            hatch = model.time(result.columnar)
-            assert report_fields(hatch) == report_fields(reference)
+        expanded = model._time_reference(result.columnar.to_entries())
+        assert report_fields(expanded) == report_fields(reference)
+        assert report_fields(model.time(result.columnar)) \
+            == report_fields(reference)
 
     @given(fn=synth_programs(), arg=st.integers(min_value=0, max_value=4))
     @settings(max_examples=30, **COMMON)
@@ -185,22 +167,18 @@ class TestTimingEngineEquivalence:
         if result.columnar is None:
             return  # reference-engine fallback: nothing columnar to compare
         model = LowEndTimingModel(LOWEND)
-        reference = model.time(result.columnar.to_entries())
-        assert report_fields(model._time_columnar_scalar(result.columnar)) \
+        reference = model._time_reference(result.columnar.to_entries())
+        assert report_fields(model.time(result.columnar)) \
             == report_fields(reference)
-        if result.columnar.is_vector:
-            assert report_fields(model._time_vectorized(result.columnar)) \
-                == report_fields(reference)
 
     def test_empty_trace(self):
         model = LowEndTimingModel(LOWEND)
         assert report_fields(model.time([])) == (0, 0, 0, 0, 0, 0, 0)
 
-    @needs_numpy
     def test_mem_addr_sentinel_excludes_no_access(self, sum_fn):
         result = Interpreter(trace_format="columnar", engine="fast").run(sum_fn, (5,))
         ct = result.columnar
         assert ct is not None
         report = LowEndTimingModel(LOWEND).time(ct)
-        n_data = sum(1 for m in column(ct.mem_addr) if m != NO_ADDR)
+        n_data = sum(1 for m in ct.mem_addr.tolist() if m != NO_ADDR)
         assert report.dcache_accesses == n_data

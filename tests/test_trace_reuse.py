@@ -22,11 +22,9 @@ from repro.machine import (LOWEND, LowEndTimingModel, clear_recorded_runs,
                            record_reference_run, trace_reuse_enabled)
 from repro.workloads.mibench import MIBENCH
 
-#: the derivation contract only exists with the fast engine recording
-#: columnar traces and the reuse layer enabled
+#: the derivation contract only exists with the reuse layer enabled
 pytestmark = pytest.mark.skipif(
-    os.environ.get("REPRO_SIM_REFERENCE") == "1"
-    or os.environ.get("REPRO_NO_TRACE_REUSE") == "1",
+    os.environ.get("REPRO_NO_TRACE_REUSE") == "1",
     reason="trace reuse disabled by environment",
 )
 
