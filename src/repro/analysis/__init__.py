@@ -28,7 +28,7 @@ from repro.analysis.pressure import (
     loop_pressure_regions,
 )
 from repro.analysis.adjacency import AdjacencyGraph, build_adjacency
-from repro.analysis.batched import batched_liveness, prewarm_corpus
+from repro.analysis.batched import prewarm_corpus
 from repro.analysis.cache import (
     analysis_cache_stats,
     clear_analysis_cache,
@@ -67,7 +67,6 @@ __all__ = [
     "estimate_block_frequencies",
     "AdjacencyGraph",
     "build_adjacency",
-    "batched_liveness",
     "prewarm_corpus",
     "split_webs",
     "analysis_cache_stats",

@@ -183,23 +183,20 @@ def build_adjacency(fn: Function, order: str = "src_first", cls: str = "int",
     :meth:`AdjacencyGraph.copy`, because coalescing mutates its graph via
     :meth:`AdjacencyGraph.merge`.
     """
-    from repro.analysis import batched
     from repro.analysis.cache import fingerprint_function, memoize_analysis
 
     freq_key = None if freq is None else tuple(sorted(freq.items()))
-    fp = fingerprint_function(fn)
-    key = ("adjacency", order, cls, freq_key, fp)
+    key = ("adjacency", order, cls, freq_key, fingerprint_function(fn))
     graph = memoize_analysis(
-        key, lambda: batched.adjacency_one(fn, order, cls, freq, fp))
+        key, lambda: _build_adjacency_ref(fn, order, cls, freq))
     return graph.copy()
 
 
 def _build_adjacency_ref(fn: Function, order: str, cls: str,
                          freq: Optional[Mapping[str, float]]
                          ) -> AdjacencyGraph:
-    """Object-walking reference builder (the vectorized kernel in
-    :mod:`repro.analysis.batched` must match it exactly, floats
-    included)."""
+    """Walk each block's access sequence, then every CFG edge's
+    (last access, first access) pair, accumulating edge weights."""
     g = AdjacencyGraph()
     _, preds = fn.cfg()
     block_seqs: Dict[str, List[Reg]] = {

@@ -152,9 +152,9 @@ def peek_analysis(key: Hashable):
 
     Returns :data:`MISSING` when the entry is absent, the key is
     unhashable, or the cache is disabled.  Does not count as a hit and
-    does not refresh LRU order — this is how the corpus-batched analyses
-    (:mod:`repro.analysis.batched`) decide which functions still need a
-    slot in the stacked computation.
+    does not refresh LRU order — this is how :func:`repro.analysis.
+    interference.build_interference` tells the canonical memoized
+    liveness from a caller's own.
     """
     if not _enabled:
         return MISSING

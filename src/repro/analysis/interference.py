@@ -150,12 +150,10 @@ def build_interference(fn: Function,
     whole allocations.  Each call returns a private
     :meth:`InterferenceGraph.copy`, because simplify/coalesce mutate the
     graph via :meth:`remove_node`/:meth:`merge`.  A caller-supplied
-    ``liveness`` other than the canonical memoized one bypasses the memo
-    (and the vectorized kernel, which derives liveness itself).
+    ``liveness`` other than the canonical memoized one bypasses the memo.
     """
-    from repro.analysis import batched
-    from repro.analysis.cache import (MISSING, fingerprint_function,
-                                      memoize_analysis, peek_analysis)
+    from repro.analysis.cache import (fingerprint_function, memoize_analysis,
+                                      peek_analysis)
 
     fp = fingerprint_function(fn)
     if liveness is not None and liveness is not peek_analysis(("liveness",
@@ -164,7 +162,7 @@ def build_interference(fn: Function,
     freq_key = None if freq is None else tuple(sorted(freq.items()))
     key = ("interference", cls, freq_key, fp)
     graph = memoize_analysis(
-        key, lambda: batched.interference_one(fn, freq, cls, fp))
+        key, lambda: _build_interference_ref(fn, None, freq, cls))
     return graph.copy()
 
 
@@ -172,8 +170,8 @@ def _build_interference_ref(fn: Function,
                             liveness: Optional[LivenessInfo],
                             freq: Optional[Dict[str, float]],
                             cls: str) -> InterferenceGraph:
-    """Object-walking reference builder (the vectorized kernel in
-    :mod:`repro.analysis.batched` must match it exactly)."""
+    """Walk every instruction once, adding def-vs-live-out edges and
+    weighted move candidates; ``liveness=None`` uses the memoized one."""
     if liveness is None:
         liveness = compute_liveness(fn)
     g = InterferenceGraph()

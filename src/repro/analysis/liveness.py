@@ -60,19 +60,11 @@ def compute_liveness(fn: Function) -> LivenessInfo:
     same function at several stages, and sweeps re-analyse identical
     copies.  The returned object is shared between hits — treat it as
     read-only (every set in it is frozen).
-
-    The result is produced by the vectorized bitset kernel
-    (:mod:`repro.analysis.batched`), which is exactly equivalent to the
-    object-walking reference below.  Whole corpora should go through
-    :func:`repro.analysis.batched.batched_liveness`, which stacks every
-    function into one fixed point and warms this memo.
     """
-    from repro.analysis import batched
     from repro.analysis.cache import fingerprint_function, memoize_analysis
 
-    fp = fingerprint_function(fn)
-    return memoize_analysis(("liveness", fp),
-                            lambda: batched.liveness_one(fn, fp))
+    return memoize_analysis(("liveness", fingerprint_function(fn)),
+                            lambda: _compute_liveness(fn))
 
 
 def _compute_liveness(fn: Function) -> LivenessInfo:
@@ -96,10 +88,14 @@ def _compute_liveness(fn: Function) -> LivenessInfo:
     instr_live_in: Dict[int, FrozenSet[Reg]] = {}
     for b in fn.blocks:
         live: Set[Reg] = set(live_out[b.name])
+        after = frozenset(live)
         for instr in reversed(b.instrs):
-            instr_live_out[instr.uid] = frozenset(live)
+            instr_live_out[instr.uid] = after
             live.difference_update(instr.defs())
             live.update(instr.uses())
-            instr_live_in[instr.uid] = frozenset(live)
+            # live into this instruction is live out of the one before it:
+            # one frozen set serves both keys
+            after = frozenset(live)
+            instr_live_in[instr.uid] = after
 
     return LivenessInfo(live_in, live_out, use, defs, instr_live_out, instr_live_in)

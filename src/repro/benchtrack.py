@@ -3,15 +3,12 @@
 Times the greedy remap descent against the retained
 O(E)-per-candidate reference (:func:`repro.regalloc.remap.
 _greedy_descent_reference`), the serial RegN sweep against its
-process-pool fan-out, the columnar simulation layer (fast
+process-pool fan-out, and the columnar simulation layer (fast
 interpreter engine + trace reuse + vectorized timing) against the
-reference interpreter/object-trace path, and the corpus-batched
-analysis kernels (:mod:`repro.analysis.batched`) against the
-object-walking reference analyses, then emits the measurements as
-``BENCH_remap.json`` / ``BENCH_sim.json`` / ``BENCH_analysis.json``.
-CI uploads the files as artifacts, so the speedups are tracked run over
-run; ``python -m repro bench-remap``, ``bench-sim`` and
-``bench-analysis`` produce them locally.
+reference interpreter/object-trace path, then emits the measurements as
+``BENCH_remap.json`` / ``BENCH_sim.json``.  CI uploads the files as
+artifacts, so the speedups are tracked run over run; ``python -m repro
+bench-remap`` and ``bench-sim`` produce them locally.
 
 Every timed comparison also cross-checks outputs: the descent must
 return exactly the reference's costs and permutations, the parallel
@@ -23,15 +20,14 @@ faster by changing answers is a bug, not a result.
 from __future__ import annotations
 
 import json
-import struct
 import time
 from typing import Dict, Optional, Sequence
 
 __all__ = ["bench_remap_descent", "bench_sweep", "bench_sim",
-           "bench_wire", "bench_analysis", "bench_moves",
+           "bench_wire", "bench_moves",
            "bench_allocators",
            "collect_benchmarks", "collect_sim_benchmarks",
-           "collect_analysis_benchmarks", "collect_moves_benchmarks",
+           "collect_moves_benchmarks",
            "collect_allocator_benchmarks",
            "write_bench_json"]
 
@@ -458,150 +454,6 @@ def bench_allocators(n_workloads: int = 0,
     }
 
 
-def _bits(x: float) -> bytes:
-    """IEEE-754 image of ``x`` — equality down to the last bit."""
-    return struct.pack("<d", x)
-
-
-def _same_liveness(a, b) -> bool:
-    if list(a.live_in) != list(b.live_in):
-        return False
-    for attr in ("live_in", "live_out", "use", "defs",
-                 "instr_live_out", "instr_live_in"):
-        da, db = getattr(a, attr), getattr(b, attr)
-        if list(da.keys()) != list(db.keys()) or da != db:
-            return False
-    return True
-
-
-def _same_interference(a, b) -> bool:
-    return (list(a._adj.keys()) == list(b._adj.keys())
-            and a._adj == b._adj
-            and list(a.moves.keys()) == list(b.moves.keys())
-            and all(_bits(a.moves[k]) == _bits(b.moves[k])
-                    for k in a.moves))
-
-
-def _same_adjacency(a, b) -> bool:
-    for side in ("_out", "_in"):
-        da, db = getattr(a, side), getattr(b, side)
-        if list(da.keys()) != list(db.keys()):
-            return False
-        for u in da:
-            if list(da[u].keys()) != list(db[u].keys()):
-                return False
-            if any(_bits(da[u][v]) != _bits(db[u][v]) for v in da[u]):
-                return False
-    return True
-
-
-def bench_analysis(n_workloads: int = 0, cls: str = "int",
-                   order: str = "src_first",
-                   repeats: int = 30) -> Dict[str, object]:
-    """Time the analysis stages, object-walking reference vs the
-    corpus-batched numpy kernels, over the MiBench suite.
-
-    The comparison is warm-representation on both sides: the reference
-    builders walk the pre-existing ``Function`` objects (the IR *is*
-    their warm representation), so the vectorized side gets its
-    equivalent — memoized columnar views with their lazy per-view tables
-    populated by one untimed warm-up pass.  Deriving the views from
-    scratch is reported separately as ``views_seconds``; ``speedup``
-    gates on the analysis stages alone, ``cold_speedup`` folds the view
-    derivation in.  Stage inputs match too: the reference interference
-    builder receives precomputed liveness objects exactly as the
-    batched kernel receives precomputed live-out bitsets.
-
-    Every timing is the best of ``repeats`` runs, with the reference and
-    batched runs of every stage *interleaved* in the same round-robin
-    loop — CPU frequency or load drift during the benchmark then shifts
-    both sides alike instead of skewing the ratio — and every stage's
-    outputs are checked exactly equal against the reference's, dict
-    insertion orders and float bit-patterns included.
-    """
-    from repro.analysis import batched
-    from repro.analysis.adjacency import _build_adjacency_ref
-    from repro.analysis.interference import _build_interference_ref
-    from repro.analysis.liveness import _compute_liveness
-    from repro.ir.columnar import ColumnarFunction
-    from repro.workloads import MIBENCH
-
-    workloads = MIBENCH[:n_workloads] if n_workloads else list(MIBENCH)
-    fns = [w.function() for w in workloads]
-    nones = [None] * len(fns)
-
-    views = [ColumnarFunction(fn) for fn in fns]
-    # untimed warm-up pass: populates every lazy per-view table (register
-    # singletons, class seeds, access fields, byte-decode entries) the
-    # way repeated pipeline use would; kernel *results* are not cached
-    # (no fingerprints are passed), so every timed run recomputes them
-    bits = batched._liveness_kernel(views)[1]
-    batched._interference_kernel(views, bits, nones, cls)
-    batched._adjacency_kernel(views, order, cls, nones)
-
-    ref_live = [_compute_liveness(fn) for fn in fns]
-    runs = [
-        lambda: [_compute_liveness(fn) for fn in fns],
-        lambda: batched._liveness_kernel(views),
-        lambda: [_build_interference_ref(fn, live, None, cls)
-                 for fn, live in zip(fns, ref_live)],
-        lambda: batched._interference_kernel(views, bits, nones, cls),
-        lambda: [_build_adjacency_ref(fn, order, cls, None) for fn in fns],
-        lambda: batched._adjacency_kernel(views, order, cls, nones),
-        lambda: [ColumnarFunction(fn) for fn in fns],
-    ]
-    best = [float("inf")] * len(runs)
-    results = [None] * len(runs)
-    for _ in range(max(1, repeats)):
-        for i, run in enumerate(runs):
-            t0 = time.perf_counter()
-            results[i] = run()
-            t = time.perf_counter() - t0
-            if t < best[i]:
-                best[i] = t
-
-    (ref_live, (vec_live, bits), ref_int, vec_int, ref_adj, vec_adj,
-     _) = results
-    (t_ref_live, t_vec_live, t_ref_int, t_vec_int, t_ref_adj, t_vec_adj,
-     t_views) = best
-
-    identical = (
-        all(map(_same_liveness, ref_live, vec_live))
-        and all(map(_same_interference, ref_int, vec_int))
-        and all(map(_same_adjacency, ref_adj, vec_adj))
-    )
-
-    def stage(t_ref: float, t_vec: float) -> Dict[str, float]:
-        return {
-            "reference_seconds": t_ref,
-            "batched_seconds": t_vec,
-            "speedup": t_ref / t_vec if t_vec else float("inf"),
-        }
-
-    t_ref = t_ref_live + t_ref_int + t_ref_adj
-    t_vec = t_vec_live + t_vec_int + t_vec_adj
-    return {
-        "workloads": [w.name for w in workloads],
-        "functions": len(fns),
-        "instructions": sum(fn.num_instructions() for fn in fns),
-        "cls": cls,
-        "order": order,
-        "repeats": repeats,
-        "stages": {
-            "liveness": stage(t_ref_live, t_vec_live),
-            "interference": stage(t_ref_int, t_vec_int),
-            "adjacency": stage(t_ref_adj, t_vec_adj),
-        },
-        "views_seconds": t_views,
-        "reference_seconds": t_ref,
-        "batched_seconds": t_vec,
-        "speedup": t_ref / t_vec if t_vec else float("inf"),
-        "cold_speedup": t_ref / (t_vec + t_views)
-        if t_vec + t_views else float("inf"),
-        "identical_results": identical,
-    }
-
-
 def collect_benchmarks(remap_restarts: int = 100,
                        sweep_jobs: int = 0,
                        workload: str = "sha",
@@ -640,14 +492,6 @@ def collect_allocator_benchmarks(**kwargs) -> Dict[str, object]:
     return {
         "schema": BENCH_SCHEMA,
         "allocators": bench_allocators(**kwargs),
-    }
-
-
-def collect_analysis_benchmarks(**kwargs) -> Dict[str, object]:
-    """The analysis-kernel measurements as one JSON-ready document."""
-    return {
-        "schema": BENCH_SCHEMA,
-        "analysis": bench_analysis(**kwargs),
     }
 
 

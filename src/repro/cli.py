@@ -474,26 +474,6 @@ def _cmd_bench_sim(args) -> int:
     return 0 if sim["identical_results"] else 1
 
 
-def _cmd_bench_analysis(args) -> int:
-    from repro.benchtrack import (collect_analysis_benchmarks,
-                                  write_bench_json)
-
-    doc = write_bench_json(args.out, doc=collect_analysis_benchmarks(
-        n_workloads=args.workloads, repeats=args.repeats))
-    ana = doc["analysis"]
-    stages = ana["stages"]
-    print(f"analysis kernels ({ana['functions']} functions, "
-          f"{ana['instructions']} instructions, corpus-batched): "
-          f"{ana['speedup']:.2f}x vs reference "
-          f"(identical={ana['identical_results']})")
-    print("  " + "  ".join(f"{name}={s['speedup']:.2f}x"
-                           for name, s in stages.items()) +
-          f"  views={1e3 * ana['views_seconds']:.2f}ms "
-          f"(cold {ana['cold_speedup']:.2f}x)")
-    print(f"written to {args.out}")
-    return 0 if ana["identical_results"] else 1
-
-
 def _cmd_bench_moves(args) -> int:
     from repro.benchtrack import collect_moves_benchmarks, write_bench_json
 
@@ -1172,19 +1152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=5,
                    help="remap restarts for the (untimed) allocations")
     p.set_defaults(func=_cmd_bench_sim)
-
-    p = sub.add_parser("bench-analysis",
-                       help="time the corpus-batched numpy analysis "
-                            "kernels (liveness/interference/adjacency) "
-                            "against the object-walking reference; write "
-                            "BENCH_analysis.json")
-    p.add_argument("--out", default="BENCH_analysis.json",
-                   help="output JSON path")
-    p.add_argument("--workloads", type=int, default=0,
-                   help="number of MIBENCH kernels (0 = all)")
-    p.add_argument("--repeats", type=int, default=30,
-                   help="timing runs per stage (best-of)")
-    p.set_defaults(func=_cmd_bench_analysis)
 
     p = sub.add_parser("bench-moves",
                        help="measure the parallel-move resolver "

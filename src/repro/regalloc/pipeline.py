@@ -317,10 +317,9 @@ def run_setup(fn: Function, setup: str,
     """
     from repro.analysis.batched import prewarm_corpus
 
-    # one vectorized analysis pass over a corpus of one: the liveness and
-    # first-round interference memos every allocator below starts from
-    # are warmed up front (a no-op when a batch caller — the service
-    # dispatcher, experiment grids — already prewarmed this function)
+    # the liveness and first-round interference memos every allocator
+    # below starts from; the name is looked up at call time so a wrapper
+    # installed on repro.analysis.batched sees this call
     prewarm_corpus([fn])
 
     config = EncodingConfig(reg_n=reg_n, diff_n=diff_n, access_order=access_order)

@@ -35,7 +35,7 @@ import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.diagnostics import LintError
 from repro.parallel import WorkerCrashError, WorkerPool
@@ -451,30 +451,6 @@ class ServiceServer:
                 break
         return batch
 
-    def _prewarm_batch(self, batch: List["_Pending"]) -> None:
-        """Analyze a micro-batch's functions in one vectorized corpus pass
-        (:func:`repro.analysis.batched.prewarm_corpus`) before fan-out.
-
-        Only worth doing when the pool executes in process (one effective
-        worker): the analysis memo cache is per-process, so memos warmed
-        here would never be seen by real worker processes.  Failures are
-        swallowed — a function that cannot be analyzed fails identically,
-        with a proper error envelope, inside :func:`execute_request`.
-        """
-        from repro.analysis.batched import prewarm_corpus
-
-        fns = []
-        for pending in batch:
-            try:
-                fns.append(_request_function(pending.request))
-            except Exception:  # noqa: BLE001 - the worker will report it
-                pass
-        if fns:
-            try:
-                prewarm_corpus(fns)
-            except Exception:  # noqa: BLE001 - prewarm is best-effort
-                pass
-
     def _batch_loop(self) -> None:
         while True:
             batch = self._collect_batch()
@@ -482,8 +458,6 @@ class ServiceServer:
                 if self._stopping.is_set():
                     return
                 continue
-            if len(batch) > 1 and self.pool.max_workers <= 1:
-                self._prewarm_batch(batch)
             try:
                 responses = self.pool.map(
                     execute_request, [p.request for p in batch])
