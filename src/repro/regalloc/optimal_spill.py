@@ -16,6 +16,14 @@ the graph.  We reproduce that structure:
    spill-everywhere fallback when the instance exceeds ``max_ilp_vars`` or
    the solver returns no solution.
 
+   Each function's problem is built once; only the capacity bounds change
+   with ``k``.  When no capacity row can bind, the all-resident plan is
+   returned without calling HiGHS.  That is exact: the plan meets every
+   constraint and its cost 0 is the ILP's lower bound.
+   :func:`optimal_spill_allocate` also solves its ``k - 1`` slack-retry
+   model speculatively, on a worker thread alongside the ``k`` solve; the
+   result is used only if the retry runs, so outputs match a serial run.
+
    One deliberate simplification versus Appel-George: residence may not
    change on a CFG *edge* (no edge splitting), so loads/stores live inside
    blocks only.  This loses a little optimality but keeps codegen simple;
@@ -34,8 +42,8 @@ the graph.  We reproduce that structure:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (Any, Dict, List, Mapping, Optional, Sequence, Set,
+from dataclasses import dataclass, field, replace
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Set,
                     Tuple)
 
 import numpy as np
@@ -48,12 +56,20 @@ from repro.regalloc.base import AllocationResult
 from repro.regalloc.iterated import ColorSelector, iterated_allocate
 from repro.regalloc.spill import SpillSlotAllocator
 
+if TYPE_CHECKING:
+    from concurrent.futures import Future
+
 __all__ = [
     "ResidencePlan",
     "decide_residence",
     "apply_residence",
     "optimal_spill_allocate",
 ]
+
+
+#: default size cap on the residence ILP (variables); larger instances take
+#: the greedy fallback
+_MAX_ILP_VARS = 60_000
 
 
 @dataclass
@@ -86,36 +102,25 @@ class ResidencePlan:
 
 @dataclass
 class _Points:
-    """Liveness per program point for every block."""
+    """Liveness per program point for every block: the live int vregs, and
+    how many int physical registers are live there (``phys``)."""
 
-    fn: Function
-    liveness: LivenessInfo
     live_at: Dict[Tuple[str, int], Set[Reg]] = field(default_factory=dict)
+    phys: Dict[Tuple[str, int], int] = field(default_factory=dict)
 
     @classmethod
     def build(cls, fn: Function, liveness: LivenessInfo) -> "_Points":
-        pts = cls(fn, liveness)
+        pts = cls()
         for b in fn.blocks:
             n = len(b.instrs)
-            for j in range(n):
-                live = liveness.instr_live_in[b.instrs[j].uid]
-                pts.live_at[(b.name, j)] = {
-                    r for r in live if r.virtual and r.cls == "int"
-                }
-            pts.live_at[(b.name, n)] = {
-                r for r in liveness.live_out[b.name]
-                if r.virtual and r.cls == "int"
-            }
+            for j in range(n + 1):
+                live = (liveness.instr_live_in[b.instrs[j].uid] if j < n
+                        else liveness.live_out[b.name])
+                ints = [r for r in live if r.cls == "int"]
+                vregs = {r for r in ints if r.virtual}
+                pts.live_at[(b.name, j)] = vregs
+                pts.phys[(b.name, j)] = len(ints) - len(vregs)
         return pts
-
-    def phys_pressure(self, block: str, j: int) -> int:
-        b = self.fn.block(block)
-        n = len(b.instrs)
-        if j < n:
-            live = self.liveness.instr_live_in[b.instrs[j].uid]
-        else:
-            live = self.liveness.live_out[block]
-        return sum(1 for r in live if not r.virtual and r.cls == "int")
 
 
 def _forced_points(fn: Function) -> Set[Tuple[Reg, str, int]]:
@@ -149,6 +154,8 @@ class _IlpModel:
     Row blocks in order: capacity per live point, loads, stores, edge
     equalities.  ``x_index`` maps ``(v, block, point)`` to its binary
     column; the transition cost columns follow the ``n_x`` x columns.
+    Only the capacity rows depend on the budget ``k``: row ``i`` has
+    ``cap_live[i]`` x columns and bound ``k - cap_phys[i]``.
     """
 
     x_index: Dict[Tuple[Reg, str, int], int]
@@ -161,10 +168,31 @@ class _IlpModel:
     var_lb: Any
     var_ub: Any
     integrality: Any
+    cap_live: Any
+    cap_phys: Any
 
     @property
     def shape(self) -> Tuple[int, int]:
         return len(self.lb), len(self.c)
+
+    def rebound(self, k: int) -> "_IlpModel":
+        """The model at budget ``k``: every array is shared except ``ub``,
+        whose capacity rows become what :func:`_build_ilp_model` gives at
+        ``k``."""
+        ub = self.ub.copy()
+        ub[:len(self.cap_phys)] = k - self.cap_phys
+        return replace(self, ub=ub)
+
+    def needs_solver(self, k: int) -> bool:
+        """False when the all-resident plan is optimal at budget ``k``.
+
+        That holds when no capacity row can bind (no point has more live
+        values than ``k`` minus its physical pressure) and no cost is
+        negative: all-resident then meets every row and bound, and its
+        objective 0 is a lower bound on the ILP's.
+        """
+        return bool((self.cap_live + self.cap_phys > k).any()
+                    or (self.c < 0).any())
 
 
 def _build_ilp_model(fn: Function, k: int, pts: _Points,
@@ -223,15 +251,17 @@ def _build_ilp_model(fn: Function, k: int, pts: _Points,
     # capacity per point: sum of the point's x columns <= k - phys pressure
     cap_cols: List[int] = []
     cap_len: List[int] = []
-    cap_ub: List[float] = []
+    cap_phys: List[int] = []
     for point, live in pts.live_at.items():
         if not live:
             continue
         start = base[point]
         cap_cols.extend(range(start, start + len(live)))
         cap_len.append(len(live))
-        cap_ub.append(float(k - pts.phys_pressure(*point)))
+        cap_phys.append(pts.phys[point])
     n_cap = len(cap_len)
+    cap_len_arr = np.array(cap_len, dtype=np.int64)
+    cap_phys_arr = np.array(cap_phys, dtype=np.int64)
 
     # load: x_post - x_pre - l <= 0; store: x_pre - x_post - s <= 0
     pre_arr = np.array(pre, dtype=np.int64)
@@ -257,8 +287,7 @@ def _build_ilp_model(fn: Function, k: int, pts: _Points,
     n_ineq = n_cap + 2 * n_t
     n_rows = n_ineq + n_e
     rows = np.concatenate([
-        np.repeat(np.arange(n_cap, dtype=np.int64),
-                  np.array(cap_len, dtype=np.int64)),
+        np.repeat(np.arange(n_cap, dtype=np.int64), cap_len_arr),
         np.repeat(np.arange(n_cap, n_ineq, dtype=np.int64), 3),
         np.repeat(np.arange(n_ineq, n_rows, dtype=np.int64), 2),
     ])
@@ -276,7 +305,7 @@ def _build_ilp_model(fn: Function, k: int, pts: _Points,
     lb = np.full(n_rows, -np.inf)
     lb[n_ineq:] = 0.0
     ub = np.zeros(n_rows)
-    ub[:n_cap] = cap_ub
+    ub[:n_cap] = k - cap_phys_arr
 
     var_lb = np.zeros(n_vars)
     var_ub = np.ones(n_vars)
@@ -288,26 +317,20 @@ def _build_ilp_model(fn: Function, k: int, pts: _Points,
     integrality = np.zeros(n_vars)
     integrality[:n_x] = 1
     return _IlpModel(x_index, c, rows, cols, vals, lb, ub, var_lb, var_ub,
-                     integrality)
+                     integrality, cap_len_arr, cap_phys_arr)
 
 
-def _solve_ilp(fn: Function, k: int, pts: _Points,
-               freq: Mapping[str, float],
-               forced: Set[Tuple[Reg, str, int]],
-               load_cost: float, store_cost: float,
-               max_ilp_vars: int) -> Optional[ResidencePlan]:
+def _run_highs(model: _IlpModel) -> Optional[Any]:
+    """Solve ``model`` with HiGHS: the ``milp`` result, or None when it
+    found no solution.
+
+    Reads nothing but the model's arrays, so it can run on a worker thread
+    while the caller allocates (HiGHS releases the GIL).
+    """
     # imported here: scipy's import time would otherwise land on every
     # ``import repro``, ILP or not
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
-
-    model = _build_ilp_model(fn, k, pts, freq, forced, load_cost,
-                             store_cost, max_ilp_vars)
-    if model is None:
-        return None
-    x_index = model.x_index
-    if not x_index:
-        return ResidencePlan({}, set(), 0.0, "ilp")
 
     constraints = LinearConstraint(
         sparse.csr_matrix((model.vals, (model.rows, model.cols)),
@@ -323,10 +346,16 @@ def _solve_ilp(fn: Function, k: int, pts: _Points,
     )
     if not res.success or res.x is None:
         return None
+    return res
 
+
+def _ilp_plan(fn: Function, pts: _Points, model: _IlpModel,
+              res: Any) -> ResidencePlan:
+    """The residence plan a HiGHS solution of ``model`` encodes."""
     # vectors default to False; True only at live points where the value is
     # resident.  Dead points read as non-resident so segment walking starts
     # a fresh segment at every definition after a liveness gap.
+    x_index = model.x_index
     resident_at = (res.x > 0.5).tolist()
     residence: Dict[Reg, Dict[str, List[bool]]] = {}
     spilled: Set[Reg] = set()
@@ -361,7 +390,7 @@ def _solve_greedy(fn: Function, k: int, pts: _Points,
 
     def pressure(block: str, j: int) -> int:
         live = pts.live_at[(block, j)]
-        count = pts.phys_pressure(block, j)
+        count = pts.phys[(block, j)]
         for v in live:
             if v not in spilled:
                 count += 1
@@ -457,25 +486,68 @@ def residence_plan_cost(fn: Function, plan: ResidencePlan,
     return total
 
 
+@dataclass
+class _Residence:
+    """One function's residence problem, built once and decided per budget.
+
+    Holds the points, the forced points and, with the ILP on, the model
+    (None when it is off or the model exceeds ``max_ilp_vars``); each
+    budget re-bounds the model's capacity rows instead of rebuilding it.
+    Nothing here changes after :meth:`build`, so a worker thread may run
+    :meth:`solve` while the caller decides another budget.
+    """
+
+    fn: Function
+    freq: Mapping[str, float]
+    pts: _Points
+    forced: Set[Tuple[Reg, str, int]]
+    model: Optional[_IlpModel]
+
+    @classmethod
+    def build(cls, fn: Function, k: int, freq: Mapping[str, float],
+              use_ilp: bool, load_cost: float, store_cost: float,
+              max_ilp_vars: int) -> "_Residence":
+        pts = _Points.build(fn, compute_liveness(fn))
+        forced = _forced_points(fn)
+        model = (_build_ilp_model(fn, k, pts, freq, forced, load_cost,
+                                  store_cost, max_ilp_vars)
+                 if use_ilp else None)
+        return cls(fn, freq, pts, forced, model)
+
+    def needs_solver(self, k: int) -> bool:
+        """Whether deciding at budget ``k`` calls HiGHS."""
+        return self.model is not None and self.model.needs_solver(k)
+
+    def solve(self, k: int) -> Optional[Any]:
+        """HiGHS on the model at budget ``k`` (see :func:`_run_highs`)."""
+        return _run_highs(self.model.rebound(k))
+
+    def decide(self, k: int,
+               solved: Optional[Future] = None) -> ResidencePlan:
+        """The plan at budget ``k``; ``solved``, when given, is a pending
+        :meth:`solve` of ``k`` to use instead of solving here."""
+        model = self.model
+        if model is not None:
+            if not model.needs_solver(k):
+                return ResidencePlan({}, set(), 0.0, "ilp")
+            res = solved.result() if solved is not None else self.solve(k)
+            if res is not None:
+                return _ilp_plan(self.fn, self.pts, model, res)
+        return _solve_greedy(self.fn, k, self.pts, self.freq, self.forced)
+
+
 def decide_residence(fn: Function, k: int,
                      freq: Optional[Mapping[str, float]] = None,
                      use_ilp: bool = True,
                      load_cost: float = 1.0,
                      store_cost: float = 1.0,
-                     max_ilp_vars: int = 60_000) -> ResidencePlan:
+                     max_ilp_vars: int = _MAX_ILP_VARS) -> ResidencePlan:
     """Decide, for every live point of every virtual register, whether the
     value is in a register — the Appel-George step 1."""
     if freq is None:
         freq = estimate_block_frequencies(fn)
-    liveness = compute_liveness(fn)
-    pts = _Points.build(fn, liveness)
-    forced = _forced_points(fn)
-    if use_ilp:
-        plan = _solve_ilp(fn, k, pts, freq, forced, load_cost, store_cost,
-                          max_ilp_vars)
-        if plan is not None:
-            return plan
-    return _solve_greedy(fn, k, pts, freq, forced)
+    return _Residence.build(fn, k, freq, use_ilp, load_cost, store_cost,
+                            max_ilp_vars).decide(k)
 
 
 # ----------------------------------------------------------------------
@@ -706,12 +778,16 @@ def optimal_spill_allocate(fn: Function, k: int,
     :func:`repro.regalloc.diff_coalesce.differential_coalesce_allocate` runs
     the paper's cost-driven variant instead.
     """
+    # imported here: concurrent.futures would add ~10 ms to every
+    # ``import repro``
+    from concurrent.futures import ThreadPoolExecutor
+
     if freq is None:
         freq = estimate_block_frequencies(fn)
+    problem = _Residence.build(fn, k, freq, use_ilp, load_cost, store_cost,
+                               _MAX_ILP_VARS)
 
-    def attempt(budget: int) -> AllocationResult:
-        plan = decide_residence(fn, budget, freq, use_ilp=use_ilp,
-                                load_cost=load_cost, store_cost=store_cost)
+    def attempt(budget: int, plan: ResidencePlan) -> AllocationResult:
         split_fn, _ = apply_residence(fn, plan)
         result = iterated_allocate(split_fn, k, selector=selector,
                                    freq=dict(freq))
@@ -730,14 +806,22 @@ def optimal_spill_allocate(fn: Function, k: int,
             if instr.op in ("ldslot", "stslot")
         )
 
-    best = attempt(k)
     # Residence plans bound MaxLive by k, but k-colorability is not implied
     # (Appel-George restore it with parallel copies at every block boundary,
     # which we deliberately avoid).  When the colorer had to add spills, a
     # plan with one register of slack sometimes colors cleanly; keep
-    # whichever result executes less spill traffic.
-    if best.rounds > 1 and k > 2:
-        retry = attempt(k - 1)
-        if weighted_spill_cost(retry) < weighted_spill_cost(best):
-            best = retry
+    # whichever result executes less spill traffic.  The k-1 model binds
+    # whenever the k model does, so its solve starts on a worker thread
+    # before k's; leaving the block joins the thread, also on an exception,
+    # so no thread is alive when a process pool forks.  Without a retry the
+    # speculative result, or its exception, is dropped: a serial run never
+    # solves that model.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        slack = (pool.submit(problem.solve, k - 1)
+                 if k > 2 and problem.needs_solver(k) else None)
+        best = attempt(k, problem.decide(k))
+        if best.rounds > 1 and k > 2:
+            retry = attempt(k - 1, problem.decide(k - 1, slack))
+            if weighted_spill_cost(retry) < weighted_spill_cost(best):
+                best = retry
     return best

@@ -170,6 +170,18 @@ class TestInstr:
 # ----------------------------------------------------------------------
 
 
+def _phys_pressure(fn, block: str, j: int) -> int:
+    """Int physical registers live at point ``j`` of ``block``, walked
+    from liveness independently of ``_Points.phys``."""
+    from repro.analysis.liveness import compute_liveness
+
+    liveness = compute_liveness(fn)
+    b = fn.block(block)
+    live = (liveness.instr_live_in[b.instrs[j].uid] if j < len(b.instrs)
+            else liveness.live_out[block])
+    return sum(1 for r in live if not r.virtual and r.cls == "int")
+
+
 def _per_entry_model(fn, k: int, pts, freq: Mapping[str, float],
                      forced: Set[Tuple[Reg, str, int]],
                      load_cost: float, store_cost: float,
@@ -230,7 +242,7 @@ def _per_entry_model(fn, k: int, pts, freq: Mapping[str, float],
         for v in sorted(live):
             add_entry(row, x_index[(v, block, j)], 1.0)
         lb.append(-np.inf)
-        ub.append(float(k - pts.phys_pressure(block, j)))
+        ub.append(float(k - _phys_pressure(fn, block, j)))
         row += 1
     for t, (pre, post, _) in enumerate(cost_terms):
         add_entry(row, post, 1.0)
