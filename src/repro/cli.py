@@ -429,81 +429,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_bench_remap(args) -> int:
-    from repro.benchtrack import write_bench_json
-
-    jobs = _resolve_cli_jobs(args)
-    if jobs is None:
-        return 2
-    doc = write_bench_json(args.out, remap_restarts=args.restarts,
-                           sweep_jobs=jobs, workload=args.workload,
-                           reg_n=args.reg_n)
-    sweep, wire = doc["sweep"], doc["wire"]
-    remaps = (doc["remap"], doc["remap_wide"])
-    for remap in remaps:
-        print(f"remap descent ({remap['workload']}, RegN={remap['reg_n']}, "
-              f"{remap['restarts']} restarts): "
-              f"{remap['speedup']:.1f}x vs reference "
-              f"(identical={remap['identical_results']})")
-    print(f"RegN sweep ({len(sweep['workloads'])} workloads, "
-          f"{sweep['cpus']} cpus, {sweep['effective_workers']} effective "
-          f"workers at jobs={sweep['jobs']}): jobs " + "  ".join(
-              f"{e['jobs']}={e['speedup']:.2f}x"
-              for e in sweep["jobs_sweep"]) +
-          f" vs serial (identical={sweep['identical_results']})")
-    print(f"wire codec ({wire['instructions']} instrs): "
-          f"{wire['bytes_ratio']:.1f}x smaller than pickle "
-          f"({wire['wire_bytes']} vs {wire['pickle_bytes']} bytes)")
-    print(f"written to {args.out}")
-    identical = all(r["identical_results"] for r in remaps)
-    return 0 if identical and sweep["identical_results"] else 1
-
-
-def _cmd_bench_sim(args) -> int:
-    from repro.benchtrack import collect_sim_benchmarks, write_bench_json
-
-    doc = write_bench_json(args.out, doc=collect_sim_benchmarks(
-        n_workloads=args.workloads, remap_restarts=args.restarts))
-    sim = doc["sim"]
-    print(f"simulation layer ({len(sim['workloads'])} workloads x "
-          f"{len(sim['setups'])} setups, "
-          f"{sim['dynamic_instructions']} dynamic instructions): "
-          f"{sim['speedup']:.1f}x vs reference "
-          f"(identical={sim['identical_results']})")
-    print(f"written to {args.out}")
-    return 0 if sim["identical_results"] else 1
-
-
-def _cmd_bench_moves(args) -> int:
-    from repro.benchtrack import collect_moves_benchmarks, write_bench_json
-
-    doc = write_bench_json(args.out, doc=collect_moves_benchmarks(
-        n_workloads=args.workloads, remap_restarts=args.restarts,
-        gap_workloads=args.gap_workloads, gap_restarts=args.gap_restarts))
-    moves = doc["moves"]
-    totals, dec = moves["totals"], moves["decoder"]
-    print(f"move resolver ({len(moves['workloads'])} workloads x "
-          f"{len(moves['setups'])} setups): "
-          f"{totals['runs_rewritten']:.0f} runs rewritten, "
-          f"{totals['instructions_saved']:.0f} instructions saved, "
-          f"{totals['permis']:.0f} permis; cycles "
-          f"{totals['cycles_off']:.0f} -> {totals['cycles_on']:.0f} "
-          f"(permi {totals['cycles_permi']:.0f}, "
-          f"identical-or-better={moves['identical_results']})")
-    print(f"remap optimality gap (RegN={moves['remap_gap'][0]['reg_n']}, "
-          f"{len(moves['remap_gap'])} workloads): "
-          f"max gap {moves['max_gap']:.0f}  " + "  ".join(
-              f"{g['workload']}={g['gap']:.0f}"
-              for g in moves["remap_gap"]))
-    print(f"decoder envelope: differential "
-          f"{dec['differential']['gate_count']} gates / "
-          f"{dec['differential']['delay_ns']:.2f}ns, permi crossbar "
-          f"{dec['permi_crossbar']['gate_count']} gates / "
-          f"{dec['permi_crossbar']['delay_ns']:.2f}ns")
-    print(f"written to {args.out}")
-    return 0 if moves["identical_results"] else 1
-
-
 def _cmd_allocators(args) -> int:
     import json
 
@@ -525,24 +450,6 @@ def _cmd_allocators(args) -> int:
                       ",".join(info.reg_classes), info.description)
     print(table.render())
     return 0
-
-
-def _cmd_bench_allocators(args) -> int:
-    from repro.benchtrack import collect_allocator_benchmarks, write_bench_json
-
-    doc = write_bench_json(args.out, doc=collect_allocator_benchmarks(
-        n_workloads=args.workloads, remap_restarts=args.restarts))
-    zoo = doc["allocators"]
-    print(f"allocator zoo ({len(zoo['workloads'])} workloads x "
-          f"{len(zoo['setups'])} backends): "
-          f"equivalent={zoo['identical_results']}")
-    for name in zoo["setups"]:
-        s = zoo["totals"][name]
-        print(f"  {name:<10} instrs {s['instructions']:>6.0f}  "
-              f"spills {s['spills']:>4.0f}  setlr {s['setlr']:>4.0f}  "
-              f"cycles {s['cycles']:>9.0f}")
-    print(f"written to {args.out}")
-    return 0 if zoo["identical_results"] else 1
 
 
 def _fuzz_config_from_args(args):
@@ -673,14 +580,14 @@ def _cmd_fuzz_moves(args) -> int:
 
 def _cmd_serve(args) -> int:
     from repro.service.server import ServiceServer
-    from repro.service.store import open_store
+    from repro.service.store import ArtifactStore, default_store_root
 
     jobs = _resolve_cli_jobs(args)
     if jobs is None:
         return 2
-    store = open_store(args.store or None, shards=args.store_shards,
-                       max_bytes=args.cache_bytes,
-                       hot_entries=args.hot_entries)
+    store = ArtifactStore(args.store or default_store_root(),
+                          max_bytes=args.cache_bytes,
+                          hot_entries=args.hot_entries)
     server = ServiceServer(
         args.host, args.port, store=store, jobs=jobs,
         queue_limit=args.queue_limit, max_batch=args.max_batch,
@@ -758,16 +665,13 @@ def _request_options(args) -> dict:
 
 
 def _cmd_cache(args) -> int:
-    from repro.service.store import open_store
+    from repro.service.store import ArtifactStore, default_store_root
 
-    store = open_store(args.store or None, shards=args.shards)
+    store = ArtifactStore(args.store or default_store_root())
     if args.cache_command == "stats":
         stats = store.stats()
         print(f"store {stats['root']}: {stats['entries']} artifact(s), "
               f"{stats['bytes']} / {stats['max_bytes']} bytes")
-        for shard in stats.get("shards", ()):
-            print(f"  shard {shard['root']}: {shard['entries']} "
-                  f"artifact(s), {shard['bytes']} bytes")
         return 0
     removed = store.clear()
     print(f"store {store.root}: removed {removed} artifact(s)")
@@ -779,31 +683,6 @@ def _cmd_service_smoke(args) -> int:
 
     return run_smoke(out_path=args.out, cases=args.cases, jobs=args.jobs,
                      request_timeout=args.timeout)
-
-
-def _cmd_loadtest(args) -> int:
-    from repro.service.loadtest import run_loadtest
-
-    doc = run_loadtest(
-        args.host, args.port, n_requests=args.requests,
-        concurrency=args.concurrency, out_path=args.out,
-        spawn=args.spawn, jobs=args.jobs, client_timeout=args.timeout,
-    )
-    lt = doc["loadtest"]
-    print(f"loadtest: {lt['requests']} requests @ concurrency "
-          f"{lt['concurrency']} in {lt['elapsed_seconds']:.2f}s "
-          f"({lt['throughput_rps']:.1f} req/s)")
-    print(f"  latency ms: p50 {lt['p50_ms']:.1f}  p90 {lt['p90_ms']:.1f}  "
-          f"p99 {lt['p99_ms']:.1f}")
-    print(f"  cache: {lt['hits']} hits / {lt['misses']} misses "
-          f"(hit rate {100 * lt['hit_rate']:.0f}%)  errors {lt['errors']}")
-    workers = lt.get("effective_workers")
-    if workers is not None:
-        print(f"  pool: {workers} effective worker(s) "
-              f"(requested jobs={lt['jobs']})" if lt["jobs"] is not None
-              else f"  pool: {workers} effective worker(s)")
-    print(f"written to {args.out}")
-    return 0 if lt["errors"] == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -957,18 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_parallel_args(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("bench-remap",
-                       help="time the remap descent against the "
-                            "reference descent and the parallel sweep "
-                            "against serial; write BENCH_remap.json")
-    p.add_argument("--out", default="BENCH_remap.json",
-                   help="output JSON path")
-    p.add_argument("--workload", default="sha")
-    p.add_argument("--reg-n", type=int, default=16)
-    p.add_argument("--restarts", type=int, default=100)
-    _add_parallel_args(p, with_seed=False)
-    p.set_defaults(func=_cmd_bench_remap)
-
     p = sub.add_parser("fuzz",
                        help="differential fuzzing: random programs through "
                             "every allocator setup and oracle pair")
@@ -1026,10 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", default="",
                    help="artifact store directory (default: "
                         "$REPRO_SERVICE_STORE or ~/.cache/repro/service)")
-    p.add_argument("--store-shards", type=int, default=1,
-                   help="split the store across N consistent-hash "
-                        "sharded directories (1 = single flat store); "
-                        "per-shard counters appear in /statsz")
     p.add_argument("--cache-bytes", type=int, default=64 * 1024 * 1024,
                    help="artifact store size cap; LRU-evicted beyond it")
     p.add_argument("--hot-entries", type=int, default=128,
@@ -1099,10 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="store directory (default: "
                              "$REPRO_SERVICE_STORE or "
                              "~/.cache/repro/service)")
-        cp.add_argument("--shards", type=int, default=1,
-                        help="shard count the store was served with "
-                             "(stats/clear then cover every shard "
-                             "directory)")
         cp.set_defaults(func=_cmd_cache)
 
     p = sub.add_parser("service-smoke",
@@ -1117,73 +976,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="server request deadline (the forced-timeout "
                         "case sleeps past it)")
     p.set_defaults(func=_cmd_service_smoke)
-
-    p = sub.add_parser("loadtest",
-                       help="replay N mixed compile requests against a "
-                            "live `repro serve` instance (or --spawn "
-                            "one) and write BENCH_service.json with "
-                            "p50/p99 latency, throughput and hit rate")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8421)
-    p.add_argument("--requests", type=int, default=100,
-                   help="number of mixed compile requests to replay")
-    p.add_argument("--concurrency", type=int, default=8,
-                   help="client-side thread-pool width")
-    p.add_argument("--spawn", action="store_true",
-                   help="boot a hermetic in-process server with a "
-                        "temporary store instead of targeting --host/"
-                        "--port (what CI does)")
-    p.add_argument("--jobs", type=int, default=2,
-                   help="worker processes for the --spawn server")
-    p.add_argument("--timeout", type=float, default=120.0,
-                   help="client-side HTTP timeout per request")
-    p.add_argument("--out", default="BENCH_service.json",
-                   help="bench JSON path (CI artifact)")
-    p.set_defaults(func=_cmd_loadtest)
-
-    p = sub.add_parser("bench-sim",
-                       help="time the columnar interpreter/trace-reuse/"
-                            "vectorized-timing path against the reference "
-                            "simulation path; write BENCH_sim.json")
-    p.add_argument("--out", default="BENCH_sim.json",
-                   help="output JSON path")
-    p.add_argument("--workloads", type=int, default=15,
-                   help="number of MIBENCH kernels to run")
-    p.add_argument("--restarts", type=int, default=5,
-                   help="remap restarts for the (untimed) allocations")
-    p.set_defaults(func=_cmd_bench_sim)
-
-    p = sub.add_parser("bench-moves",
-                       help="measure the parallel-move resolver "
-                            "(resolver off/on/permi over mibench, "
-                            "CycleReport parity), the exact-remap "
-                            "optimality gap, and the permi decoder "
-                            "envelope; write BENCH_moves.json")
-    p.add_argument("--out", default="BENCH_moves.json",
-                   help="output JSON path")
-    p.add_argument("--workloads", type=int, default=8,
-                   help="number of MIBENCH kernels")
-    p.add_argument("--restarts", type=int, default=3,
-                   help="remapping restarts per allocation")
-    p.add_argument("--gap-workloads", type=int, default=3,
-                   help="kernels in the optimality-gap calibration")
-    p.add_argument("--gap-restarts", type=int, default=20,
-                   help="greedy restarts in the gap calibration")
-    p.set_defaults(func=_cmd_bench_moves)
-
-    p = sub.add_parser("bench-allocators",
-                       help="run every registered allocator backend over "
-                            "mibench, cross-check interpreter results "
-                            "against baseline, and write "
-                            "BENCH_allocators.json with per-backend "
-                            "spill/code-size/cycle stats")
-    p.add_argument("--out", default="BENCH_allocators.json",
-                   help="output JSON path")
-    p.add_argument("--workloads", type=int, default=0,
-                   help="number of MIBENCH kernels (0 = all)")
-    p.add_argument("--restarts", type=int, default=3,
-                   help="remapping restarts per allocation")
-    p.set_defaults(func=_cmd_bench_allocators)
 
     return parser
 

@@ -422,8 +422,8 @@ def functions_structurally_equal(a: Function, b: Function) -> bool:
 
 def wire_stats(fn: Function) -> Dict[str, int]:
     """Payload-size comparison for one function: wire vs pickle bytes.
-    Used by the serialization micro-benchmark (BENCH_remap's ``wire``
-    section) to track the codec's advantage over object-graph pickling."""
+    ``tests/test_wire.py`` pins the codec's advantage over object-graph
+    pickling with it."""
     import pickle
 
     wire = to_wire(fn)

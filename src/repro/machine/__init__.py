@@ -11,8 +11,7 @@ from repro.machine.cache import Cache, CacheStats, access_hit_flags
 from repro.machine.decoder import DecoderCostModel, DecoderEstimate
 from repro.machine.lowend import CycleReport, LowEndTimingModel, simulate
 from repro.machine.reuse import (clear_recorded_runs, derive_execution,
-                                 interpret_or_derive, record_reference_run,
-                                 trace_reuse_enabled)
+                                 interpret_or_derive, record_reference_run)
 from repro.machine.spec import LOWEND, VLIW, LowEndConfig, VLIWConfig
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "CycleReport",
     "LowEndTimingModel",
     "simulate",
-    "trace_reuse_enabled",
     "record_reference_run",
     "derive_execution",
     "interpret_or_derive",

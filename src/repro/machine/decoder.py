@@ -104,8 +104,8 @@ class DecoderCostModel:
         the register file: an all-to-all crossbar of RegN lanes, each lane
         a RegN-to-1 mux of ``reg_bits``-wide values (a tree of 2-to-1
         muxes, ~3 gates each, ``ceil(log2 RegN)`` levels).  This is the
-        estimate the ``has_permi`` machine flag buys, reported next to the
-        differential decoder's own envelope in ``repro bench-moves``.
+        estimate the ``has_permi`` machine flag buys, to be read next to
+        the differential decoder's own envelope (:meth:`estimate`).
         """
         n = self.config.reg_n
         bits = self.reg_bits

@@ -212,9 +212,9 @@ def differential_coalesce_allocate(fn: Function, k: int, diff_n: int,
     overrides the static block-frequency estimate throughout.
 
     The residence/join moves that survive coloring are re-emitted
-    minimally by :func:`repro.regalloc.moves.resolve_move_runs`
-    (``REPRO_NO_MOVE_RESOLVER=1`` opts out); ``has_permi`` lets it fold
-    register cycles into one ``permi`` permutation instruction.
+    minimally by :func:`repro.regalloc.moves.resolve_move_runs`;
+    ``has_permi`` lets it fold register cycles into one ``permi``
+    permutation instruction.
     """
     from repro.regalloc.moves import resolve_move_runs
 

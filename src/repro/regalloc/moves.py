@@ -39,13 +39,12 @@ maximal run of consecutive register-to-register ``mov`` instructions is
 collapsed to its composite parallel move and re-emitted minimally, but only
 when that is *strictly shorter* — untouched runs keep their instructions
 (and uids) bit-identical, which keeps mibench ``CycleReport``s
-identical-or-better.  ``REPRO_NO_MOVE_RESOLVER=1`` disables the pass.
+identical-or-better.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -64,10 +63,7 @@ __all__ = [
     "op_cost",
     "search_minimal_cost",
     "resolve_move_runs",
-    "NO_RESOLVER_ENV",
 ]
-
-NO_RESOLVER_ENV = "REPRO_NO_MOVE_RESOLVER"
 
 #: abstract resolver operations: ``("mov", dst, src)``, ``("swap", a, b)``
 #: (lowered to the 3-instruction xor triple) or ``("permi", perm)`` (one
@@ -616,11 +612,9 @@ def resolve_move_runs(fn: Function, reg_n: int,
     keep their instructions (and uids) untouched, so simulated
     ``CycleReport``s are bit-identical-or-better.  A scratch register is
     any physical register below ``reg_n`` that liveness proves dead
-    across the run.  Honours ``REPRO_NO_MOVE_RESOLVER=1``.
+    across the run.
     """
     stats = MoveRunStats()
-    if os.environ.get(NO_RESOLVER_ENV):
-        return stats
     from repro.analysis.liveness import compute_liveness
 
     liveness = compute_liveness(fn)

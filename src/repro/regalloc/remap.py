@@ -316,8 +316,8 @@ def exact_remap(fn: Function, reg_n: int, diff_n: int,
     Same contract as :func:`differential_remap`, but the returned cost is
     the true minimum of condition (3)'s adjacency objective — the engine
     exists to *calibrate* the greedy descent's optimality gap
-    (``repro bench-moves``), not to replace it: the tree is exponential
-    in ``RegN`` even with the :class:`_ExactEngine` bounds.
+    (:func:`remap_optimality_gap`), not to replace it: the tree is
+    exponential in ``RegN`` even with the :class:`_ExactEngine` bounds.
     """
     if reg_n > 8:
         raise ValueError(f"exact remap is exponential; RegN={reg_n} > 8")
@@ -503,7 +503,7 @@ def _greedy_descent_reference(perm: List[int], edges: Sequence[Edge],
                               reg_n: int, diff_n: int,
                               free: Sequence[int]) -> int:
     """The original O(E)-per-candidate descent, kept as the ground truth
-    for equivalence tests and the before/after benchmark."""
+    for equivalence tests."""
     cost = _perm_cost(perm, edges, reg_n, diff_n)
     while True:
         best_delta = 0

@@ -24,14 +24,6 @@ Robustness rules:
   the same key skips the open/parse/checksum entirely.  ``hot_hits`` /
   ``hot_misses`` counters surface in :meth:`ArtifactStore.stats` (and
   through the server's ``/statsz``).
-
-:class:`ShardedArtifactStore` spreads one logical store over several
-child directories via a consistent-hash ring (``repro serve
---store-shards N``).  Keys are SHA-256 hex, so placement hashes the key
-directly onto virtual ring nodes; growing or shrinking the shard count
-only relocates the keys whose ring arc moved, and a relocated key is
-merely a cache miss.  The sharded store duck-types the flat one, so the
-server, the cache CLI and ``/statsz`` work with either.
 """
 
 from __future__ import annotations
@@ -44,8 +36,8 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["ArtifactStore", "ShardedArtifactStore", "open_store",
-           "default_store_root", "DEFAULT_MAX_BYTES", "DEFAULT_HOT_ENTRIES"]
+__all__ = ["ArtifactStore", "default_store_root", "DEFAULT_MAX_BYTES",
+           "DEFAULT_HOT_ENTRIES"]
 
 #: Format of the on-disk wrapper, independent of the protocol schema.
 STORE_VERSION = 1
@@ -271,117 +263,3 @@ class ArtifactStore:
         except OSError:
             return False
 
-
-#: ring positions per shard; enough that a shard's share of the key
-#: space stays within a few percent of 1/N
-_RING_REPLICAS = 64
-
-
-class ShardedArtifactStore:
-    """Consistent-hash sharding over ``n_shards`` child artifact stores.
-
-    Shard directories are ``<root>/shard-00 .. shard-NN``; each child is
-    a full :class:`ArtifactStore` (atomic writes, LRU eviction, its own
-    hot tier) holding an equal slice of the byte and hot-entry budgets.
-    Placement is a consistent-hash ring: each shard owns
-    ``_RING_REPLICAS`` virtual nodes at ``sha256("shard-i/r")``
-    positions, and a key lives on the first virtual node clockwise from
-    its own hash.  Changing ``n_shards`` therefore strands only the keys
-    whose arc moved — a stranded key is just a miss that recomputes.
-    """
-
-    def __init__(self, root: str, n_shards: int,
-                 max_bytes: int = DEFAULT_MAX_BYTES,
-                 hot_entries: int = DEFAULT_HOT_ENTRIES) -> None:
-        if n_shards < 2:
-            raise ValueError(
-                f"n_shards must be >= 2 (got {n_shards}); "
-                "use ArtifactStore for a single directory")
-        self.root = root
-        self.max_bytes = max_bytes
-        self.hot_entries = hot_entries
-        self.shards: List[ArtifactStore] = [
-            ArtifactStore(
-                os.path.join(root, f"shard-{i:02d}"),
-                max_bytes=max(1, max_bytes // n_shards),
-                hot_entries=hot_entries // n_shards,
-            )
-            for i in range(n_shards)
-        ]
-        # ring: sorted (position, shard index) pairs
-        ring: List[Tuple[int, int]] = []
-        for i in range(n_shards):
-            for r in range(_RING_REPLICAS):
-                digest = hashlib.sha256(
-                    f"shard-{i:02d}/{r}".encode("ascii")).hexdigest()
-                ring.append((int(digest[:16], 16), i))
-        ring.sort()
-        self._ring = ring
-
-    def shard_for(self, key: str) -> int:
-        """Index of the shard owning ``key`` (first node clockwise)."""
-        point = int(hashlib.sha256(
-            key.encode("ascii")).hexdigest()[:16], 16)
-        lo, hi = 0, len(self._ring)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._ring[mid][0] < point:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self._ring):  # wrap past the last node
-            lo = 0
-        return self._ring[lo][1]
-
-    # -- the ArtifactStore surface, routed --
-
-    def get(self, key: str) -> Optional[bytes]:
-        """Fetch ``key`` from its owning shard (None on miss)."""
-        return self.shards[self.shard_for(key)].get(key)
-
-    def put(self, key: str, body: bytes) -> None:
-        """Write ``key`` to its owning shard (atomic, LRU-bounded)."""
-        self.shards[self.shard_for(key)].put(key, body)
-
-    def clear(self) -> int:
-        """Delete every artifact in every shard; returns the count."""
-        return sum(shard.clear() for shard in self.shards)
-
-    @property
-    def corrupt_dropped(self) -> int:
-        return sum(shard.corrupt_dropped for shard in self.shards)
-
-    def stats(self) -> Dict[str, object]:
-        """Aggregated counters plus a per-shard breakdown.
-
-        The top-level keys match :meth:`ArtifactStore.stats` so existing
-        consumers (``/statsz``, ``repro cache stats``) read either store
-        kind; ``shards`` carries each child's own stats dict.
-        """
-        per_shard = [shard.stats() for shard in self.shards]
-        return {
-            "root": self.root,
-            "entries": sum(s["entries"] for s in per_shard),
-            "bytes": sum(s["bytes"] for s in per_shard),
-            "max_bytes": self.max_bytes,
-            "corrupt_dropped": sum(s["corrupt_dropped"] for s in per_shard),
-            "hot_entries": sum(s["hot_entries"] for s in per_shard),
-            "hot_max_entries": sum(s["hot_max_entries"] for s in per_shard),
-            "hot_hits": sum(s["hot_hits"] for s in per_shard),
-            "hot_misses": sum(s["hot_misses"] for s in per_shard),
-            "n_shards": len(self.shards),
-            "shards": per_shard,
-        }
-
-
-def open_store(root: Optional[str] = None, shards: int = 1,
-               max_bytes: int = DEFAULT_MAX_BYTES,
-               hot_entries: int = DEFAULT_HOT_ENTRIES):
-    """Open the artifact store at ``root`` (default resolved), flat when
-    ``shards`` is 1, consistent-hash sharded otherwise."""
-    root = root or default_store_root()
-    if shards <= 1:
-        return ArtifactStore(root, max_bytes=max_bytes,
-                             hot_entries=hot_entries)
-    return ShardedArtifactStore(root, shards, max_bytes=max_bytes,
-                                hot_entries=hot_entries)

@@ -152,17 +152,26 @@ class TestSSABackendDirect:
 class TestDifferentialEquivalence:
     """Every backend vs baseline, with the full oracle battery."""
 
-    @pytest.mark.parametrize("workload", [w.name for w in MIBENCH[:6]])
-    def test_mibench_equivalence(self, workload):
+    @pytest.mark.parametrize("workload,bench", [
+        *(pytest.param(w.name, False, id=w.name) for w in MIBENCH[:6]),
+        *(pytest.param(w.name, True, id=f"{w.name}-bench") for w in MIBENCH),
+    ])
+    def test_mibench_equivalence(self, workload, bench):
+        """The ``-bench`` cases run every kernel at ``bench_args`` scale
+        with the greedy spiller and 3 restarts; the others run six
+        kernels at ``default_args`` with the ILP spiller."""
         w = next(x for x in MIBENCH if x.name == workload)
         fn = w.function()
-        base = run_setup(fn, "baseline", remap_restarts=2)
-        ref = Interpreter().run(
-            base.final_fn, w.default_args).return_value
+        if bench:
+            args, options = w.bench_args, dict(remap_restarts=3,
+                                               use_ilp=False)
+        else:
+            args, options = w.default_args, dict(remap_restarts=2)
+        base = run_setup(fn, "baseline", **options)
+        ref = Interpreter().run(base.final_fn, args).return_value
         for setup in SETUPS[1:]:
-            prog = run_setup(fn, setup, remap_restarts=2)
-            got = Interpreter().run(
-                prog.final_fn, w.default_args).return_value
+            prog = run_setup(fn, setup, **options)
+            got = Interpreter().run(prog.final_fn, args).return_value
             assert got == ref, f"{setup} diverges from baseline on {workload}"
 
     @pytest.mark.parametrize("chunk", range(4))

@@ -10,11 +10,7 @@ from pathlib import Path
 
 import repro
 
-SWITCHES = {
-    "REPRO_NO_TRACE_REUSE",
-    "REPRO_NO_MOVE_RESOLVER",
-    "REPRO_SERVICE_STORE",
-}
+SWITCHES = {"REPRO_SERVICE_STORE"}
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 

@@ -23,11 +23,12 @@ from hypothesis import strategies as st
 from repro.ir import Interpreter, format_function, parse_function
 from repro.ir.instr import Reg
 from repro.ir.printer import format_instr
-from repro.regalloc.moves import (NO_RESOLVER_ENV, apply_ops,
+from repro.regalloc.moves import (MoveRunStats, apply_ops,
                                   decompose_parallel_move, lower_ops,
                                   minimal_instruction_count, op_cost,
                                   resolve_move_runs, resolve_parallel_move,
                                   search_minimal_cost)
+from repro.workloads import MIBENCH
 
 # every (scratch, has_permi) machine environment the resolver supports;
 # the scratch register sits just past the permutation's register window
@@ -314,16 +315,6 @@ class TestResolveMoveRuns:
         after = Interpreter(engine="reference").run(fn, ())
         assert after.return_value == ref.return_value
 
-    def test_env_var_disables_the_pass(self, monkeypatch):
-        monkeypatch.setenv(NO_RESOLVER_ENV, "1")
-        fn = _run_fn("    li r1, 1\n    li r2, 2\n"
-                     "    mov r1, r2\n    mov r2, r1\n"
-                     "    add r0, r1, r2\n")
-        before = format_function(fn)
-        stats = resolve_move_runs(fn, 4)
-        assert stats.runs_seen == 0
-        assert format_function(fn) == before
-
     def test_stats_dict_shape(self):
         fn = _run_fn("    li r1, 1\n    li r2, 2\n"
                      "    mov r1, r2\n    mov r2, r1\n"
@@ -338,22 +329,29 @@ class TestResolveMoveRuns:
 
 
 class TestMibenchParity:
-    @pytest.mark.parametrize("name", ["bitcount", "qsort"])
+    @pytest.mark.parametrize("name", [w.name for w in MIBENCH[:8]])
     @pytest.mark.parametrize("setup", ["select", "coalesce"])
     def test_cyclereport_identical_or_better(self, name, setup,
                                              monkeypatch):
+        """Resolver on vs off at ``bench_args`` scale; "off" stubs the
+        pass out where ``run_setup`` and ``diff_coalesce`` reach it."""
+        import repro.regalloc.moves as moves
+        import repro.regalloc.pipeline as pipeline
         from repro.machine.lowend import simulate
-        from repro.regalloc.pipeline import run_setup
         from repro.workloads import get_workload
 
         w = get_workload(name)
-        monkeypatch.setenv(NO_RESOLVER_ENV, "1")
-        off = run_setup(w.function(), setup, remap_restarts=2, use_ilp=False)
-        monkeypatch.delenv(NO_RESOLVER_ENV)
-        on = run_setup(w.function(), setup, remap_restarts=2, use_ilp=False)
+        with monkeypatch.context() as patch:
+            for module in (pipeline, moves):
+                patch.setattr(module, "resolve_move_runs",
+                              lambda *a, **k: MoveRunStats())
+            off = pipeline.run_setup(w.function(), setup, remap_restarts=3,
+                                     use_ilp=False)
+        on = pipeline.run_setup(w.function(), setup, remap_restarts=3,
+                                use_ilp=False)
 
-        _, rep_off = simulate(off.final_fn, w.default_args)
-        _, rep_on = simulate(on.final_fn, w.default_args)
+        _, rep_off = simulate(off.final_fn, w.bench_args)
+        _, rep_on = simulate(on.final_fn, w.bench_args)
         assert rep_on.cycles <= rep_off.cycles
         if not on.allocation.stats.get("moves_runs_rewritten"):
             assert rep_on == rep_off  # bit-identical when nothing fired

@@ -237,102 +237,3 @@ class TestHotTier:
         assert cold.get(KEY_A) is None
         assert cold.corrupt_dropped == 1
 
-
-class TestShardedStore:
-    """Consistent-hash sharding (:class:`ShardedArtifactStore`)."""
-
-    def _keys(self, n=64):
-        return [hashlib.sha256(f"artifact-{i}".encode()).hexdigest()
-                for i in range(n)]
-
-    @pytest.fixture
-    def sharded(self, tmp_path):
-        from repro.service.store import ShardedArtifactStore
-
-        return ShardedArtifactStore(str(tmp_path / "sharded"), 3)
-
-    def test_duck_types_flat_store(self, sharded):
-        sharded.put(KEY_A, b"body")
-        assert sharded.get(KEY_A) == b"body"
-        assert sharded.get(KEY_B) is None
-        assert sharded.corrupt_dropped == 0
-        assert sharded.clear() == 1
-        assert sharded.get(KEY_A) is None
-
-    def test_routing_is_deterministic_across_instances(self, tmp_path):
-        from repro.service.store import ShardedArtifactStore
-
-        a = ShardedArtifactStore(str(tmp_path / "a"), 3)
-        b = ShardedArtifactStore(str(tmp_path / "b"), 3)
-        for key in self._keys():
-            assert a.shard_for(key) == b.shard_for(key)
-
-    def test_reopen_finds_every_artifact(self, tmp_path):
-        from repro.service.store import ShardedArtifactStore
-
-        root = str(tmp_path / "s")
-        first = ShardedArtifactStore(root, 3)
-        keys = self._keys()
-        for i, key in enumerate(keys):
-            first.put(key, f"body-{i}".encode())
-        second = ShardedArtifactStore(root, 3)
-        for i, key in enumerate(keys):
-            assert second.get(key) == f"body-{i}".encode()
-
-    def test_every_shard_gets_traffic(self, sharded):
-        for key in self._keys():
-            sharded.put(key, b"x")
-        per_shard = [s.stats()["entries"] for s in sharded.shards]
-        assert sum(per_shard) == 64
-        assert all(n > 0 for n in per_shard)
-
-    def test_stats_aggregate_and_break_down(self, sharded):
-        sharded.put(KEY_A, b"aa")
-        sharded.put(KEY_B, b"bb")
-        stats = sharded.stats()
-        assert stats["entries"] == 2
-        assert stats["n_shards"] == 3
-        assert len(stats["shards"]) == 3
-        assert sum(s["entries"] for s in stats["shards"]) == 2
-        assert stats["bytes"] == sum(s["bytes"] for s in stats["shards"])
-        # the flat-store stat keys all survive, so /statsz consumers
-        # need not care which store kind is behind the server
-        for key in ("root", "entries", "bytes", "max_bytes",
-                    "hot_entries", "hot_hits", "hot_misses"):
-            assert key in stats
-
-    def test_ring_stability_on_resharding(self, tmp_path):
-        """Growing 3 -> 4 shards must leave most keys on their shard
-        (the point of consistent hashing vs ``hash(key) % n``)."""
-        from repro.service.store import ShardedArtifactStore
-
-        keys = self._keys(256)
-        three = ShardedArtifactStore(str(tmp_path / "t3"), 3)
-        four = ShardedArtifactStore(str(tmp_path / "t4"), 4)
-        moved = sum(1 for k in keys
-                    if three.shard_for(k) != four.shard_for(k))
-        # ideal churn is 1/4 of the keys; modulo hashing moves ~3/4
-        assert moved / len(keys) < 0.5
-
-    def test_budgets_split_across_shards(self, tmp_path):
-        from repro.service.store import ShardedArtifactStore
-
-        store = ShardedArtifactStore(str(tmp_path / "s"), 2,
-                                     max_bytes=1 << 20, hot_entries=64)
-        assert all(s.max_bytes == (1 << 20) // 2 for s in store.shards)
-        assert all(s.hot_entries == 32 for s in store.shards)
-
-    def test_rejects_single_shard(self, tmp_path):
-        from repro.service.store import ShardedArtifactStore
-
-        with pytest.raises(ValueError):
-            ShardedArtifactStore(str(tmp_path / "s"), 1)
-
-    def test_open_store_picks_the_kind(self, tmp_path):
-        from repro.service.store import (ShardedArtifactStore, open_store)
-
-        flat = open_store(str(tmp_path / "flat"), shards=1)
-        assert isinstance(flat, ArtifactStore)
-        sharded = open_store(str(tmp_path / "sh"), shards=2)
-        assert isinstance(sharded, ShardedArtifactStore)
-        assert len(sharded.shards) == 2

@@ -11,22 +11,14 @@ time-limited and therefore not run-to-run deterministic, which would make
 an A/B comparison meaningless.
 """
 
-import os
-
 import pytest
 
 from repro.ir import Interpreter
 from repro.ir.trace import derive_trace
 from repro.machine import (LOWEND, LowEndTimingModel, clear_recorded_runs,
                            derive_execution, interpret_or_derive,
-                           record_reference_run, trace_reuse_enabled)
+                           record_reference_run)
 from repro.workloads.mibench import MIBENCH
-
-#: the derivation contract only exists with the reuse layer enabled
-pytestmark = pytest.mark.skipif(
-    os.environ.get("REPRO_NO_TRACE_REUSE") == "1",
-    reason="trace reuse disabled by environment",
-)
 
 WORKLOADS = {w.name: w for w in MIBENCH}
 SETUPS = ["baseline", "remapping", "select"]
@@ -126,11 +118,3 @@ class TestRecordingCache:
         clear_recorded_runs()
         fresh = record_reference_run(sum_fn, (5,))
         assert fresh is not first
-
-    def test_escape_hatch_disables_reuse(self, sum_fn, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_TRACE_REUSE", "1")
-        assert not trace_reuse_enabled()
-        assert record_reference_run(sum_fn, (5,)) is None
-        monkeypatch.delenv("REPRO_NO_TRACE_REUSE")
-        assert trace_reuse_enabled()
-        assert record_reference_run(sum_fn, (5,)) is not None

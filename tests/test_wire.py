@@ -140,10 +140,15 @@ class TestStructuralEquality:
 class TestCompactness:
     def test_wire_smaller_than_pickle(self):
         """The codec's reason to exist: flat columns beat the pickled
-        object graph on every kernel in the suite."""
-        for w in MIBENCH:
-            stats = wire_stats(w.function())
-            assert stats["wire_bytes"] < stats["pickle_bytes"], w.name
+        object graph on every kernel in the suite, and by at least 1.5x
+        over the first eight kernels together (3.25x measured: 6941 vs
+        22556 bytes)."""
+        stats = [wire_stats(w.function()) for w in MIBENCH]
+        for w, st in zip(MIBENCH, stats):
+            assert st["wire_bytes"] < st["pickle_bytes"], w.name
+        wire = sum(st["wire_bytes"] for st in stats[:8])
+        pickled = sum(st["pickle_bytes"] for st in stats[:8])
+        assert pickled >= 1.5 * wire, (wire, pickled)
 
     def test_stats_fields(self, sum_fn):
         stats = wire_stats(sum_fn)
