@@ -108,11 +108,9 @@ def _cmd_alternatives(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.analysis.profile import (block_frequencies_from_counts,
-                                        profile_block_frequencies)
     from repro.experiments.reporting import Table
     from repro.machine import (LowEndTimingModel, interpret_or_derive,
-                               record_reference_run)
+                               record_and_profile)
     from repro.regalloc import SETUPS, run_setup
     from repro.workloads import get_workload
 
@@ -124,11 +122,7 @@ def _cmd_bench(args) -> int:
         return 1
     fn = workload.function()
     run_args = workload.default_args
-    recorded = record_reference_run(fn, run_args)
-    if recorded is not None and recorded.block_instr_counts:
-        freq = block_frequencies_from_counts(fn, recorded.block_instr_counts)
-    else:
-        freq = profile_block_frequencies(fn, run_args)
+    recorded, freq = record_and_profile(fn, run_args)
     timing = LowEndTimingModel()
     verifier = None
     if args.verify_each_pass:
@@ -592,7 +586,6 @@ def _cmd_serve(args) -> int:
         args.host, args.port, store=store, jobs=jobs,
         queue_limit=args.queue_limit, max_batch=args.max_batch,
         linger=args.linger, request_timeout=args.timeout,
-        recycle_after=args.recycle_after or None,
         allow_debug=args.allow_debug, telemetry_path=args.telemetry,
         verbose=args.verbose,
     )
@@ -909,10 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=60.0,
                    help="per-request compile deadline (expired waits "
                         "answer 504; the artifact is still cached)")
-    p.add_argument("--recycle-after", type=int, default=0,
-                   help="retire and respawn pool workers after ~N "
-                        "dispatched tasks (0 = never); bounds worker "
-                        "memory growth in long-lived daemons")
     p.add_argument("--telemetry", default="",
                    help="write a metrics snapshot here on shutdown")
     p.add_argument("--ready-file", default="",

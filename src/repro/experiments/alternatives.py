@@ -28,13 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.profile import (block_frequencies_from_counts,
-                                    profile_block_frequencies)
 from repro.experiments.reporting import Table, arith_mean
-from repro.ir.wire import to_wire
 from repro.machine.lowend import LowEndTimingModel
 from repro.parallel import parallel_map
-from repro.machine.reuse import interpret_or_derive, record_reference_run
+from repro.machine.reuse import interpret_or_derive, record_and_profile
 from repro.machine.spec import LOWEND, LowEndConfig
 from repro.regalloc.pipeline import run_setup
 from repro.workloads.mibench import MIBENCH, Workload
@@ -121,26 +118,19 @@ def _alternatives_workload(payload) -> List[AlternativeRow]:
     :func:`run_alternatives_study`.
 
     Module-level and pure in its payload so it pickles into a process
-    pool; the function travels in compact wire form.  All three options
-    of one workload stay in one task because they share a recorded run
-    — and because rows are per-workload, order across workloads (hence
-    the job count) cannot change any number.
+    pool; the payload carries the workload, and the task builds its
+    function.  All three options of one workload stay in one task
+    because they share a recorded run — and because rows are
+    per-workload, order across workloads (hence the job count) cannot
+    change any number.
     """
-    name, wire, args, config, remap_restarts, profile = payload
-    from repro.ir.wire import from_wire
-
-    fn = from_wire(wire)
+    w, config, remap_restarts, profile = payload
+    fn = w.function()
+    args = w.default_args
     wide_config = replace(config, instr_bytes=4)
     # the three options share one recorded run: their traces differ
     # only statically, and the machine configs differ only in timing
-    recorded = record_reference_run(fn, args)
-    if not profile:
-        freq = None
-    elif recorded is not None and recorded.block_instr_counts:
-        freq = block_frequencies_from_counts(
-            fn, recorded.block_instr_counts)
-    else:
-        freq = profile_block_frequencies(fn, args)
+    recorded, freq = record_and_profile(fn, args, profile)
 
     option_runs = {
         # (setup, base_k, reg_n, machine config, instr bytes)
@@ -158,7 +148,7 @@ def _alternatives_workload(payload) -> List[AlternativeRow]:
             result.columnar if result.columnar is not None
             else result.trace)
         rows.append(AlternativeRow(
-            benchmark=name,
+            benchmark=w.name,
             option=option,
             instructions=prog.n_instructions,
             code_bytes=prog.n_instructions * mconfig.instr_bytes,
@@ -181,11 +171,7 @@ def run_alternatives_study(workloads: Sequence[Workload] = MIBENCH,
     ``jobs`` distributes workloads over the shared process fleet
     (``0`` = all cores); results are identical for every job count.
     """
-    payloads = [
-        (w.name, to_wire(w.function()), tuple(w.default_args), config,
-         remap_restarts, profile)
-        for w in workloads
-    ]
+    payloads = [(w, config, remap_restarts, profile) for w in workloads]
     rows: List[AlternativeRow] = []
     for workload_rows in parallel_map(_alternatives_workload, payloads,
                                       jobs=jobs):

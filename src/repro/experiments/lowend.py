@@ -13,12 +13,13 @@ print the same comparisons the paper plots:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.reporting import Table, arith_mean
 from repro.machine.lowend import LowEndTimingModel
-from repro.machine.reuse import interpret_or_derive, record_reference_run
+from repro.machine.reuse import interpret_or_derive, record_and_profile
 from repro.machine.spec import LOWEND, LowEndConfig
 from repro.parallel import parallel_map
 from repro.regalloc.pipeline import PAPER_SETUPS, AllocatedProgram, run_setup
@@ -169,48 +170,54 @@ class LowEndExperiment:
         )
 
 
-def _lowend_workload(payload) -> List[BenchmarkRow]:
+def _lowend_workload(task: Tuple[int, Workload], *, setups: Sequence[str],
+                     scale: str, composite: bool, base_k: int, reg_n: int,
+                     diff_n: int, config: LowEndConfig, remap_restarts: int,
+                     use_ilp: bool, verify: bool, profile: bool, seed: int,
+                     pass_verifier=None) -> List[BenchmarkRow]:
     """One workload through every setup; the grid task of
     :func:`run_lowend_experiment`.
 
-    Module-level and pure in its payload so it pickles into a process
-    pool; the (possibly composite) function travels in compact wire form,
-    built once by the caller and decoded here.  The cross-setup checksum
-    consistency check happens here, inside the task, because it only
-    relates rows of the same workload.
+    ``task`` is the workload and its index in the suite, a recipe the
+    task builds its (possibly composite) function from, so instruction
+    uids are minted in the process that allocates them.  The cross-setup
+    checksum consistency check happens here, inside the task, because it
+    only relates rows of the same workload.
     """
-    (name, wire, args, setups, base_k, reg_n, diff_n, config,
-     remap_restarts, use_ilp, verify, profile, seed) = payload
-    from repro.analysis.profile import (block_frequencies_from_counts,
-                                        profile_block_frequencies)
-    from repro.ir.wire import from_wire
+    wi, w = task
+    fn = w.function()
+    if composite:
+        from repro.workloads.compose import concat_functions
+        from repro.workloads.synth import generate_function
 
+        fn = concat_functions(w.name, [
+            fn,
+            generate_function(9000 + 2 * wi, n_regions=3, base_values=7),
+            generate_function(9001 + 2 * wi, n_regions=3, base_values=7,
+                              with_memory=True),
+        ])
+    args = w.default_args if scale == "default" else w.bench_args
+    if pass_verifier is not None:
+        pass_verifier.prefix = w.name
     timing = LowEndTimingModel(config)
-    fn = from_wire(wire)
     # one interpretation of the input function serves every setup: the
     # profile weights below and, via trace derivation, each allocated
     # variant's dynamic trace (allocation preserves the block path and
     # data addresses — see repro.machine.reuse)
-    recorded = record_reference_run(fn, args)
-    if not profile:
-        freq = None
-    elif recorded is not None and recorded.block_instr_counts:
-        freq = block_frequencies_from_counts(fn, recorded.block_instr_counts)
-    else:
-        freq = profile_block_frequencies(fn, args)
+    recorded, freq = record_and_profile(fn, args, profile)
     rows: List[BenchmarkRow] = []
     checksums = {}
     for setup in setups:
         prog: AllocatedProgram = run_setup(
             fn, setup, base_k=base_k, reg_n=reg_n, diff_n=diff_n,
             remap_restarts=remap_restarts, use_ilp=use_ilp, verify=verify,
-            freq=freq, remap_seed=seed,
+            freq=freq, pass_verifier=pass_verifier, remap_seed=seed,
         )
         result = interpret_or_derive(prog.final_fn, args, recorded)
         report = timing.time(result.columnar if result.columnar is not None
                              else result.trace)
         rows.append(BenchmarkRow(
-            benchmark=name,
+            benchmark=w.name,
             setup=setup,
             instructions=prog.n_instructions,
             spills=prog.n_spills,
@@ -221,7 +228,7 @@ def _lowend_workload(payload) -> List[BenchmarkRow]:
         checksums[setup] = result.return_value
     if len(set(checksums.values())) != 1:
         raise AssertionError(
-            f"{name}: setups disagree on semantics: {checksums}"
+            f"{w.name}: setups disagree on semantics: {checksums}"
         )
     return rows
 
@@ -270,85 +277,16 @@ def run_lowend_experiment(workloads: Sequence[Workload] = MIBENCH,
         from repro.lint import PassVerifier
 
         pass_verifier = PassVerifier(mode=lint_mode)
-
+        jobs = 1
+    task = partial(
+        _lowend_workload, setups=tuple(setups), scale=scale,
+        composite=composite, base_k=base_k, reg_n=reg_n, diff_n=diff_n,
+        config=config, remap_restarts=remap_restarts, use_ilp=use_ilp,
+        verify=verify, profile=profile, seed=seed,
+        pass_verifier=pass_verifier)
     rows: List[BenchmarkRow] = []
-    if pass_verifier is not None:
-        # serial path, threading the verifier through every run_setup
-        from repro.analysis.profile import (block_frequencies_from_counts,
-                                            profile_block_frequencies)
-        from repro.workloads.compose import concat_functions
-        from repro.workloads.synth import generate_function
-
-        timing = LowEndTimingModel(config)
-        for wi, w in enumerate(workloads):
-            fn = w.function()
-            if composite:
-                fn = concat_functions(w.name, [
-                    fn,
-                    generate_function(9000 + 2 * wi, n_regions=3,
-                                      base_values=7),
-                    generate_function(9001 + 2 * wi, n_regions=3,
-                                      base_values=7, with_memory=True),
-                ])
-            args = w.default_args if scale == "default" else w.bench_args
-            recorded = record_reference_run(fn, args)
-            if not profile:
-                freq = None
-            elif recorded is not None and recorded.block_instr_counts:
-                freq = block_frequencies_from_counts(
-                    fn, recorded.block_instr_counts)
-            else:
-                freq = profile_block_frequencies(fn, args)
-            checksums = {}
-            for setup in setups:
-                pass_verifier.prefix = w.name
-                prog: AllocatedProgram = run_setup(
-                    fn, setup, base_k=base_k, reg_n=reg_n, diff_n=diff_n,
-                    remap_restarts=remap_restarts, use_ilp=use_ilp,
-                    verify=verify, freq=freq, pass_verifier=pass_verifier,
-                    remap_seed=seed,
-                )
-                result = interpret_or_derive(prog.final_fn, args, recorded)
-                report = timing.time(result.columnar
-                                     if result.columnar is not None
-                                     else result.trace)
-                rows.append(BenchmarkRow(
-                    benchmark=w.name,
-                    setup=setup,
-                    instructions=prog.n_instructions,
-                    spills=prog.n_spills,
-                    setlr=prog.n_setlr,
-                    cycles=report.cycles,
-                    checksum=result.return_value,
-                ))
-                checksums[setup] = result.return_value
-            if len(set(checksums.values())) != 1:
-                raise AssertionError(
-                    f"{w.name}: setups disagree on semantics: {checksums}"
-                )
-    else:
-        from repro.ir.wire import to_wire
-        from repro.workloads.compose import concat_functions
-        from repro.workloads.synth import generate_function
-
-        payloads = []
-        for wi, w in enumerate(workloads):
-            fn = w.function()
-            if composite:
-                fn = concat_functions(w.name, [
-                    fn,
-                    generate_function(9000 + 2 * wi, n_regions=3,
-                                      base_values=7),
-                    generate_function(9001 + 2 * wi, n_regions=3,
-                                      base_values=7, with_memory=True),
-                ])
-            args = w.default_args if scale == "default" else w.bench_args
-            payloads.append(
-                (w.name, to_wire(fn), tuple(args), tuple(setups), base_k,
-                 reg_n, diff_n, config, remap_restarts, use_ilp, verify,
-                 profile, seed))
-        for workload_rows in parallel_map(_lowend_workload, payloads,
-                                          jobs=jobs):
-            rows.extend(workload_rows)
+    for workload_rows in parallel_map(task, list(enumerate(workloads)),
+                                      jobs=jobs):
+        rows.extend(workload_rows)
     return LowEndExperiment(rows, base_k, reg_n, diff_n, config,
                             pass_verifier=pass_verifier)

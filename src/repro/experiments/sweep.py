@@ -15,12 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.profile import (block_frequencies_from_counts,
-                                    profile_block_frequencies)
 from repro.experiments.reporting import Table, arith_mean
-from repro.ir.wire import from_wire, to_wire
 from repro.machine.lowend import LowEndTimingModel
-from repro.machine.reuse import interpret_or_derive, record_reference_run
+from repro.machine.reuse import interpret_or_derive, record_and_profile
 from repro.machine.spec import LOWEND, LowEndConfig
 from repro.parallel import parallel_map
 from repro.regalloc.pipeline import run_setup
@@ -69,22 +66,17 @@ def _sweep_workload(payload) -> List[Tuple[float, float, float, float]]:
     :func:`run_regn_sweep`.
 
     Module-level and pure in its payload so it pickles into a process
-    pool; the function travels in compact wire form (built once by the
-    caller, decoded here) instead of being rebuilt per task.
-    Normalisation is per-workload against its own first (baseline)
-    point, so evaluation order across workloads — and hence the job
-    count — cannot change any number.
+    pool; the payload carries the workload, and the task builds its
+    function.  Normalisation is per-workload against its own first
+    (baseline) point, so evaluation order across workloads — and hence
+    the job count — cannot change any number.
     """
-    wire, args, reg_ns, diff_n, config, remap_restarts, use_ilp, \
-        remap_seed = payload
+    w, reg_ns, diff_n, config, remap_restarts, use_ilp, remap_seed = payload
     timing = LowEndTimingModel(config)
-    fn = from_wire(wire)
+    fn = w.function()
+    args = w.default_args
     # one interpretation serves the profile and every sweep point's trace
-    recorded = record_reference_run(fn, args)
-    if recorded is not None and recorded.block_instr_counts:
-        freq = block_frequencies_from_counts(fn, recorded.block_instr_counts)
-    else:
-        freq = profile_block_frequencies(fn, args)
+    recorded, freq = record_and_profile(fn, args)
     base_cycles: Optional[float] = None
     base_energy: Optional[float] = None
     stats: List[Tuple[float, float, float, float]] = []
@@ -135,8 +127,7 @@ def run_regn_sweep(workloads: Sequence[Workload] = MIBENCH,
             f"point, got reg_ns[0]={reg_ns[0]} > diff_n={diff_n}"
         )
     payloads = [
-        (to_wire(w.function()), tuple(w.default_args), tuple(reg_ns),
-         diff_n, config, remap_restarts, use_ilp, seed)
+        (w, tuple(reg_ns), diff_n, config, remap_restarts, use_ilp, seed)
         for w in workloads
     ]
     per_workload = parallel_map(_sweep_workload, payloads, jobs=jobs)

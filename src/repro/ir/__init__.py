@@ -24,12 +24,6 @@ from repro.ir.printer import format_function, format_instr
 from repro.ir.parser import parse_function, ParseError
 from repro.ir.interp import ExecutionResult, Interpreter, InterpError
 from repro.ir.trace import ColumnarTrace, FunctionCodec, derive_trace
-from repro.ir.wire import (
-    WireError,
-    from_wire,
-    functions_structurally_equal,
-    to_wire,
-)
 from repro.ir.lowering import is_two_address, to_two_address
 from repro.ir.scheduler import list_schedule
 from repro.ir.transforms import (
@@ -69,8 +63,4 @@ __all__ = [
     "ColumnarTrace",
     "FunctionCodec",
     "derive_trace",
-    "WireError",
-    "to_wire",
-    "from_wire",
-    "functions_structurally_equal",
 ]

@@ -11,7 +11,8 @@ from repro.machine.cache import Cache, CacheStats, access_hit_flags
 from repro.machine.decoder import DecoderCostModel, DecoderEstimate
 from repro.machine.lowend import CycleReport, LowEndTimingModel, simulate
 from repro.machine.reuse import (clear_recorded_runs, derive_execution,
-                                 interpret_or_derive, record_reference_run)
+                                 interpret_or_derive, record_and_profile,
+                                 record_reference_run)
 from repro.machine.spec import LOWEND, VLIW, LowEndConfig, VLIWConfig
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "LowEndTimingModel",
     "simulate",
     "record_reference_run",
+    "record_and_profile",
     "derive_execution",
     "interpret_or_derive",
     "clear_recorded_runs",

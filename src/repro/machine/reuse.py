@@ -15,10 +15,12 @@ instructions, which are static per block.
 recording, memoized on the analysis-cache structural fingerprint (so
 repeated experiment passes over the same input hit the cache), and
 ``derive_execution`` replays that recording against an allocated
-function.  Derivation is guarded structurally (same blocks, terminators
-and per-block ``ld``/``st`` sequences — see ``derive_trace``) and falls
-back to ``None`` whenever the guard fails; callers then interpret from
-scratch.
+function.  ``record_and_profile`` is the preamble every grid task and
+compile runs: that one recording, plus the profile block frequencies
+read from its counts.  Derivation is guarded structurally (same
+blocks, terminators and per-block ``ld``/``st`` sequences — see
+``derive_trace``) and falls back to ``None`` whenever the guard fails;
+callers then interpret from scratch.
 
 One honest caveat: a derived result carries the recorded run's return
 value, so the experiments' cross-setup checksum assertion is vacuous for
@@ -33,12 +35,14 @@ from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from repro.analysis.cache import fingerprint_function
+from repro.analysis.profile import (block_frequencies_from_counts,
+                                    profile_block_frequencies)
 from repro.ir.function import Function
 from repro.ir.interp import ExecutionResult, Interpreter
 from repro.ir.trace import derive_trace
 
-__all__ = ["record_reference_run", "derive_execution",
-           "interpret_or_derive", "clear_recorded_runs"]
+__all__ = ["record_reference_run", "record_and_profile",
+           "derive_execution", "interpret_or_derive", "clear_recorded_runs"]
 
 _MAX_RECORDED = 32
 _recorded: "OrderedDict[Tuple, ExecutionResult]" = OrderedDict()
@@ -71,6 +75,28 @@ def record_reference_run(fn: Function, args: Tuple[int, ...] = (),
     while len(_recorded) > _MAX_RECORDED:
         _recorded.popitem(last=False)
     return result
+
+
+def record_and_profile(fn: Function, args: Tuple[int, ...],
+                       profile: bool = True
+                       ) -> Tuple[Optional[ExecutionResult],
+                                  Optional[Dict[str, float]]]:
+    """``(recorded, freq)`` for ``fn`` on ``args``.
+
+    ``recorded`` is :func:`record_reference_run`'s memoized recording,
+    which serves every allocated variant's trace through
+    :func:`interpret_or_derive`.  ``freq`` is ``None`` without
+    ``profile``; otherwise the profile block frequencies, read from the
+    recording's counts when it has them and from a count-only run when
+    it does not.
+    """
+    recorded = record_reference_run(fn, args)
+    if not profile:
+        return recorded, None
+    if recorded is not None and recorded.block_instr_counts:
+        return recorded, block_frequencies_from_counts(
+            fn, recorded.block_instr_counts)
+    return recorded, profile_block_frequencies(fn, args)
 
 
 def derive_execution(recorded: ExecutionResult,

@@ -52,7 +52,7 @@ R = TypeVar("R")
 class WorkerCrashError(RuntimeError):
     """A task batch killed its worker processes (twice — once on the
     original pool and once on a fresh retry pool).  The pool itself has
-    already been recycled; subsequent ``map`` calls run on clean workers.
+    already been discarded; subsequent ``map`` calls run on clean workers.
     """
 
 
@@ -149,24 +149,15 @@ class WorkerPool:
       segfault, ``os._exit``, OOM kill) is retried once on a fresh pool;
       if it breaks that one too, :class:`WorkerCrashError` is raised and
       the pool is left cold-but-usable for the next batch.
-    * **Recycling.**  With ``recycle_after=N``, the pool retires its
-      workers after ~N dispatched tasks and respawns at the next ``map``
-      boundary — bounding memory growth in week-long server processes.
     * **Fork hygiene.**  A pool object inherited through ``os.fork`` in
       a worker discards the parent's executor instead of deadlocking on
       its queues.
     """
 
-    def __init__(self, jobs: int = 1, *,
-                 recycle_after: Optional[int] = None) -> None:
-        if recycle_after is not None and recycle_after < 1:
-            raise ValueError(
-                f"recycle_after must be >= 1 tasks, got {recycle_after}")
+    def __init__(self, jobs: int = 1) -> None:
         self.jobs = resolve_jobs(jobs)
-        self.recycle_after = recycle_after
         self._executor = None
         self._tasks_dispatched = 0
-        self._recycled = 0
         self._pid = os.getpid()
         self._lock = threading.Lock()
 
@@ -189,7 +180,7 @@ class WorkerPool:
 
     def _ensure_executor(self):
         """The live executor, (re)created as needed — after ``close``,
-        after a crash, after recycling, or in a forked child."""
+        after a crash, or in a forked child."""
         with self._lock:
             if self._pid != os.getpid():
                 # forked child: the inherited executor's queues belong to
@@ -197,12 +188,6 @@ class WorkerPool:
                 self._executor = None
                 self._tasks_dispatched = 0
                 self._pid = os.getpid()
-            if self._executor is not None and self.recycle_after is not None \
-                    and self._tasks_dispatched >= self.recycle_after:
-                self._executor.shutdown(wait=True)
-                self._executor = None
-                self._tasks_dispatched = 0
-                self._recycled += 1
             if self._executor is None:
                 from concurrent.futures import ProcessPoolExecutor
 
@@ -254,7 +239,7 @@ class WorkerPool:
         try:
             return self._dispatch(fn, task_list, chunksize)
         except _broken_pool_errors():
-            # the batch killed its workers: recycle the pool and retry
+            # the batch killed its workers: replace the pool and retry
             # once — tasks are pure, so the retry cannot change results
             self._discard_executor()
         try:
@@ -263,7 +248,7 @@ class WorkerPool:
             self._discard_executor()
             raise WorkerCrashError(
                 f"task batch of {len(task_list)} crashed the worker pool "
-                f"twice ({type(exc).__name__}); the pool has been recycled "
+                f"twice ({type(exc).__name__}); the pool has been discarded "
                 "and the next batch will run on fresh workers") from exc
 
     def _dispatch(self, fn, task_list, chunksize) -> List[R]:
@@ -279,13 +264,12 @@ class WorkerPool:
 
     def stats(self) -> Dict[str, int]:
         """Counters for ``/statsz`` and tests: worker ceiling, liveness,
-        dispatched task total and recycle count."""
+        dispatched task total."""
         return {
             "jobs": self.jobs,
             "max_workers": self.max_workers,
             "live": int(self._executor is not None),
             "tasks_dispatched": self._tasks_dispatched,
-            "recycled": self._recycled,
         }
 
     def close(self) -> None:

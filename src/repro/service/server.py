@@ -73,24 +73,6 @@ def build_source_function(source: Dict[str, str]):
                             [exc.diagnostic]) from None
 
 
-def _request_function(req: Dict[str, object]):
-    """The request's function, preferring the compact wire form the
-    server attaches after validation (``req["_wire"]``) over re-building
-    from source — one parse per request instead of one per process.
-    Results are identical either way: the decoded function is
-    structurally equal to the parsed one, and the pipeline's outputs
-    never depend on instruction uids."""
-    wire = req.get("_wire")
-    if wire is not None:
-        from repro.ir.wire import WireError, from_wire
-
-        try:
-            return from_wire(wire)
-        except WireError:
-            pass  # corrupt payload: fall back to the source of truth
-    return build_source_function(req["source"])
-
-
 def _default_args(source: Dict[str, str]) -> Tuple[int, ...]:
     """Execution arguments when the request leaves ``args`` null."""
     if "workload" in source:
@@ -101,14 +83,12 @@ def _default_args(source: Dict[str, str]) -> Tuple[int, ...]:
 
 
 def _compile(req: Dict[str, object]) -> Dict[str, object]:
-    from repro.analysis.profile import (block_frequencies_from_counts,
-                                        profile_block_frequencies)
     from repro.ir import format_function
     from repro.machine import (LowEndConfig, LowEndTimingModel,
-                               interpret_or_derive, record_reference_run)
+                               interpret_or_derive, record_and_profile)
     from repro.regalloc.pipeline import run_setup
 
-    fn = _request_function(req)
+    fn = build_source_function(req["source"])
     if req["debug_sleep"]:
         time.sleep(req["debug_sleep"])
     options = req["options"]
@@ -117,14 +97,9 @@ def _compile(req: Dict[str, object]) -> Dict[str, object]:
     args = tuple(req["args"]) if req["args"] is not None \
         else _default_args(req["source"])
 
-    freq = None
-    if options["profile"]:
-        recorded = record_reference_run(fn, args)
-        if recorded is not None and recorded.block_instr_counts:
-            freq = block_frequencies_from_counts(
-                fn, recorded.block_instr_counts)
-        else:
-            freq = profile_block_frequencies(fn, args)
+    recorded = freq = None
+    if options["profile"] or req["simulate"]:
+        recorded, freq = record_and_profile(fn, args, options["profile"])
 
     prog = run_setup(
         fn, req["setup"],
@@ -161,7 +136,6 @@ def _compile(req: Dict[str, object]) -> Dict[str, object]:
             "overhead_fraction": prog.encoded.overhead_fraction,
         }
     if req["simulate"]:
-        recorded = record_reference_run(fn, args)
         try:
             execution = interpret_or_derive(prog.final_fn, args, recorded)
         except Exception as exc:
@@ -294,7 +268,6 @@ class ServiceServer:
                  max_batch: int = 8,
                  linger: float = 0.02,
                  request_timeout: float = 60.0,
-                 recycle_after: Optional[int] = None,
                  allow_debug: bool = False,
                  telemetry_path: Optional[str] = None,
                  verbose: bool = False) -> None:
@@ -304,7 +277,7 @@ class ServiceServer:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.store = store
         self.metrics = ServiceMetrics()
-        self.pool = WorkerPool(jobs, recycle_after=recycle_after)
+        self.pool = WorkerPool(jobs)
         self.max_batch = max_batch
         self.linger = linger
         self.request_timeout = request_timeout
@@ -366,17 +339,6 @@ class ServiceServer:
             from repro.analysis.cache import fingerprint_digest
 
             key = protocol.cache_key(req, fingerprint_digest(fn))
-            # The handler thread already materialised the function for
-            # the cache key; ship that work to the worker as a compact
-            # wire payload so the pool never re-parses the source.
-            # Attached *after* cache_key: the key hashes named fields
-            # only, and the wire form must never influence it.
-            from repro.ir.wire import WireError, to_wire
-
-            try:
-                req["_wire"] = to_wire(fn)
-            except WireError:
-                pass  # worker falls back to building from source
         except ProtocolError as exc:
             self.metrics.inc("responses_error")
             body = protocol.encode_message(
@@ -463,7 +425,7 @@ class ServiceServer:
                     execute_request, [p.request for p in batch])
             except WorkerCrashError as exc:
                 # a worker died mid-batch (segfault, OOM kill): the pool
-                # has already recycled itself, so only this in-flight
+                # has already replaced its workers, so only this in-flight
                 # batch fails — the dispatcher and later batches live on
                 self.metrics.inc("worker_crashes")
                 responses = [protocol.error_response(

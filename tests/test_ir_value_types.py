@@ -17,8 +17,6 @@ import numpy as np
 import pytest
 
 from repro.ir import Instr, Reg, phys, vreg
-from repro.ir.function import BasicBlock, Function
-from repro.ir.wire import from_wire, functions_structurally_equal, to_wire
 
 
 @dataclass(frozen=True, order=True)
@@ -95,20 +93,6 @@ class TestReg:
             r.id = 2
         with pytest.raises(AttributeError):
             r.extra = 1
-
-    def test_wire_round_trip(self):
-        a, b = vreg(0), vreg(1, "float")
-        fn = Function("f", [BasicBlock("entry", [
-            Instr("li", dst=b, imm=2),
-            Instr("add", dst=phys(3), srcs=(a, a)),
-            Instr("ret", srcs=(phys(3),)),
-        ])], (a,))
-        back = from_wire(to_wire(fn))
-        assert functions_structurally_equal(fn, back)
-        regs = [r for blk in back.blocks for i in blk.instrs
-                for r in i.reg_fields()] + list(back.params)
-        assert regs and all(type(r) is Reg for r in regs)
-        assert b in back.registers()
 
 
 class TestInstr:

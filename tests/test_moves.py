@@ -233,12 +233,6 @@ class TestPermiInstruction:
             for i, p in enumerate(self.PERM):
                 assert res.regs[Reg(i, virtual=False)] == 101 + p
 
-    def test_wire_roundtrip(self):
-        from repro.ir.wire import from_wire, to_wire
-
-        fn = _permi_function(4, self.PERM)
-        assert format_function(from_wire(to_wire(fn))) == format_function(fn)
-
     def test_binary_roundtrip(self):
         from repro.encoding.binary import pack_function, unpack_function
         from repro.encoding.config import EncodingConfig

@@ -114,12 +114,21 @@ class TestExperimentJobsParity:
             run_regn_sweep(jobs=2, **kw).points
 
     def test_lowend_identical(self):
+        """Forked workers and the verify_each_pass path run the one task
+        body the serial path runs, composite functions included (the
+        task builds them)."""
         from repro.experiments import run_lowend_experiment
 
-        kw = dict(workloads=MIBENCH[:2], setups=("baseline", "remapping"),
-                  remap_restarts=2)
-        assert run_lowend_experiment(jobs=1, **kw).rows == \
-            run_lowend_experiment(jobs=2, **kw).rows
+        for composite in (False, True):
+            kw = dict(workloads=MIBENCH[:2],
+                      setups=("baseline", "remapping"), remap_restarts=2,
+                      composite=composite)
+            serial = run_lowend_experiment(jobs=1, **kw)
+            assert serial.pass_verifier is None
+            assert run_lowend_experiment(jobs=2, **kw).rows == serial.rows
+            verified = run_lowend_experiment(verify_each_pass=True, **kw)
+            assert verified.rows == serial.rows
+            assert verified.pass_verifier.clean
 
     def test_swp_identical(self):
         from repro.experiments import run_swp_experiment
@@ -248,25 +257,6 @@ class TestWorkerPool:
         pool = WorkerPool(4)
         assert pool.warm() == 0
         assert pool.stats()["live"] == 0
-
-    def test_recycling(self, monkeypatch):
-        import os
-
-        from repro.parallel import WorkerPool
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        with WorkerPool(2, recycle_after=4) as pool:
-            assert pool.map(_square, list(range(6))) == \
-                [x * x for x in range(6)]
-            assert pool.map(_square, list(range(6))) == \
-                [x * x for x in range(6)]
-            assert pool.stats()["recycled"] >= 1
-
-    def test_bad_recycle_after(self):
-        from repro.parallel import WorkerPool
-
-        with pytest.raises(ValueError):
-            WorkerPool(2, recycle_after=0)
 
     def test_crash_recovery_retries_batch(self, monkeypatch, tmp_path):
         """A batch that kills a worker once is retried on a fresh pool

@@ -238,7 +238,7 @@ class TestWorkerCrash:
     def test_crashed_batch_answers_svc13_and_dispatcher_survives(
             self, tmp_path, monkeypatch):
         """A worker death fails only the in-flight batch (SVC13); the
-        pool recycles itself and the next request compiles normally."""
+        pool rebuilds itself and the next request compiles normally."""
         import repro.parallel as parallel
 
         with serving(tmp_path) as (server, client):
@@ -259,7 +259,7 @@ class TestWorkerCrash:
             assert reply.ok
             assert client.stats()["worker_crashes"] == 1
 
-    def test_real_worker_crash_recycles_pool(self, tmp_path, monkeypatch):
+    def test_real_worker_crash_rebuilds_pool(self, tmp_path, monkeypatch):
         """With a real multi-process pool, an os._exit in a worker is
         absorbed: the batch is retried on a fresh pool and succeeds."""
         import os
@@ -271,10 +271,13 @@ class TestWorkerCrash:
                 "crc32"
 
 
-class TestWireFastPath:
-    def test_request_carries_wire_form(self, tmp_path):
-        """handle_compile attaches the encoded function so workers never
-        re-parse the source."""
+class TestDispatch:
+    def test_dispatches_the_normalized_request(self, tmp_path):
+        """The pool receives the normalized request itself: workers build
+        the function from its source, and no private key rides along."""
+        from repro.service.protocol import normalize_request
+
+        request = build_compile_request(workload="crc32", **FAST)
         captured = {}
 
         with serving(tmp_path) as (server, client):
@@ -286,38 +289,41 @@ class TestWireFastPath:
 
             server.pool.map = capturing_map
             try:
-                assert client.compile(workload="crc32",
-                                      **FAST)["name"] == "crc32"
+                assert client.compile_request(request).ok
             finally:
                 server.pool.map = original_map
-        from repro.ir.wire import from_wire
-        from repro.workloads import get_workload
+        [dispatched] = captured["requests"]
+        assert dispatched == normalize_request(request)
+        assert not any(key.startswith("_") for key in dispatched)
 
-        wire = captured["requests"][0].get("_wire")
-        assert isinstance(wire, bytes)
-        decoded = from_wire(wire)
-        assert decoded.name == get_workload("crc32").function().name
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_server_bytes_match_compile_local(self, tmp_path, monkeypatch,
+                                              jobs):
+        """Server responses are byte-identical to compile_local, whether
+        the batch runs on the dispatcher thread (``jobs=1``) or in forked
+        workers (``jobs=2``)."""
+        import os
 
-    def test_wire_path_bytes_match_direct_compile(self, tmp_path):
-        """Server responses (computed from the wire form) must be
-        byte-identical to compile_local (which re-builds from source)."""
         from repro.service.client import compile_local
 
-        request = build_compile_request(workload="bitcount", setup="select",
-                                        **FAST)
-        _envelope, direct = compile_local(request)
-        with serving(tmp_path) as (_server, client):
-            reply = client.compile_request(request)
-            assert reply.ok
-            assert reply.body == direct
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        requests = [build_compile_request(workload=name, setup="select",
+                                          **FAST)
+                    for name in ("bitcount", "crc32")]
+        direct = [compile_local(r)[1] for r in requests]
+        replies = [None] * len(requests)
+        # a long linger co-schedules both requests into one batch, which
+        # a two-worker pool fans out
+        with serving(tmp_path, jobs=jobs, linger=1.0) as (server, client):
+            def fire(i):
+                replies[i] = client.compile_request(requests[i])
 
-    def test_corrupt_wire_falls_back_to_source(self):
-        from repro.service.protocol import normalize_request
-        from repro.service.server import execute_request
-
-        request = normalize_request(
-            build_compile_request(workload="bitcount", **FAST))
-        clean = execute_request(dict(request))
-        poisoned = dict(request)
-        poisoned["_wire"] = b"garbage"
-        assert execute_request(poisoned) == clean
+            threads = [threading.Thread(target=fire, args=(i,))
+                       for i in range(len(requests))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            pooled = server.pool.stats()["tasks_dispatched"]
+        assert [r.body for r in replies] == direct
+        assert pooled == (len(requests) if jobs == 2 else 0)
