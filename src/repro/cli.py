@@ -584,8 +584,7 @@ def _cmd_serve(args) -> int:
                           hot_entries=args.hot_entries)
     server = ServiceServer(
         args.host, args.port, store=store, jobs=jobs,
-        queue_limit=args.queue_limit, max_batch=args.max_batch,
-        linger=args.linger, request_timeout=args.timeout,
+        queue_limit=args.queue_limit, request_timeout=args.timeout,
         allow_debug=args.allow_debug, telemetry_path=args.telemetry,
         verbose=args.verbose,
     )
@@ -877,9 +876,9 @@ def build_parser() -> argparse.ArgumentParser:
     fp.set_defaults(func=_cmd_fuzz_moves)
 
     p = sub.add_parser("serve",
-                       help="run the allocation service: a batching "
-                            "compile daemon with a content-addressed "
-                            "artifact store (see docs/service.md)")
+                       help="run the allocation service: a compile "
+                            "daemon with a content-addressed artifact "
+                            "store (see docs/service.md)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8421,
                    help="TCP port (0 = pick a free one)")
@@ -895,10 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-limit", type=int, default=64,
                    help="bounded compile queue; beyond it requests get "
                         "429 + Retry-After")
-    p.add_argument("--max-batch", type=int, default=8,
-                   help="most requests per micro-batch fan-out")
-    p.add_argument("--linger", type=float, default=0.02,
-                   help="seconds to wait for co-batchable requests")
     p.add_argument("--timeout", type=float, default=60.0,
                    help="per-request compile deadline (expired waits "
                         "answer 504; the artifact is still cached)")

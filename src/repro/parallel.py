@@ -2,7 +2,7 @@
 
 A process-pool layer used by the remapping search (restart fan-out), the
 experiment harnesses (workload × configuration grids), the fuzz harness
-and the compile service's batch dispatcher.  Design rules, in order of
+and the compile service's dispatchers.  Design rules, in order of
 priority:
 
 1. **Bit-identical results.**  ``jobs=1`` and ``jobs>1`` must produce
@@ -25,12 +25,12 @@ priority:
    (:func:`compute_chunksize`) so many small tasks travel as few
    pickled messages.
 
-The fleet survives worker crashes: a ``map`` that hits a broken pool
-discards the dead executor, re-creates it, and retries the batch once
-(tasks are pure, so a retry cannot change results).  A batch that kills
-its workers twice raises :class:`WorkerCrashError` — and the *next*
-``map`` call still gets a fresh pool, so one poisonous batch never
-bricks a long-lived server.
+The fleet survives worker crashes: a ``map`` or ``run`` that hits a
+broken pool discards the dead executor, re-creates it, and retries once
+(tasks are pure, so a retry cannot change results).  Work that kills its
+workers twice raises :class:`WorkerCrashError` — and the *next* call
+still gets a fresh pool, so one poisonous request never bricks a
+long-lived server.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ R = TypeVar("R")
 
 
 class WorkerCrashError(RuntimeError):
-    """A task batch killed its worker processes (twice — once on the
+    """A task or batch killed its worker processes (twice — once on the
     original pool and once on a fresh retry pool).  The pool itself has
-    already been discarded; subsequent ``map`` calls run on clean workers.
+    already been discarded; later calls run on clean workers.
     """
 
 
@@ -135,8 +135,8 @@ class WorkerPool:
     :func:`parallel_map` contract: ordered, deterministic, bit-identical
     to serial execution.
 
-    The executor is created lazily on the first multi-task ``map`` (or
-    eagerly via :meth:`warm`) and **reused across calls** — the whole
+    The executor is created lazily on the first multi-task ``map`` or
+    pooled ``run`` (or eagerly via :meth:`warm`) and **reused across calls** — the whole
     point of a fleet.  ``jobs=1``, single-task maps, and single-core
     machines never touch ``multiprocessing`` at all.
 
@@ -145,10 +145,10 @@ class WorkerPool:
     * **Re-creatable after close.**  :meth:`close` releases the workers;
       a later ``map`` transparently builds a fresh pool.  A closed pool
       is therefore never an error, just a cold one.
-    * **Crash recovery.**  A batch that breaks the pool (a worker
-      segfault, ``os._exit``, OOM kill) is retried once on a fresh pool;
-      if it breaks that one too, :class:`WorkerCrashError` is raised and
-      the pool is left cold-but-usable for the next batch.
+    * **Crash recovery.**  A batch or task that breaks the pool (a
+      worker segfault, ``os._exit``, OOM kill) is retried once on a
+      fresh pool; if it breaks that one too, :class:`WorkerCrashError`
+      is raised and the pool is left cold-but-usable for the next call.
     * **Fork hygiene.**  A pool object inherited through ``os.fork`` in
       a worker discards the parent's executor instead of deadlocking on
       its queues.
@@ -171,9 +171,6 @@ class WorkerPool:
         (oversubscribing a CPU-bound pool only adds scheduler churn)."""
         return max(1, min(self.jobs, os.cpu_count() or 1))
 
-    def _workers_for(self, n_tasks: int) -> int:
-        return min(self.max_workers, n_tasks)
-
     # ------------------------------------------------------------------
     # executor lifecycle
     # ------------------------------------------------------------------
@@ -195,18 +192,20 @@ class WorkerPool:
                     max_workers=self.max_workers)
             return self._executor
 
-    def _discard_executor(self) -> None:
-        """Drop a (possibly broken) executor; the next map starts fresh."""
+    def _discard_executor(self, broken) -> None:
+        """Drop the executor that broke; the next call starts fresh.  A
+        concurrent caller that saw the same breakage may already have
+        replaced it, and the replacement stays."""
         with self._lock:
-            executor = self._executor
+            if self._executor is not broken:
+                return
             self._executor = None
             self._tasks_dispatched = 0
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+        broken.shutdown(wait=False, cancel_futures=True)
 
     def warm(self) -> int:
         """Eagerly spawn the workers (servers call this before accepting
-        traffic, so the first batch is not also the slowest).  Returns the
+        traffic, so the first task is not also the slowest).  Returns the
         number of workers spawned; 0 when the pool runs serially."""
         if self.max_workers <= 1:
             return 0
@@ -218,7 +217,7 @@ class WorkerPool:
         return self.max_workers
 
     # ------------------------------------------------------------------
-    # the map
+    # running tasks
     # ------------------------------------------------------------------
 
     def map(self, fn: Callable[[T], R], tasks: Iterable[T],
@@ -231,32 +230,45 @@ class WorkerPool:
         wall-clock time.
         """
         task_list = list(tasks)
-        workers = self._workers_for(len(task_list))
+        workers = min(self.max_workers, len(task_list))
         if workers <= 1 or len(task_list) <= 1:
             return _serial_map(fn, task_list)
         if chunksize is None:
             chunksize = compute_chunksize(len(task_list), workers)
-        try:
-            return self._dispatch(fn, task_list, chunksize)
-        except _broken_pool_errors():
-            # the batch killed its workers: replace the pool and retry
-            # once — tasks are pure, so the retry cannot change results
-            self._discard_executor()
-        try:
-            return self._dispatch(fn, task_list, chunksize)
-        except _broken_pool_errors() as exc:
-            self._discard_executor()
-            raise WorkerCrashError(
-                f"task batch of {len(task_list)} crashed the worker pool "
-                f"twice ({type(exc).__name__}); the pool has been discarded "
-                "and the next batch will run on fresh workers") from exc
+        return self._retrying(
+            lambda executor: list(executor.map(fn, task_list,
+                                               chunksize=chunksize)),
+            len(task_list))
 
-    def _dispatch(self, fn, task_list, chunksize) -> List[R]:
-        executor = self._ensure_executor()
-        results = list(executor.map(fn, task_list, chunksize=chunksize))
-        with self._lock:
-            self._tasks_dispatched += len(task_list)
-        return results
+    def run(self, fn: Callable[[T], R], task: T) -> R:
+        """``fn(task)`` on one pool worker, inline when the pool is
+        serial.  Several threads may call this at once to keep up to
+        :attr:`max_workers` tasks in flight; it blocks only its caller."""
+        if self.max_workers <= 1:
+            return fn(task)
+        return self._retrying(
+            lambda executor: executor.submit(fn, task).result(), 1)
+
+    def _retrying(self, call: Callable[[object], R], n_tasks: int) -> R:
+        """``call(executor)`` running ``n_tasks`` tasks, retried once on a
+        fresh pool if it breaks the pool (tasks are pure, so a retry
+        cannot change results)."""
+        for retries_left in (1, 0):
+            executor = self._ensure_executor()
+            try:
+                result = call(executor)
+            except _broken_pool_errors() as exc:
+                self._discard_executor(executor)
+                if not retries_left:
+                    raise WorkerCrashError(
+                        f"{n_tasks} task(s) crashed the worker pool twice "
+                        f"({type(exc).__name__}); the pool has been "
+                        "discarded and the next call will run on fresh "
+                        "workers") from exc
+            else:
+                with self._lock:
+                    self._tasks_dispatched += n_tasks
+                return result
 
     # ------------------------------------------------------------------
     # introspection / shutdown

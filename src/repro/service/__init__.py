@@ -1,4 +1,4 @@
-"""Allocation-as-a-service: a batching compile daemon with a durable cache.
+"""Allocation-as-a-service: a compile daemon with a durable cache.
 
 Every other entry point (``repro bench``, ``repro lowend``, the
 experiment grids) re-runs the full allocator pipeline in a fresh process;
@@ -13,8 +13,9 @@ on-disk store without recompiling:
 * :mod:`repro.service.store` — the content-addressed artifact cache
   (LRU size cap, corruption treated as a miss).
 * :mod:`repro.service.server` — the daemon (``repro serve``): bounded
-  queue, micro-batching onto a :class:`repro.parallel.WorkerPool`,
-  per-request timeouts, 429 backpressure, SIGTERM drain.
+  queue, each miss dispatched to a :class:`repro.parallel.WorkerPool`
+  worker as soon as one is free, per-request timeouts, 429
+  backpressure, SIGTERM drain.
 * :mod:`repro.service.client` — ``repro request`` and the python API.
 * :mod:`repro.service.metrics` — counters and latency percentiles for
   ``/statsz`` and the shutdown telemetry snapshot.

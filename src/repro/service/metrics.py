@@ -1,7 +1,7 @@
 """Service counters, latency percentiles, and the telemetry snapshot.
 
 One :class:`ServiceMetrics` instance lives on the server; handler threads
-and the batch dispatcher update it under a single lock.  ``/statsz``
+and the dispatchers update it under a single lock.  ``/statsz``
 serves :meth:`ServiceMetrics.snapshot`, and on shutdown the same snapshot
 persists to a JSON file (the CI smoke job uploads it as an artifact).
 
@@ -26,12 +26,13 @@ _COUNTERS = (
     "responses_error",     # error envelopes served
     "store_hits",          # served straight from the artifact store
     "store_misses",        # had to enter the compile queue
-    "batches",             # parallel_map fan-outs dispatched
-    "batched_requests",    # requests carried by those fan-outs
+    "batches",             # compiles dispatched, one request each
+    "batched_requests",    # requests those dispatches carried (= batches)
     "rejected",            # 429 queue-full rejections
     "timeouts",            # per-request deadline expiries
     "drained_refusals",    # 503s while draining
-    "worker_crashes",      # batches lost to a broken pool (SVC13s)
+    "worker_crashes",      # compiles lost to a broken pool (SVC13s)
+    "store_write_errors",  # successes served uncached: the store put failed
 )
 
 
@@ -43,7 +44,6 @@ class ServiceMetrics:
         self._counters: Dict[str, int] = {name: 0 for name in _COUNTERS}
         self._latencies: Deque[float] = deque(maxlen=max_latencies)
         self._max_queue_depth = 0
-        self._max_batch = 0
         self._started = time.time()
 
     def inc(self, counter: str, n: int = 1) -> None:
@@ -55,13 +55,6 @@ class ServiceMetrics:
         """Record one request's wall-clock service time."""
         with self._lock:
             self._latencies.append(seconds)
-
-    def record_batch(self, size: int) -> None:
-        """Account one dispatched micro-batch of ``size`` requests."""
-        with self._lock:
-            self._counters["batches"] += 1
-            self._counters["batched_requests"] += size
-            self._max_batch = max(self._max_batch, size)
 
     def note_queue_depth(self, depth: int) -> None:
         """Track the high-water mark of the request queue."""
@@ -87,7 +80,6 @@ class ServiceMetrics:
             counters = dict(self._counters)
             latencies = sorted(self._latencies)
             max_depth = self._max_queue_depth
-            max_batch = self._max_batch
             started = self._started
         hits = counters["store_hits"]
         misses = counters["store_misses"]
@@ -98,7 +90,6 @@ class ServiceMetrics:
             "latency_count": len(latencies),
             "latency_p50_ms": 1e3 * self._percentile(latencies, 0.50),
             "latency_p95_ms": 1e3 * self._percentile(latencies, 0.95),
-            "max_batch": max_batch,
             "max_queue_depth": max_depth,
             "uptime_s": time.time() - started,
         })

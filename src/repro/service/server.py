@@ -1,4 +1,4 @@
-"""The compile daemon: batching HTTP server over the allocator pipeline.
+"""The compile daemon: an HTTP server over the allocator pipeline.
 
 Request lifecycle (``POST /``):
 
@@ -9,11 +9,11 @@ Request lifecycle (``POST /``):
    the pipeline is never invoked — with ``X-Repro-Cache: hit``.
 3. A miss enters the bounded queue.  A full queue answers 429 with
    ``Retry-After`` (backpressure); a draining server answers 503.
-4. The single batch dispatcher thread collects queued requests for a
-   short linger window and fans the whole micro-batch out in one
-   :meth:`repro.parallel.WorkerPool.map` call — serial when ``jobs=1``,
-   a persistent process pool otherwise.  Results are stored (successes
-   only) and handed back to the waiting handler threads.
+4. One dispatcher thread per pool worker takes the next queued miss as
+   soon as it is free and compiles it with :meth:`WorkerPool.run
+   <repro.parallel.WorkerPool.run>` — inline when ``jobs=1``, on a
+   persistent process pool otherwise.  A success is stored, then handed
+   back to its waiting handler thread.
 5. A handler that waits longer than the per-request timeout answers 504;
    the computed artifact still lands in the store when it finishes, so
    a retry is a cheap hit.
@@ -243,8 +243,16 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = 0
+        if length < 0:  # read(-1) would block until the client hangs up
+            self.close_connection = True
+            self._reply(400, protocol.encode_message(protocol.error_response(
+                "SVC03", f"Content-Length must be >= 0, got {length}")))
+            return
+        try:
             raw = self.rfile.read(length)
-        except (ValueError, OSError):
+        except OSError:
             raw = b""
         try:
             status, headers, body = self.service.handle_compile(raw)
@@ -265,21 +273,15 @@ class ServiceServer:
                  store: ArtifactStore,
                  jobs: int = 1,
                  queue_limit: int = 64,
-                 max_batch: int = 8,
-                 linger: float = 0.02,
                  request_timeout: float = 60.0,
                  allow_debug: bool = False,
                  telemetry_path: Optional[str] = None,
                  verbose: bool = False) -> None:
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.store = store
         self.metrics = ServiceMetrics()
         self.pool = WorkerPool(jobs)
-        self.max_batch = max_batch
-        self.linger = linger
         self.request_timeout = request_timeout
         self.allow_debug = allow_debug
         self.telemetry_path = telemetry_path
@@ -288,9 +290,9 @@ class ServiceServer:
             maxsize=queue_limit)
         self._draining = threading.Event()
         self._stopping = threading.Event()
-        self._batch_thread = threading.Thread(
-            target=self._batch_loop, name="repro-service-batcher",
-            daemon=True)
+        self._dispatchers = [threading.Thread(
+            target=self._dispatch_loop, name="repro-service-dispatcher",
+            daemon=True) for _ in range(self.pool.max_workers)]
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.service = self  # type: ignore[attr-defined]
 
@@ -391,72 +393,65 @@ class ServiceServer:
             pending.body
 
     # ------------------------------------------------------------------
-    # the batch dispatcher (single background thread)
+    # the dispatchers (one background thread per pool worker)
     # ------------------------------------------------------------------
 
-    def _collect_batch(self) -> Optional[list]:
-        """Block for the next request, then linger briefly to co-schedule
-        whatever else is queued (micro-batching)."""
-        try:
-            first = self._queue.get(timeout=0.1)
-        except queue.Empty:
-            return None
-        batch = [first]
-        deadline = time.monotonic() + self.linger
-        while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                batch.append(self._queue.get(timeout=remaining))
-            except queue.Empty:
-                break
-        return batch
-
-    def _batch_loop(self) -> None:
+    def _dispatch_loop(self) -> None:
         while True:
-            batch = self._collect_batch()
-            if batch is None:
+            try:
+                pending = self._queue.get(timeout=0.1)
+            except queue.Empty:
                 if self._stopping.is_set():
                     return
                 continue
+            self.metrics.inc("batches")
+            self.metrics.inc("batched_requests")
             try:
-                responses = self.pool.map(
-                    execute_request, [p.request for p in batch])
+                response = self.pool.run(execute_request, pending.request)
             except WorkerCrashError as exc:
-                # a worker died mid-batch (segfault, OOM kill): the pool
-                # has already replaced its workers, so only this in-flight
-                # batch fails — the dispatcher and later batches live on
+                # the pool retried on fresh workers and is rebuilt, so
+                # only this request fails — later ones compile normally
                 self.metrics.inc("worker_crashes")
-                responses = [protocol.error_response(
+                response = protocol.error_response(
                     "SVC13", f"worker crashed while compiling this "
-                    f"batch: {exc}; the pool has been rebuilt — retry",
-                    retry_after=1)] * len(batch)
+                    f"request: {exc}; the pool has been rebuilt — retry",
+                    retry_after=1)
             except Exception as exc:  # noqa: BLE001 - e.g. a dead pool
-                responses = [protocol.error_response(
-                    "SVC12", f"batch dispatch failed: "
-                    f"{type(exc).__name__}: {exc}")] * len(batch)
-            self.metrics.record_batch(len(batch))
-            for pending, response in zip(batch, responses):
-                body = protocol.encode_message(response)
-                if response.get("ok"):
+                response = protocol.error_response(
+                    "SVC12", f"dispatch failed: "
+                    f"{type(exc).__name__}: {exc}")
+            self._finish(pending, response)
+
+    def _finish(self, pending: _Pending, response: Dict[str, object]
+                ) -> None:
+        """Answer one dispatched miss: store a success *before* waking
+        its handler (so the next send is a hit), serve it uncached if the
+        store write fails, and always release its queue slot."""
+        try:
+            body = protocol.encode_message(response)
+            if response.get("ok"):
+                try:
                     self.store.put(pending.key, body)
-                pending.resolve(body, response)
-                self._queue.task_done()
+                except OSError:  # e.g. a full disk
+                    self.metrics.inc("store_write_errors")
+            pending.resolve(body, response)
+        finally:
+            self._queue.task_done()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Start the dispatcher (tests drive the HTTP loop separately).
+        """Start the dispatchers (tests drive the HTTP loop separately).
 
-        Pre-warms the worker fleet so the first real batch is served by
+        Pre-warms the worker fleet so the first real compile is served by
         processes that already exist — spawn cost is paid before the
         listener takes traffic, not inside a request's latency budget.
         """
         self.pool.warm()
-        self._batch_thread.start()
+        for thread in self._dispatchers:
+            thread.start()
 
     def start_background(self) -> threading.Thread:
         """Run the HTTP loop on a daemon thread (tests, embedding)."""
@@ -514,8 +509,9 @@ class ServiceServer:
         self._draining.set()
         self._queue.join()
         self._stopping.set()
-        if self._batch_thread.is_alive():
-            self._batch_thread.join()
+        for thread in self._dispatchers:
+            if thread.is_alive():
+                thread.join()
         # joins still-running handler threads so no accepted response is
         # lost (ThreadingHTTPServer.block_on_close)
         self._httpd.server_close()

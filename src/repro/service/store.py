@@ -15,7 +15,8 @@ Robustness rules:
   fails to read, parse or verify is deleted and recomputed.
 * **Writes are atomic.**  Artifacts land via ``os.replace`` from a
   uniquely named temp file, so concurrent writers (server threads, or
-  several server processes sharing one root) can never interleave bytes.
+  several server processes sharing one root) can never interleave bytes;
+  a write that fails (a full disk) removes its temp file and raises.
 * **Bounded.**  A byte-size cap enforced by least-recently-used eviction;
   a hit refreshes the artifact's mtime, which is the recency clock.
 * **Hot tier.**  A small in-memory LRU dict (``hot_entries`` response
@@ -185,9 +186,13 @@ class ArtifactStore:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.{os.getpid()}.{threading.get_ident()}." \
               f"{next(_tmp_counter)}.tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            json.dump(wrapper, fh)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w", encoding="ascii") as fh:
+                json.dump(wrapper, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            self._unlink(tmp)   # e.g. a full disk: leave no partial file
+            raise
         self._hot_put(key, body)
         self._evict()
 

@@ -143,6 +143,17 @@ def _exit_hard(x):
     os._exit(13)
 
 
+def _sleepy_square(x):
+    import time
+    time.sleep(0.5)
+    return x * x
+
+
+def _pid(_x):
+    import os
+    return os.getpid()
+
+
 def _crash_once(payload):
     """Crash the worker on first sight of the sentinel; succeed after."""
     import os
@@ -271,6 +282,102 @@ class TestWorkerPool:
             tasks = [(sentinel, x) for x in (1, 2, -3, 4)]
             assert pool.map(_crash_once, tasks, chunksize=1) == \
                 [1, 4, 9, 16]
+
+    def test_run_on_a_serial_pool_is_inline(self, monkeypatch):
+        import os
+
+        from repro.parallel import WorkerPool
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        pool = WorkerPool(4)
+        assert pool.run(_pid, None) == os.getpid()
+        assert pool.stats()["live"] == 0
+
+    def test_run_crash_retried_then_raises(self, monkeypatch, tmp_path):
+        """``run`` keeps ``map``'s crash contract: a task that breaks the
+        pool once is retried on a fresh pool, one that breaks it twice
+        raises, and the pool serves the next task either way."""
+        import os
+
+        from repro.parallel import WorkerCrashError, WorkerPool
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        sentinel = str(tmp_path / "crashed-once")
+        with WorkerPool(2) as pool:
+            assert pool.run(_pid, None) != os.getpid()
+            assert pool.run(_crash_once, (sentinel, -3)) == 9
+            with pytest.raises(WorkerCrashError):
+                pool.run(_exit_hard, 0)
+            assert pool.run(_square, 5) == 25
+
+    def test_concurrent_runs_survive_one_crash(self, monkeypatch, tmp_path):
+        """Two tasks in flight both see one worker's death; both are
+        retried, on the one replacement pool."""
+        import concurrent.futures
+        import os
+        import threading
+        import time
+
+        from repro.parallel import WorkerPool
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        built = []
+
+        class CountingExecutor(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountingExecutor)
+        sentinel = str(tmp_path / "crashed-once")
+        results = {}
+        with WorkerPool(2) as pool:
+            pool.warm()
+            slow = threading.Thread(target=lambda: results.update(
+                slow=pool.run(_sleepy_square, 4)))
+            slow.start()
+            time.sleep(0.1)
+            results["crash"] = pool.run(_crash_once, (sentinel, -3))
+            slow.join(timeout=30)
+            assert not slow.is_alive()
+            assert os.path.exists(sentinel)
+            assert results == {"slow": 16, "crash": 9}
+            assert pool.run(_square, 3) == 9
+        assert len(built) == 2   # the warmed pool and one replacement
+
+    def test_run_from_many_threads_counts_every_task(self, monkeypatch):
+        """More calling threads than workers, with frequent thread
+        switches: every result is right and no dispatch count is lost."""
+        import os
+        import sys
+        import threading
+
+        from repro.parallel import WorkerPool
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        results = {}
+
+        def caller(c):
+            for x in range(5):
+                results[(c, x)] = pool.run(_square, 10 * c + x)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerPool(2) as pool:
+                threads = [threading.Thread(target=caller, args=(c,))
+                           for c in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert pool.stats()["tasks_dispatched"] == 40
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == {(c, x): (10 * c + x) ** 2
+                           for c in range(8) for x in range(5)}
 
     def test_persistent_crash_raises_and_pool_survives(self, monkeypatch):
         import os

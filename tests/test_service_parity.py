@@ -25,8 +25,7 @@ FUZZ_SEEDS = (3, 11)
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
     store = ArtifactStore(str(tmp_path_factory.mktemp("store")))
-    server = ServiceServer("127.0.0.1", 0, store=store, jobs=1,
-                           linger=0.01)
+    server = ServiceServer("127.0.0.1", 0, store=store, jobs=1)
     thread = server.start_background()
     yield server, ServiceClient(server.host, server.port, timeout=60)
     server.stop_background(thread)
@@ -96,7 +95,7 @@ def test_artifacts_survive_a_server_restart(served, tmp_path):
 
     reborn = ServiceServer("127.0.0.1", 0,
                            store=ArtifactStore(server.store.root),
-                           jobs=1, linger=0.01)
+                           jobs=1)
     thread = reborn.start_background()
     try:
         fresh_client = ServiceClient(reborn.host, reborn.port, timeout=60)

@@ -1,6 +1,7 @@
 """End-to-end daemon tests over real HTTP on an ephemeral port."""
 
 import json
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -19,7 +20,7 @@ FAST = {"restarts": 2}
 @contextmanager
 def serving(tmp_path, **overrides):
     store = ArtifactStore(str(tmp_path / "store"))
-    kwargs = dict(store=store, jobs=1, linger=0.01, allow_debug=True)
+    kwargs = dict(store=store, jobs=1, allow_debug=True)
     kwargs.update(overrides)
     server = ServiceServer("127.0.0.1", 0, **kwargs)
     thread = server.start_background()
@@ -86,6 +87,21 @@ class TestErrors:
         assert reply.status == 400
         assert reply.envelope["error"]["code"] == "SVC06"
         assert reply.envelope["error"]["diagnostics"]
+
+    def test_negative_content_length_400_without_reading(self, served):
+        """``rfile.read(-1)`` would wait for the client to hang up; the
+        handler answers at once and closes the connection."""
+        server, _client = served
+        with socket.create_connection((server.host, server.port),
+                                      timeout=3) as sock:
+            sock.sendall(b"POST / HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: -1\r\n\r\n{}")
+            reply = b""
+            while chunk := sock.recv(4096):   # until the server closes
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert json.loads(body)["error"]["code"] == "SVC03"
 
     def test_handler_survives_errors(self, served):
         """One bad request must not poison the next good one."""
@@ -208,47 +224,113 @@ class TestDrain:
         assert doc["store"]["entries"] == 1
 
 
-class TestBatching:
-    def test_concurrent_requests_share_batches(self, tmp_path):
-        with serving(tmp_path, max_batch=8, linger=0.2,
-                     request_timeout=30) as (server, client):
-            seeds = list(range(201, 207))
-            replies = [None] * len(seeds)
+class TestDispatchRule:
+    def test_jobs2_keeps_two_compiles_in_flight(self, tmp_path,
+                                                monkeypatch):
+        """With two workers, two slow misses run side by side: together
+        they take about one ``debug_sleep``, not two."""
+        import os
 
-            def fire(i, seed):
-                req = build_compile_request(workload="crc32", seed=seed,
-                                            **FAST)
-                replies[i] = client.compile_request(req)
+        from repro.service.client import compile_local
 
-            threads = [threading.Thread(target=fire, args=(i, s))
-                       for i, s in enumerate(seeds)]
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # load the pipeline before the pool forks, so no worker pays it
+        compile_local(build_compile_request(workload="crc32", **FAST))
+        with serving(tmp_path, jobs=2, request_timeout=30) as (server,
+                                                               client):
+            replies = [None, None]
+
+            def fire(i):
+                replies[i] = client.compile_request(build_compile_request(
+                    workload="crc32", seed=301 + i, debug_sleep=0.6,
+                    **FAST))
+
+            threads = [threading.Thread(target=fire, args=(i,))
+                       for i in range(2)]
+            t0 = time.monotonic()
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
-            assert all(r.status == 200 for r in replies)
-            snap = server.metrics.snapshot()
-            assert snap["batched_requests"] == len(seeds)
-            # the linger window must have co-scheduled at least once
-            assert snap["batches"] < len(seeds)
-            assert snap["max_batch"] >= 2
+                t.join(timeout=30)
+            elapsed = time.monotonic() - t0
+            assert not any(t.is_alive() for t in threads)
+            assert [r.status for r in replies] == [200, 200]
+            assert server.pool.stats()["tasks_dispatched"] == 2
+        assert elapsed < 1.1, f"misses ran one after the other: {elapsed}"
+
+    def test_jobs1_compiles_a_miss_without_waiting(self, tmp_path,
+                                                   monkeypatch):
+        """A lone miss reaches ``execute_request`` within milliseconds of
+        entering ``handle_compile``: nothing waits for batch-mates."""
+        import repro.service.server as server_module
+
+        entered = {}
+        original_handle = ServiceServer.handle_compile
+        original_execute = server_module.execute_request
+
+        def handle(self, raw):
+            entered.setdefault("handle", []).append(time.monotonic())
+            return original_handle(self, raw)
+
+        def execute(req):
+            entered.setdefault("execute", []).append(time.monotonic())
+            return original_execute(req)
+
+        monkeypatch.setattr(ServiceServer, "handle_compile", handle)
+        monkeypatch.setattr(server_module, "execute_request", execute)
+        with serving(tmp_path) as (_server, client):
+            for seed in (401, 402, 403):
+                assert client.compile(workload="crc32", seed=seed, **FAST)
+        gaps = [e - h for h, e in zip(entered["handle"], entered["execute"])]
+        assert len(gaps) == 3
+        assert min(gaps) < 0.010, gaps
+
+
+class TestStoreFailure:
+    def test_failed_put_serves_uncached_and_shutdown_returns(
+            self, tmp_path, monkeypatch):
+        """A store write that fails (a full disk) costs the cache entry,
+        never the answer: both sends compile and answer 200, and the
+        dispatcher lives on to let shutdown finish."""
+        import errno
+
+        def full_disk(self, key, body):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(ArtifactStore, "put", full_disk)
+        store = ArtifactStore(str(tmp_path / "store"))
+        server = ServiceServer("127.0.0.1", 0, store=store, jobs=1,
+                               request_timeout=10)
+        thread = server.start_background()
+        client = ServiceClient(server.host, server.port, timeout=30)
+        request = build_compile_request(workload="crc32", **FAST)
+        replies = [client.compile_request(request) for _ in range(2)]
+        stopper = threading.Thread(target=server.stop_background,
+                                   args=(thread,), daemon=True)
+        stopper.start()
+        stopper.join(timeout=15)
+        assert [(r.status, r.cache) for r in replies] == \
+            [(200, "miss"), (200, "miss")]
+        assert replies[0].body == replies[1].body
+        assert not stopper.is_alive(), "shutdown hung on the queue"
+        assert server.metrics.snapshot()["store_write_errors"] == 2
 
 
 class TestWorkerCrash:
     def test_crashed_batch_answers_svc13_and_dispatcher_survives(
             self, tmp_path, monkeypatch):
-        """A worker death fails only the in-flight batch (SVC13); the
+        """A worker death fails only the in-flight request (SVC13); the
         pool rebuilds itself and the next request compiles normally."""
         import repro.parallel as parallel
 
         with serving(tmp_path) as (server, client):
-            original_map = server.pool.map
+            original_run = server.pool.run
 
-            def crashing_map(fn, tasks, chunksize=None):
-                monkeypatch.setattr(server.pool, "map", original_map)
+            def crashing_run(fn, task):
+                monkeypatch.setattr(server.pool, "run", original_run)
                 raise parallel.WorkerCrashError("worker died (simulated)")
 
-            monkeypatch.setattr(server.pool, "map", crashing_map)
+            monkeypatch.setattr(server.pool, "run", crashing_run)
             request = build_compile_request(workload="crc32", **FAST)
             reply = client.compile_request(request)
             assert reply.status == 500
@@ -281,17 +363,17 @@ class TestDispatch:
         captured = {}
 
         with serving(tmp_path) as (server, client):
-            original_map = server.pool.map
+            original_run = server.pool.run
 
-            def capturing_map(fn, tasks, chunksize=None):
-                captured["requests"] = list(tasks)
-                return original_map(fn, tasks, chunksize=chunksize)
+            def capturing_run(fn, task):
+                captured.setdefault("requests", []).append(task)
+                return original_run(fn, task)
 
-            server.pool.map = capturing_map
+            server.pool.run = capturing_run
             try:
                 assert client.compile_request(request).ok
             finally:
-                server.pool.map = original_map
+                server.pool.run = original_run
         [dispatched] = captured["requests"]
         assert dispatched == normalize_request(request)
         assert not any(key.startswith("_") for key in dispatched)
@@ -300,7 +382,7 @@ class TestDispatch:
     def test_server_bytes_match_compile_local(self, tmp_path, monkeypatch,
                                               jobs):
         """Server responses are byte-identical to compile_local, whether
-        the batch runs on the dispatcher thread (``jobs=1``) or in forked
+        they compile on the dispatcher thread (``jobs=1``) or in forked
         workers (``jobs=2``)."""
         import os
 
@@ -312,9 +394,7 @@ class TestDispatch:
                     for name in ("bitcount", "crc32")]
         direct = [compile_local(r)[1] for r in requests]
         replies = [None] * len(requests)
-        # a long linger co-schedules both requests into one batch, which
-        # a two-worker pool fans out
-        with serving(tmp_path, jobs=jobs, linger=1.0) as (server, client):
+        with serving(tmp_path, jobs=jobs) as (server, client):
             def fire(i):
                 replies[i] = client.compile_request(requests[i])
 

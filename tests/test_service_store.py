@@ -49,6 +49,21 @@ class TestRoundTrip:
         assert store.stats() == {**stats, "entries": 0, "bytes": 0,
                                  "hot_entries": 0}
 
+    def test_failed_write_leaves_no_temp_file(self, store, monkeypatch):
+        import errno
+
+        def disk_fills_up(obj, fh):
+            fh.write('{"store": 1, "ke')
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", disk_fills_up)
+        with pytest.raises(OSError):
+            store.put(KEY_A, b"x")
+        monkeypatch.undo()
+        assert [name for _, _, names in os.walk(store.root)
+                for name in names] == []
+        assert store.get(KEY_A) is None
+
     def test_rejects_nonpositive_cap(self, tmp_path):
         with pytest.raises(ValueError):
             ArtifactStore(str(tmp_path / "s"), max_bytes=0)
