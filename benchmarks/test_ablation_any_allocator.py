@@ -1,17 +1,16 @@
 """Section 5's portability claim: remapping follows *any* allocator.
 
 "Differential remapping can follow any register allocator, therefore it is
-a post-pass approach."  Three allocator families — graph coloring with
-coalescing (IRC), Chaitin-Briggs, and linear scan — each produce a
-different arbitrary numbering; the same remapping pass must reduce the
-adjacency cost behind all of them.
+a post-pass approach."  Two allocator families — graph coloring with
+coalescing (IRC) and linear scan — each produce a different arbitrary
+numbering; the same remapping pass must reduce the adjacency cost behind
+both.
 """
 
 from conftest import show
 
 from repro.experiments.reporting import Table, arith_mean
 from repro.regalloc import (
-    chaitin_allocate,
     differential_remap,
     iterated_allocate,
     linear_scan_allocate,
@@ -20,7 +19,6 @@ from repro.workloads import MIBENCH
 
 ALLOCATORS = {
     "iterated coalescing": iterated_allocate,
-    "chaitin-briggs": chaitin_allocate,
     "linear scan": linear_scan_allocate,
 }
 
@@ -42,7 +40,7 @@ def test_remap_follows_any_allocator(benchmark):
     benchmark.pedantic(_gains, args=(linear_scan_allocate,),
                        rounds=1, iterations=1)
 
-    t = Table("Ablation: remapping behind three allocator families "
+    t = Table("Ablation: remapping behind two allocator families "
               "(adjacency cost)",
               ["allocator", "before", "after", "reduction %"])
     for name, (before, after) in results.items():

@@ -1,38 +1,15 @@
-"""Choosing RegN, and whether to encode at all (Sections 8.2 and 12).
+"""Choosing RegN (Section 12).
 
-Two decisions a compiler using differential encoding must make:
-
-1. *Per function*: is differential encoding worth the ``set_last_reg``
-   toggles here?  (`run_selective`, Section 8.2 — bitcount says no,
-   sha says yes.)
-2. *Per ISA*: how many registers should the differential space expose?
-   (`run_regn_sweep` — spills fall and repairs rise with RegN; the cycle
-   optimum sits where the marginal spill is worth one repair.)
+How many registers should the differential space expose?
+`run_regn_sweep` answers it per ISA: spills fall and repairs rise with
+RegN, and the cycle optimum sits where the marginal spill is worth one
+repair.
 
 Run:  python examples/choosing_parameters.py
 """
 
 from repro.experiments import run_regn_sweep
-from repro.experiments.reporting import Table
-from repro.regalloc import run_selective
-from repro.workloads import MIBENCH, get_workload
-
-
-def selective_decisions() -> None:
-    print("=== Section 8.2: enable differential encoding selectively ===")
-    table = Table(
-        "per-function decision (spill cost 3x a set_last_reg)",
-        ["benchmark", "mode", "direct cost", "differential cost"],
-    )
-    for name in ("bitcount", "susan", "adpcm", "sha", "fft"):
-        fn = get_workload(name).function()
-        decision = run_selective(fn, remap_restarts=10)
-        diff_cost = (decision.differential_cost
-                     if decision.differential_cost != float("inf")
-                     else -1.0)
-        table.add_row(name, decision.mode, decision.direct_cost, diff_cost)
-    print(table.render())
-    print()
+from repro.workloads import MIBENCH
 
 
 def regn_sweep() -> None:
@@ -46,5 +23,4 @@ def regn_sweep() -> None:
 
 
 if __name__ == "__main__":
-    selective_decisions()
     regn_sweep()

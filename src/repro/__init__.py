@@ -9,8 +9,8 @@ The package is organised bottom-up:
   and profile-guided block frequencies, and the paper's adjacency graph.
 * :mod:`repro.encoding` — differential register encoding: modular
   difference arithmetic, the function encoder with ``set_last_reg``
-  repairs, a decode-replay verifier, and the code-size model.
-* :mod:`repro.regalloc` — Chaitin-Briggs, iterated register coalescing,
+  repairs, a decode-replay verifier, and the binary packer.
+* :mod:`repro.regalloc` — iterated register coalescing, linear scan,
   Appel-George optimal spilling, and the paper's three differential
   schemes (remapping / select / coalesce) plus the five-setup pipeline.
 * :mod:`repro.swp` — modulo scheduling, kernel register allocation with

@@ -22,11 +22,6 @@ from repro.analysis.loops import NaturalLoop, find_natural_loops, loop_depths
 from repro.analysis.frequency import estimate_block_frequencies
 from repro.analysis.profile import (block_frequencies_from_counts,
                                     profile_block_frequencies)
-from repro.analysis.pressure import (
-    PressureRegion,
-    block_pressure,
-    loop_pressure_regions,
-)
 from repro.analysis.adjacency import AdjacencyGraph, build_adjacency
 from repro.analysis.batched import prewarm_corpus
 from repro.analysis.cache import (
@@ -35,7 +30,6 @@ from repro.analysis.cache import (
     set_analysis_cache_enabled,
 )
 from repro.analysis.ssa import Phi, SSAForm, construct_ssa, destruct_ssa
-from repro.analysis.webs import split_webs
 
 __all__ = [
     "DataflowProblem",
@@ -46,9 +40,6 @@ __all__ = [
     "intersection_join",
     "profile_block_frequencies",
     "block_frequencies_from_counts",
-    "PressureRegion",
-    "block_pressure",
-    "loop_pressure_regions",
     "LivenessInfo",
     "compute_liveness",
     "InterferenceGraph",
@@ -68,7 +59,6 @@ __all__ = [
     "AdjacencyGraph",
     "build_adjacency",
     "prewarm_corpus",
-    "split_webs",
     "analysis_cache_stats",
     "clear_analysis_cache",
     "set_analysis_cache_enabled",

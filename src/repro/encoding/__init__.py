@@ -6,8 +6,7 @@ The core primitive is modular difference encoding of register fields
 allocated function into differentially encoded form, inserting
 ``set_last_reg`` repairs for out-of-range differences and control-flow join
 inconsistencies; :mod:`repro.encoding.verifier` replays the decode over every
-CFG path to prove the encoding sound; :mod:`repro.encoding.codesize` models
-binary size.
+CFG path to prove the encoding sound.
 """
 
 from repro.encoding.differential import (
@@ -34,7 +33,6 @@ from repro.encoding.static_verifier import (
     verify_encoding_static,
 )
 from repro.encoding.setlr_elim import EliminationResult, eliminate_redundant_setlr
-from repro.encoding.codesize import code_size_bits, code_size_bytes, register_field_fraction
 from repro.encoding.binary import (
     PackedProgram,
     PackError,
@@ -68,7 +66,4 @@ __all__ = [
     "verify_encoding_static",
     "EliminationResult",
     "eliminate_redundant_setlr",
-    "code_size_bits",
-    "code_size_bytes",
-    "register_field_fraction",
 ]

@@ -25,22 +25,10 @@ from repro.ir.parser import parse_function, ParseError
 from repro.ir.interp import ExecutionResult, Interpreter, InterpError
 from repro.ir.trace import ColumnarTrace, FunctionCodec, derive_trace
 from repro.ir.lowering import is_two_address, to_two_address
-from repro.ir.scheduler import list_schedule
-from repro.ir.transforms import (
-    cleanup,
-    copy_propagation,
-    dead_code_elimination,
-    global_copy_propagation,
-)
 
 __all__ = [
     "is_two_address",
     "to_two_address",
-    "list_schedule",
-    "cleanup",
-    "copy_propagation",
-    "dead_code_elimination",
-    "global_copy_propagation",
     "Instr",
     "Reg",
     "OPCODES",

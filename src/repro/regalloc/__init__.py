@@ -3,11 +3,13 @@
 Allocators
 ----------
 
-* :mod:`repro.regalloc.chaitin` — classic Chaitin-Briggs coloring.
 * :mod:`repro.regalloc.iterated` — George-Appel iterated register coalescing,
   the paper's *baseline* (Section 10.1 replaces gcc's allocator with it).
 * :mod:`repro.regalloc.optimal_spill` — Appel-George optimal spilling
   (*O-spill*), ILP-based residence decisions with live-range splitting.
+* :mod:`repro.regalloc.linearscan` — Poletto-Sarkar linear scan, the
+  non-coloring allocator behind Section 5's claim that remapping follows
+  any allocator.
 
 Differential schemes
 --------------------
@@ -33,10 +35,9 @@ from repro.regalloc.base import (
     spill_cost_estimates,
 )
 from repro.regalloc.spill import insert_spill_code
-from repro.regalloc.chaitin import chaitin_allocate
 from repro.regalloc.iterated import iterated_allocate
 from repro.regalloc.linearscan import linear_scan_allocate
-from repro.regalloc.remap import RemapResult, differential_remap, exhaustive_remap
+from repro.regalloc.remap import RemapResult, differential_remap
 from repro.regalloc.diff_select import DifferentialSelector
 from repro.regalloc.optimal_spill import optimal_spill_allocate
 from repro.regalloc.diff_coalesce import differential_coalesce_allocate
@@ -46,35 +47,25 @@ from repro.regalloc.ssa_spill import ssa_spill_allocate
 from repro.regalloc.zoo import (AllocatorContext, AllocatorInfo,
                                 allocator_names, get_allocator,
                                 list_allocators, register_allocator)
-from repro.regalloc.selective import SelectiveResult, run_selective
 from repro.regalloc.callconv import (
     CallingConvention,
     check_convention,
     remap_with_convention,
 )
-from repro.regalloc.multiclass import MultiClassResult, allocate_classes
-from repro.regalloc.slotalloc import coalesce_spill_slots
 
 __all__ = [
-    "SelectiveResult",
-    "run_selective",
     "CallingConvention",
     "check_convention",
     "remap_with_convention",
-    "MultiClassResult",
-    "allocate_classes",
-    "coalesce_spill_slots",
     "AllocationError",
     "AllocationResult",
     "check_allocation",
     "spill_cost_estimates",
     "insert_spill_code",
-    "chaitin_allocate",
     "iterated_allocate",
     "linear_scan_allocate",
     "RemapResult",
     "differential_remap",
-    "exhaustive_remap",
     "DifferentialSelector",
     "optimal_spill_allocate",
     "differential_coalesce_allocate",

@@ -1,9 +1,9 @@
 """Linear-scan register allocation (Poletto & Sarkar, TOPLAS 1999).
 
-A third allocator family beside graph coloring and optimal spilling —
+An allocator family beside graph coloring and optimal spilling —
 included because Section 5 stresses that differential remapping "can follow
-any register allocator": the ablation benches remap the output of all
-three and the claim holds for each.
+any register allocator": the ablation bench remaps the output of both
+linear scan and iterated coalescing and the claim holds for each.
 
 Live intervals are computed from the real liveness sets over the layout
 linearisation (so loop-carried values span their whole loop, not just
@@ -16,17 +16,12 @@ other allocators' iteration structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro.analysis.frequency import estimate_block_frequencies
 from repro.analysis.liveness import compute_liveness
 from repro.ir.function import Function
 from repro.ir.instr import Reg
-from repro.regalloc.base import (
-    AllocationError,
-    AllocationResult,
-    spill_cost_estimates,
-)
+from repro.regalloc.base import AllocationError, AllocationResult
 from repro.regalloc.iterated import _rewrite_with_colors
 from repro.regalloc.spill import (
     SpillSlotAllocator,
@@ -75,7 +70,7 @@ def live_intervals(fn: Function, cls: str = "int") -> List[Interval]:
     )
 
 
-def _scan(intervals: List[Interval], k: int, costs: Dict[Reg, float],
+def _scan(intervals: List[Interval], k: int,
           no_spill: Set[Reg]) -> Tuple[Dict[Reg, int], Set[Reg]]:
     """One linear-scan pass; returns (coloring, spilled)."""
     color: Dict[Reg, int] = {}
@@ -129,9 +124,7 @@ def _scan(intervals: List[Interval], k: int, costs: Dict[Reg, float],
 
 
 def linear_scan_allocate(fn: Function, k: int,
-                         max_rounds: int = 64,
-                         freq: Optional[Dict[str, float]] = None
-                         ) -> AllocationResult:
+                         max_rounds: int = 64) -> AllocationResult:
     """Allocate with linear scan; spill rounds iterate like the others."""
     if k < 1:
         raise ValueError("k must be positive")
@@ -140,13 +133,10 @@ def linear_scan_allocate(fn: Function, k: int,
     next_vreg = fn.max_vreg_id() + 1
     no_spill: Set[Reg] = set()
     all_spilled: Set[Reg] = set()
-    if freq is None:
-        freq = estimate_block_frequencies(fn)
 
     for round_no in range(1, max_rounds + 1):
-        costs = spill_cost_estimates(current, freq)
         intervals = live_intervals(current)
-        color, spilled = _scan(intervals, k, costs, no_spill)
+        color, spilled = _scan(intervals, k, no_spill)
         if not spilled:
             allocated, removed = _rewrite_with_colors(current, color)
             return AllocationResult(

@@ -6,14 +6,15 @@ never changes which live ranges share a register, so any allocator's output
 remains valid; only the *numbers* change, and with differential encoding the
 numbers matter.
 
-Two searches are provided, matching the paper:
+Two searches are provided:
 
-* :func:`exhaustive_remap` — all ``RegN!`` permutations,
-  O(RegN^2 * RegN!), "tractable for small RegN".
 * :func:`differential_remap` — the polynomial greedy heuristic of Figure 7:
   steepest-descent over pairwise swaps of the register vector, restarted from
   a number of random initial vectors (the paper uses 1000) and keeping the
   best local minimum.
+* :func:`exact_remap` — the optimum for small ``RegN`` (the paper's
+  exhaustive search is "tractable for small RegN"), found by branch and
+  bound; :func:`remap_optimality_gap` calibrates the greedy against it.
 
 All restarts of one search descend **in lockstep**
 (:func:`_lockstep_descent`): the starting permutations form one
@@ -53,7 +54,6 @@ __all__ = [
     "RemapResult",
     "ExactRemapResult",
     "differential_remap",
-    "exhaustive_remap",
     "exact_remap",
     "remap_optimality_gap",
     "apply_permutation",
@@ -133,35 +133,6 @@ def apply_permutation(fn: Function, perm: Sequence[int], reg_n: int) -> Function
         if not r.virtual and r.cls == "int" and r.id < reg_n:
             mapping[r] = Reg(perm[r.id], virtual=False, cls="int")
     return fn.rewrite_registers(mapping)
-
-
-def exhaustive_remap(fn: Function, reg_n: int, diff_n: int,
-                     order: str = "src_first",
-                     freq: Optional[Mapping[str, float]] = None,
-                     pinned: Sequence[int] = ()) -> RemapResult:
-    """Try every permutation.  Only sensible for small ``reg_n`` (≤ 8)."""
-    if freq is None:
-        freq = estimate_block_frequencies(fn)
-    edges = _edge_list(fn, reg_n, order, freq)
-    identity = tuple(range(reg_n))
-    base_cost = _perm_cost(identity, edges, reg_n, diff_n)
-    free = [i for i in range(reg_n) if i not in set(pinned)]
-    best_perm, best_cost = identity, base_cost
-    for images in itertools.permutations(free):
-        perm = list(identity)
-        for slot, image in zip(free, images):
-            perm[slot] = image
-        cost = _perm_cost(perm, edges, reg_n, diff_n)
-        if cost < best_cost:
-            best_perm, best_cost = tuple(perm), cost
-            if cost == 0:
-                break
-    return RemapResult(
-        fn=apply_permutation(fn, best_perm, reg_n),
-        permutation=best_perm,
-        cost_before=base_cost / _WEIGHT_SCALE,
-        cost_after=best_cost / _WEIGHT_SCALE,
-    )
 
 
 class _ExactEngine:

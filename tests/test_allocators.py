@@ -1,4 +1,4 @@
-"""Chaitin and iterated-register-coalescing allocator tests."""
+"""Linear-scan and iterated-register-coalescing allocator tests."""
 
 import pytest
 
@@ -6,16 +6,16 @@ from repro.analysis import build_interference
 from repro.ir import Interpreter, parse_function, vreg
 from repro.regalloc import (
     AllocationError,
-    chaitin_allocate,
     check_allocation,
     iterated_allocate,
+    linear_scan_allocate,
     spill_cost_estimates,
 )
 from repro.regalloc.iterated import ColorSelector
 
 from tests.conftest import make_pressure_fn
 
-ALLOCATORS = [chaitin_allocate, iterated_allocate]
+ALLOCATORS = [linear_scan_allocate, iterated_allocate]
 
 
 @pytest.mark.parametrize("allocate", ALLOCATORS)
@@ -50,12 +50,13 @@ class TestBothAllocators:
         with pytest.raises(ValueError):
             allocate(sum_fn, 0)
 
-    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("seed", range(4))
     def test_random_kernels(self, allocate, seed):
         fn = make_pressure_fn(nvals=10, seed=seed, name=f"k{seed}")
         ref = Interpreter().run(fn, (5,)).return_value
         res = allocate(fn, 7)
         assert Interpreter().run(res.fn, (5,)).return_value == ref
+        check_allocation(res, 7)
 
 
 class TestIRCSpecifics:

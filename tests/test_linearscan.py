@@ -1,12 +1,7 @@
 """Linear-scan allocator tests."""
 
-import pytest
-
-from repro.ir import Interpreter, parse_function, vreg
-from repro.regalloc import check_allocation
-from repro.regalloc.linearscan import Interval, linear_scan_allocate, live_intervals
-
-from tests.conftest import make_pressure_fn
+from repro.ir import Interpreter, vreg
+from repro.regalloc.linearscan import linear_scan_allocate, live_intervals
 
 
 class TestLiveIntervals:
@@ -29,37 +24,6 @@ class TestLiveIntervals:
 
 
 class TestLinearScan:
-    def test_no_spill_with_enough_registers(self, sum_fn):
-        res = linear_scan_allocate(sum_fn, 4)
-        assert res.n_spill_instructions == 0
-        check_allocation(res, 4)
-
-    def test_semantics_preserved(self, sum_fn):
-        res = linear_scan_allocate(sum_fn, 3)
-        assert Interpreter().run(res.fn, (10,)).return_value == 45
-
-    def test_spills_under_pressure(self, pressure_fn):
-        res = linear_scan_allocate(pressure_fn, 8)
-        assert res.n_spill_instructions > 0
-        ref = Interpreter().run(pressure_fn, (4,)).return_value
-        assert Interpreter().run(res.fn, (4,)).return_value == ref
-
-    def test_monotone_in_k(self, pressure_fn):
-        spills = [
-            linear_scan_allocate(pressure_fn, k).n_spill_instructions
-            for k in (6, 8, 12, 16)
-        ]
-        assert spills == sorted(spills, reverse=True)
-        assert spills[-1] == 0
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_random_kernels(self, seed):
-        fn = make_pressure_fn(nvals=10, seed=seed, name=f"ls{seed}")
-        ref = Interpreter().run(fn, (5,)).return_value
-        res = linear_scan_allocate(fn, 7)
-        assert Interpreter().run(res.fn, (5,)).return_value == ref
-        check_allocation(res, 7)
-
     def test_coloring_disjoint_for_overlaps(self, pressure_fn):
         res = linear_scan_allocate(pressure_fn, 16)
         ivs = {iv.reg: iv for iv in live_intervals(pressure_fn)}
@@ -70,10 +34,6 @@ class TestLinearScan:
                 overlap = not (ia.end < ib.start or ib.end < ia.start)
                 if overlap and a in res.coloring and b in res.coloring:
                     assert res.coloring[a] != res.coloring[b]
-
-    def test_invalid_k(self, sum_fn):
-        with pytest.raises(ValueError):
-            linear_scan_allocate(sum_fn, 0)
 
 
 class TestRemapAfterLinearScan:

@@ -1,5 +1,5 @@
 """Coverage for remaining corners: VLIW spec, CLI experiment paths,
-selective API surface, encoded-function stats, compose edge cases."""
+encoded-function stats, compose edge cases."""
 
 import pytest
 

@@ -85,7 +85,7 @@ class TestCrossModuleConsistency:
 
     def test_binary_size_matches_codesize_fields(self):
         """The packed bitstream's field bits must equal field count x
-        DiffW, tying the binary packer to the code-size model."""
+        DiffW."""
         from repro.encoding import access_sequence, pack_function
 
         fn = parse_function("""

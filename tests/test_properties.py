@@ -25,7 +25,6 @@ from repro.encoding import (
 from repro.fuzz import check_allocation_semantics
 from repro.ir import Interpreter, Reg
 from repro.regalloc import (
-    chaitin_allocate,
     differential_remap,
     iterated_allocate,
     optimal_spill_allocate,
@@ -64,14 +63,6 @@ class TestAllocatorSemantics:
         assert Interpreter().run(res.fn, (arg,)).return_value == ref
         assert all(not r.virtual for r in res.fn.registers())
         assert all(r.id < k for r in res.fn.registers())
-
-    @given(fn=synth_programs(), k=st.integers(min_value=5, max_value=16),
-           arg=st.integers(min_value=0, max_value=4))
-    @settings(max_examples=25, **COMMON)
-    def test_chaitin_preserves_semantics(self, fn, k, arg):
-        ref = Interpreter().run(fn, (arg,)).return_value
-        res = chaitin_allocate(fn, k)
-        assert Interpreter().run(res.fn, (arg,)).return_value == ref
 
     @given(fn=synth_programs(), arg=st.integers(min_value=0, max_value=3))
     @settings(max_examples=12, **COMMON)

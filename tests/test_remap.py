@@ -4,10 +4,11 @@ import pytest
 
 from repro.analysis import build_adjacency
 from repro.ir import Interpreter, parse_function
-from repro.regalloc import differential_remap, exhaustive_remap, iterated_allocate
+from repro.regalloc import differential_remap, iterated_allocate
 from repro.regalloc.remap import apply_permutation, _perm_cost
 
 from tests.conftest import make_pressure_fn
+from tests.test_remap_exact import exhaustive_remap
 
 
 def allocated_kernel(k=12, seed=1):

@@ -7,11 +7,14 @@ measured gap against the exact optimum is ratcheted: it may close but
 never widen without someone noticing here.
 """
 
+import itertools
+
 import pytest
 
 from repro.regalloc.iterated import iterated_allocate
-from repro.regalloc.remap import (_edge_list, _ExactEngine, _perm_cost,
-                                  exact_remap, exhaustive_remap,
+from repro.regalloc.remap import (_WEIGHT_SCALE, RemapResult, _edge_list,
+                                  _ExactEngine, _perm_cost,
+                                  apply_permutation, exact_remap,
                                   remap_optimality_gap)
 from repro.analysis.frequency import estimate_block_frequencies
 from repro.ir import Interpreter
@@ -19,6 +22,34 @@ from repro.ir import Interpreter
 from tests.conftest import make_pressure_fn
 
 REG_N, DIFF_N = 6, 4
+
+
+def exhaustive_remap(fn, reg_n, diff_n, order="src_first", freq=None,
+                     pinned=()):
+    """Try every permutation: the brute-force oracle for the exact engine.
+    Only sensible for small ``reg_n`` (<= 8)."""
+    if freq is None:
+        freq = estimate_block_frequencies(fn)
+    edges = _edge_list(fn, reg_n, order, freq)
+    identity = tuple(range(reg_n))
+    base_cost = _perm_cost(identity, edges, reg_n, diff_n)
+    free = [i for i in range(reg_n) if i not in set(pinned)]
+    best_perm, best_cost = identity, base_cost
+    for images in itertools.permutations(free):
+        perm = list(identity)
+        for slot, image in zip(free, images):
+            perm[slot] = image
+        cost = _perm_cost(perm, edges, reg_n, diff_n)
+        if cost < best_cost:
+            best_perm, best_cost = tuple(perm), cost
+            if cost == 0:
+                break
+    return RemapResult(
+        fn=apply_permutation(fn, best_perm, reg_n),
+        permutation=best_perm,
+        cost_before=base_cost / _WEIGHT_SCALE,
+        cost_after=best_cost / _WEIGHT_SCALE,
+    )
 
 
 def allocated_kernel(seed):
