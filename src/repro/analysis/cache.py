@@ -15,8 +15,10 @@ Correctness rule: a cache hit must be indistinguishable from a recompute.
 * The fingerprint covers everything the analysis reads, so in-place
   mutation changes the key and simply misses.
 * Results that callers mutate are copied on the way out — the adjacency
-  graph (coalescing calls ``merge``) and the frequency dict.  Liveness is
-  shared; its contract is read-only (all sets are frozen).
+  graph (differential coalescing calls ``merge``), the interference graph
+  (it merges there too, and iterated coalescing adds edges) and the
+  frequency dict.  Liveness is shared; its contract is read-only (all
+  sets are frozen).
 
 The cache is per-process (each pool worker warms its own) and bounded LRU.
 """

@@ -77,16 +77,6 @@ class InterferenceGraph:
         """Whether ``a`` and ``b`` may not share a register."""
         return b in self._adj.get(a, ())
 
-    def move_partners(self, r: Reg) -> Set[Reg]:
-        """Registers move-related to ``r`` (coalescing candidates)."""
-        partners: Set[Reg] = set()
-        for a, b in self.moves:
-            if a == r:
-                partners.add(b)
-            elif b == r:
-                partners.add(a)
-        return partners
-
     # ------------------------------------------------------------------
     # transformation
     # ------------------------------------------------------------------
@@ -97,12 +87,6 @@ class InterferenceGraph:
         g._adj = {r: set(ns) for r, ns in self._adj.items()}
         g.moves = dict(self.moves)
         return g
-
-    def remove_node(self, r: Reg) -> None:
-        """Delete ``r`` and its edges (simplify-stack style)."""
-        for n in self._adj.pop(r, ()):  # pragma: no branch
-            self._adj[n].discard(r)
-        self.moves = {k: w for k, w in self.moves.items() if r not in k}
 
     def merge(self, keep: Reg, drop: Reg) -> None:
         """Coalesce ``drop`` into ``keep``: union neighbours, drop the node."""
@@ -123,8 +107,11 @@ class InterferenceGraph:
         self.moves = new_moves
 
     def check_coloring(self, coloring: Dict[Reg, int]) -> Optional[Tuple[Reg, Reg]]:
-        """Return a violated edge, or ``None`` if the coloring is proper."""
-        for a in self._adj:
+        """Return a violated edge, or ``None`` if the coloring is proper.
+
+        Nodes are walked in sorted order, so the edge reported is the
+        same whatever the sets' layout."""
+        for a in self.nodes():
             ca = coloring.get(a)
             if ca is None:
                 continue
@@ -148,9 +135,11 @@ def build_interference(fn: Function,
     plus ``(cls, freq)`` — the iterated allocator rebuilds the same graph
     after every spill round that changed nothing else, and sweeps repeat
     whole allocations.  Each call returns a private
-    :meth:`InterferenceGraph.copy`, because simplify/coalesce mutate the
-    graph via :meth:`remove_node`/:meth:`merge`.  A caller-supplied
-    ``liveness`` other than the canonical memoized one bypasses the memo.
+    :meth:`InterferenceGraph.copy`, because callers mutate it: iterated
+    coalescing adds edges (:meth:`~InterferenceGraph.add_edge`) and
+    differential coalescing merges nodes
+    (:meth:`~InterferenceGraph.merge`).  A caller-supplied ``liveness``
+    other than the canonical memoized one bypasses the memo.
     """
     from repro.analysis.cache import (fingerprint_function, memoize_analysis,
                                       peek_analysis)

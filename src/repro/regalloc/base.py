@@ -89,18 +89,14 @@ def check_allocation(result: AllocationResult, k: Optional[int] = None,
                 f"{fn.name}: register r{r.id} exceeds k={k}"
             )
     if colored_fn is not None:
-        graph = build_interference(colored_fn)
-        for a in graph.nodes():
-            ca = result.coloring.get(a)
-            if ca is None:
-                continue
-            for b in graph.neighbors(a):
-                cb = result.coloring.get(b)
-                if cb is not None and ca == cb:
-                    raise AllocationError(
-                        f"{fn.name}: interfering live ranges {a} and {b} "
-                        f"both assigned r{ca}"
-                    )
+        clash = build_interference(colored_fn).check_coloring(
+            result.coloring)
+        if clash is not None:
+            a, b = clash
+            raise AllocationError(
+                f"{fn.name}: interfering live ranges {a} and {b} "
+                f"both assigned r{result.coloring[a]}"
+            )
 
 
 def spill_cost_estimates(fn: Function,

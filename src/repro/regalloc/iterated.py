@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.frequency import estimate_block_frequencies
-from repro.analysis.interference import build_interference
+from repro.analysis.interference import InterferenceGraph, build_interference
 from repro.analysis.liveness import compute_liveness
 from repro.ir.function import Function
 from repro.ir.instr import Instr, Reg
@@ -82,6 +82,7 @@ class _IRCState:
     coalesced: Set[Reg] = field(default_factory=set)
     colored: Set[Reg] = field(default_factory=set)
     stack: List[Reg] = field(default_factory=list)
+    on_stack: Set[Reg] = field(default_factory=set)
 
     # move sets (moves are (dst, src) pairs)
     coalesced_moves: Set[Tuple[Reg, Reg]] = field(default_factory=set)
@@ -90,9 +91,9 @@ class _IRCState:
     worklist_moves: Set[Tuple[Reg, Reg]] = field(default_factory=set)
     active_moves: Set[Tuple[Reg, Reg]] = field(default_factory=set)
 
-    # graph
-    adj_set: Set[Tuple[Reg, Reg]] = field(default_factory=set)
-    adj_list: Dict[Reg, Set[Reg]] = field(default_factory=dict)
+    # graph: the private copy build_interference returns, which
+    # coalescing extends in place; precolored nodes keep degree _INF
+    graph: InterferenceGraph = field(default_factory=InterferenceGraph)
     degree: Dict[Reg, int] = field(default_factory=dict)
     move_list: Dict[Reg, Set[Tuple[Reg, Reg]]] = field(default_factory=dict)
     alias: Dict[Reg, Reg] = field(default_factory=dict)
@@ -106,27 +107,19 @@ class _IRCState:
     # ------------------------------------------------------------------
 
     def build(self) -> None:
-        graph = build_interference(self.fn, cls=self.cls)
+        self.graph = build_interference(self.fn, cls=self.cls)
         for r in self.fn.registers():
             if r.cls != self.cls:
                 continue
             self.members[r] = {r}
+            self.move_list[r] = set()
             if r.virtual:
                 self.initial.add(r)
-                self.degree[r] = 0
-                self.adj_list[r] = set()
-                self.move_list[r] = set()
+                self.degree[r] = self.graph.degree(r)
             else:
                 self.precolored.add(r)
                 self.color[r] = r.id
                 self.degree[r] = self._INF
-                self.adj_list[r] = set()
-                self.move_list[r] = set()
-        for a in graph.nodes():
-            # sorted: the insertion order of adj_list/worklist entries
-            # must not depend on the neighbor sets' iteration order
-            for b in sorted(graph.neighbors(a)):
-                self.add_edge(a, b)
         for instr in self.fn.instructions():
             if instr.is_move() and instr.dst.cls == self.cls \
                     and instr.srcs[0].cls == self.cls:
@@ -139,16 +132,12 @@ class _IRCState:
         self.selector.begin_round(self.fn, self.members, self.freq)
 
     def add_edge(self, u: Reg, v: Reg) -> None:
-        if u == v or (u, v) in self.adj_set:
+        if u == v or self.graph.interferes(u, v):
             return
-        self.adj_set.add((u, v))
-        self.adj_set.add((v, u))
-        if u not in self.precolored:
-            self.adj_list[u].add(v)
-            self.degree[u] = self.degree.get(u, 0) + 1
-        if v not in self.precolored:
-            self.adj_list[v].add(u)
-            self.degree[v] = self.degree.get(v, 0) + 1
+        self.graph.add_edge(u, v)
+        for n in (u, v):
+            if n not in self.precolored:
+                self.degree[n] += 1
 
     # ------------------------------------------------------------------
     # worklist management
@@ -165,7 +154,7 @@ class _IRCState:
         self.initial.clear()
 
     def adjacent(self, n: Reg) -> Set[Reg]:
-        return self.adj_list.get(n, set()) - set(self.stack) - self.coalesced
+        return self.graph.neighbors(n) - self.on_stack - self.coalesced
 
     def node_moves(self, n: Reg) -> Set[Tuple[Reg, Reg]]:
         return self.move_list.get(n, set()) & (self.active_moves | self.worklist_moves)
@@ -199,6 +188,7 @@ class _IRCState:
         n = min(self.simplify_wl)  # deterministic order
         self.simplify_wl.discard(n)
         self.stack.append(n)
+        self.on_stack.add(n)
         for m in self.adjacent(n):
             self.decrement_degree(m)
 
@@ -220,7 +210,7 @@ class _IRCState:
     def ok(self, t: Reg, r: Reg) -> bool:
         """George test for one neighbour ``t`` of the virtual node."""
         return (self.degree[t] < self.k or t in self.precolored
-                or (t, r) in self.adj_set)
+                or self.graph.interferes(t, r))
 
     def conservative(self, nodes: Set[Reg]) -> bool:
         """Briggs test: fewer than k significant-degree neighbours."""
@@ -234,7 +224,7 @@ class _IRCState:
         if u == v:
             self.coalesced_moves.add(m)
             self.add_worklist(u)
-        elif v in self.precolored or (u, v) in self.adj_set:
+        elif v in self.precolored or self.graph.interferes(u, v):
             self.constrained_moves.add(m)
             self.add_worklist(u)
             self.add_worklist(v)
@@ -312,8 +302,9 @@ class _IRCState:
     def assign_colors(self) -> None:
         while self.stack:
             n = self.stack.pop()
+            self.on_stack.discard(n)
             ok = set(range(self.k))
-            for w in self.adj_list[n]:
+            for w in self.graph.neighbors(n):
                 wa = self.get_alias(w)
                 if wa in self.colored or wa in self.precolored:
                     ok.discard(self.color[wa])

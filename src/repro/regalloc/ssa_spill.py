@@ -112,41 +112,30 @@ def _greedy_color(
     physical registers are pre-colored with their own ids and included
     in the map; ``failed`` are optimistic values that found no color.
     """
+    # every register of ``cls`` is a node, unused parameters included
     graph = build_interference(fn, cls=cls)
-    virtuals: Set[Reg] = {
-        r for r in graph.nodes() if r.virtual and r.cls == cls
-    }
-    # values never mentioned in an interference-relevant position still
-    # need a register: unused parameters are live on entry
-    for r in fn.params:
-        if r.cls == cls and r.virtual:
-            virtuals.add(r)
-
-    def degree(r: Reg, remaining: Set[Reg]) -> int:
-        if r not in graph:
-            return 0
-        return sum(1 for n in graph.neighbors(r)
-                   if n in remaining or (not n.virtual and n.cls == cls))
+    remaining = [r for r in graph.nodes() if r.virtual]
+    # degree among the physical and not-yet-pushed virtual nodes
+    degree = {r: graph.degree(r) for r in remaining}
 
     stack: List[Reg] = []
-    remaining = set(virtuals)
     while remaining:
-        pick = next((r for r in sorted(remaining)
-                     if degree(r, remaining) < k), None)
+        pick = next((r for r in remaining if degree[r] < k), None)
         if pick is None:  # Briggs: push the worst node and hope
-            pick = max(sorted(remaining), key=lambda r: degree(r, remaining))
+            pick = max(remaining, key=degree.__getitem__)
         stack.append(pick)
-        remaining.discard(pick)
+        remaining.remove(pick)
+        del degree[pick]
+        for n in graph.neighbors(pick):
+            if n in degree:
+                degree[n] -= 1
 
     coloring: Dict[Reg, int] = {
         r: r.id for r in graph.nodes() if not r.virtual
     }
     failed: List[Reg] = []
     for r in reversed(stack):
-        used = set()
-        if r in graph:
-            used = {coloring[n] for n in graph.neighbors(r)
-                    if n in coloring}
+        used = {coloring[n] for n in graph.neighbors(r) if n in coloring}
         color = next((c for c in range(k) if c not in used), None)
         if color is None:
             failed.append(r)

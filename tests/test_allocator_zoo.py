@@ -10,12 +10,13 @@ the symbolic checker, the interference lint and the binary round trip
 
 import pytest
 
-from repro.fuzz import FuzzConfig, run_case
+from repro.fuzz import (FuzzConfig, generate_fuzz_function, knob_matrix,
+                        run_case)
 from repro.fuzz.harness import case_seed, default_config
-from repro.ir import Interpreter
+from repro.ir import FunctionBuilder, Interpreter
 from repro.regalloc import (PAPER_SETUPS, SETUPS, run_setup,
                             ssa_spill_allocate)
-from repro.regalloc.base import check_allocation
+from repro.regalloc.base import AllocationError, check_allocation
 from repro.regalloc.zoo import (AllocatorContext, AllocatorInfo,
                                 allocator_names, get_allocator,
                                 list_allocators, register_allocator,
@@ -147,6 +148,35 @@ class TestSSABackendDirect:
         for key in ("ssa_phis", "ssa_versions", "spilled_everywhere",
                     "spill_slots"):
             assert key in result.stats
+
+    def test_uncolorable_temporaries_spill_a_real_neighbor(self):
+        """The call's three dead defs interfere with each other and with
+        ``a``/``b`` (one value under two names), so k=3 needs a spill.
+        Spilling the defs leaves store temporaries that still cannot be
+        colored; the fallback then spills their real neighbor instead,
+        without which this allocation raises."""
+        fb = FunctionBuilder("deadcall")
+        a, b, d1, d2, d3, total = fb.vregs(6)
+        fb.block("entry")
+        fb.li(a, 5)
+        fb.mov(b, a)
+        fb.call("ext", defs=(d1, d2, d3))
+        fb.add(total, a, b)
+        fb.ret(total)
+        fn = fb.build()
+        result = ssa_spill_allocate(fn, 3)
+        check_allocation(result, 3, colored_fn=result.colored_fn)
+        assert Interpreter().run(result.fn, ()).return_value == 10
+
+    def test_unspillable_temporaries_raise(self):
+        """The fallback for a round whose uncolored values are all spill
+        temporaries: with no real neighbor to spill instead, it gives up
+        rather than clone the temporaries forever."""
+        fn = generate_fuzz_function(24, knob_matrix()[24])
+        with pytest.raises(AllocationError,
+                           match="only unspillable temporaries left "
+                                 "uncolored at k=2"):
+            ssa_spill_allocate(fn, 2)
 
 
 class TestDifferentialEquivalence:

@@ -10,6 +10,7 @@ import pytest
 from repro.analysis import (
     analysis_cache_stats,
     build_adjacency,
+    build_interference,
     clear_analysis_cache,
     compute_liveness,
     estimate_block_frequencies,
@@ -20,6 +21,8 @@ from repro.analysis.cache import (
     fingerprint_function,
     memoize_analysis,
 )
+from repro.analysis.interference import _build_interference_ref
+from repro.ir import parse_function
 from repro.ir.instr import Reg
 from repro.workloads import get_workload
 
@@ -123,13 +126,35 @@ class TestAnalysisConsumers:
         from repro.regalloc import iterated_allocate
 
         fn = iterated_allocate(get_workload("crc32").function(), 12).fn
-        a = build_adjacency(fn)
-        nodes = a.nodes()
-        assert len(nodes) >= 2
-        a.merge(nodes[0], nodes[1])  # what coalescing does
-        b = build_adjacency(fn)
-        assert nodes[1] in b  # the cached graph was not mutated
-        assert a.edges() != b.edges() or nodes[1] not in a
+        for build in (build_adjacency, build_interference):
+            a = build(fn)
+            nodes = a.nodes()
+            assert len(nodes) >= 2
+            a.merge(nodes[0], nodes[1])  # what coalescing does
+            assert nodes[1] not in a
+            assert nodes[1] in build(fn)  # the cached graph was not mutated
+
+        # IRC adds edges to the graph it is handed when it coalesces: v1
+        # (which meets r3) merges into v2, so r3 gains the edge r3-v2
+        kernel = parse_function("""
+func f():
+entry:
+    li v1, 1
+    li r3, 3
+    add v4, v1, r3
+    mov v2, v1
+    li r5, 5
+    add v6, v2, r5
+    add v7, v6, v4
+    ret v7
+""")
+        res = iterated_allocate(kernel, 12)
+        assert res.rounds == 1 and res.stats["coalesced_moves"] == 1
+        got = build_interference(kernel)
+        ref = _build_interference_ref(kernel, None, None, "int")
+        assert got.nodes() == ref.nodes()
+        assert all(got.neighbors(n) == ref.neighbors(n) for n in ref.nodes())
+        assert got.moves == ref.moves
 
     def test_adjacency_distinguishes_freq(self):
         from repro.regalloc import iterated_allocate

@@ -89,12 +89,6 @@ entry:
         assert g.neighbors(vreg(1)) == before
         assert g.moves == {}  # the v1/v2 move collapsed to a self pair
 
-    def test_remove_node(self, sum_fn):
-        g = build_interference(sum_fn)
-        g.remove_node(vreg(2))
-        assert vreg(2) not in g
-        assert all(vreg(2) not in g.neighbors(n) for n in g.nodes())
-
     def test_check_coloring_detects_conflict(self, sum_fn):
         g = build_interference(sum_fn)
         bad = {vreg(0): 0, vreg(1): 0, vreg(2): 1}
@@ -104,17 +98,11 @@ entry:
 
     def test_copy_independent(self, sum_fn):
         g = build_interference(sum_fn)
+        before = {n: set(g.neighbors(n)) for n in g.nodes()}
+        moves = dict(g.moves)
         h = g.copy()
-        h.remove_node(vreg(0))
-        assert vreg(0) in g
-
-    def test_move_partners(self):
-        fn = parse_function("""
-func f():
-entry:
-    li v1, 1
-    mov v2, v1
-    ret v2
-""")
-        g = build_interference(fn)
-        assert g.move_partners(vreg(1)) == {vreg(2)}
+        h.add_edge(vreg(0), vreg(9))
+        h.merge(vreg(1), vreg(2))
+        assert vreg(9) not in g and vreg(2) in g
+        assert {n: g.neighbors(n) for n in g.nodes()} == before
+        assert g.moves == moves
