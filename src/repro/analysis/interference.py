@@ -160,13 +160,22 @@ def _build_interference_ref(fn: Function,
                             freq: Optional[Dict[str, float]],
                             cls: str) -> InterferenceGraph:
     """Walk every instruction once, adding def-vs-live-out edges and
-    weighted move candidates; ``liveness=None`` uses the memoized one."""
+    weighted move candidates; ``liveness=None`` uses the memoized one.
+
+    Values live on entry (the parameters) are defined by no instruction,
+    so they get pairwise edges of their own."""
     if liveness is None:
         liveness = compute_liveness(fn)
     g = InterferenceGraph()
     for r in fn.registers():
         if r.cls == cls:
             g.add_node(r)
+    live_on_entry = liveness.live_in[fn.entry.name] if fn.blocks else ()
+    entry_live = sorted(r for r in live_on_entry
+                        if r is not None and r.cls == cls)
+    for i, a in enumerate(entry_live):
+        for b in entry_live[i + 1:]:
+            g.add_edge(a, b)
     for block in fn.blocks:
         w = freq.get(block.name, 1.0) if freq else 1.0
         for instr in block.instrs:

@@ -20,8 +20,10 @@ repo's SSA machinery:
    Belady's rule, the heuristic the paper analyses — spilling it
    *everywhere*: a store after every definition, a reload before every
    use (:func:`~repro.regalloc.spill.insert_spill_code`).
-3. **Greedy coloring** — color values in first-occurrence order with
-   the lowest free register.  ``MaxLive <= k`` no longer guarantees
+3. **Simplify/select coloring** — push values of degree below ``k``
+   (lowest id first), else optimistically the highest-degree one
+   (Briggs), then pop the stack assigning the lowest free register
+   (:func:`_greedy_color`).  ``MaxLive <= k`` no longer guarantees
    colorability once destruction has left SSA form, so a failed round
    spills the uncolorable values and retries, exactly like the iterated
    allocator's loop.

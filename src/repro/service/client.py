@@ -1,7 +1,8 @@
 """Client side of the compile service: ``repro request`` and a python API.
 
-:class:`ServiceClient` is a thin stdlib HTTP client (one connection per
-call — the server speaks plain HTTP/1.1, so any client works).
+:class:`ServiceClient` is a thin stdlib HTTP client that keeps one
+keep-alive connection per calling thread (the server speaks plain
+HTTP/1.1, so any client works).
 :func:`compile_local` is the serial in-process reference path: the exact
 bytes a healthy server would produce for the same request, used by the
 parity tests and available to library callers who want the service
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.service import protocol
@@ -66,31 +68,68 @@ class ServiceReply:
 
 
 class ServiceClient:
-    """Talk to one ``repro serve`` instance."""
+    """Talk to one ``repro serve`` instance.
+
+    Each calling thread gets its own HTTP/1.1 connection and keeps it
+    open across calls, so threads may share one client.  When the server
+    has dropped a reused connection (its idle timeout, a drain), the
+    request is sent once more on a fresh connection: compile requests
+    are content-addressed, so a resend at worst compiles twice.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8421,
                  timeout: float = 120.0) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._lock = threading.Lock()
+        self._conns: Dict[threading.Thread, http.client.HTTPConnection] = {}
 
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
 
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection (it reconnects when closed).
+        A new one first closes those of threads that have ended."""
+        me = threading.current_thread()
+        with self._lock:
+            conn = self._conns.get(me)
+            if conn is None:
+                for thread in [t for t in self._conns if not t.is_alive()]:
+                    self._conns.pop(thread).close()
+                conn = self._conns[me] = http.client.HTTPConnection(
+                    self.host, self.port, timeout=self.timeout)
+        return conn
+
+    def close(self) -> None:
+        """Close every thread's connection.  Call it with no request in
+        flight; a later call opens a fresh one."""
+        with self._lock:
+            conns, self._conns = list(self._conns.values()), {}
+        for conn in conns:
+            conn.close()
+
     def _exchange(self, method: str, path: str,
                   body: Optional[bytes] = None) -> ServiceReply:
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            headers = {"Content-Type": "application/json"} if body else {}
-            conn.request(method, path, body=body, headers=headers)
-            resp = conn.getresponse()
-            payload = resp.read()
+        headers = {"Content-Type": "application/json"} if body else {}
+        conn = self._connection()
+        while True:
+            reused = conn.sock is not None
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                resp = conn.getresponse()
+                payload = resp.read()
+            except ConnectionError:
+                conn.close()
+                if not reused:  # a fresh connection failed: give up
+                    raise
+                continue        # the server dropped it: resend once
+            except BaseException:
+                conn.close()    # never reuse a half-read exchange
+                raise
             lowered = {k.lower(): v for k, v in resp.getheaders()}
             return ServiceReply(resp.status, lowered, payload)
-        finally:
-            conn.close()
 
     def post_raw(self, raw: bytes) -> ServiceReply:
         """POST arbitrary bytes — the smoke driver's malformed requests."""

@@ -2,9 +2,21 @@
 
 Request lifecycle (``POST /``):
 
-1. The handler thread decodes and normalises the request, builds the
-   source function, and computes the content-address key.  Validation
-   failures answer immediately with an error envelope.
+0. Connections are HTTP/1.1 keep-alive: one handler thread serves every
+   request of its connection and sends each reply in one write (with
+   Nagle's algorithm off, so a reply too big for one write is not held
+   back behind the client's delayed ACK).  A connection idle for
+   :data:`IDLE_TIMEOUT` seconds is closed; during a drain every reply
+   carries ``Connection: close``, and shutdown stops reading every
+   connection, so idle ones close at once and busy ones after their
+   reply.
+1. The handler thread decodes and normalises the request and computes
+   the content-address key from the source function's digest.  The
+   digest comes from a memo of the last :data:`DIGEST_MEMO_SIZE`
+   sources (keyed on a SHA-256 of the text, or the workload name), so a
+   repeated source is not parsed again; a source that fails to parse is
+   not remembered.  Validation failures answer immediately with an
+   error envelope.
 2. The artifact store is consulted.  A hit is served straight from disk —
    the pipeline is never invoked — with ``X-Repro-Cache: hit``.
 3. A miss enters the bounded queue.  A full queue answers 429 with
@@ -29,13 +41,16 @@ plain dicts so it crosses process boundaries for ``--jobs > 1``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import queue
 import signal
+import socket
 import threading
 import time
+from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.diagnostics import LintError
 from repro.parallel import WorkerCrashError, WorkerPool
@@ -45,6 +60,14 @@ from repro.service.store import ArtifactStore
 from repro.service.protocol import ProtocolError
 
 __all__ = ["ServiceServer", "execute_request", "build_source_function"]
+
+#: Sources whose function digest a server remembers (least recently
+#: used first out).  An entry is two short strings.
+DIGEST_MEMO_SIZE = 1024
+
+#: Seconds a keep-alive connection may sit idle before the server
+#: closes it.
+IDLE_TIMEOUT = 5.0
 
 
 # ----------------------------------------------------------------------
@@ -206,13 +229,69 @@ class _Pending:
         self.event.set()
 
 
+class _Connections:
+    """The open client connections.  Each holds a handler thread that
+    ``server_close`` joins, and an idle one waits in a read for up to
+    :data:`IDLE_TIMEOUT`; :meth:`hang_up` ends those reads at once."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.open: Set[socket.socket] = set()
+        self._hung_up = False
+
+    def add(self, sock: socket.socket) -> None:
+        with self._lock:
+            self.open.add(sock)
+            if self._hung_up:  # accepted just before the listener stopped
+                _shut_reads(sock)
+
+    def discard(self, sock: socket.socket) -> None:
+        with self._lock:
+            self.open.discard(sock)
+
+    def hang_up(self) -> None:
+        """Stop reading every connection: an idle handler's read returns
+        end-of-file, and a busy handler still writes its reply."""
+        # under the lock: a socket is closed only after ``discard``
+        with self._lock:
+            self._hung_up = True
+            for sock in self.open:
+                _shut_reads(sock)
+
+
+def _shut_reads(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RD)
+    except OSError:
+        pass  # the client hung up first
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-service"
+    # a reply is buffered and sent in one write; one larger than the
+    # buffer goes out as two (head, body), and with Nagle on, the body
+    # would wait for the client's delayed ACK of the head (~40 ms)
+    wbufsize = -1
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT
 
     @property
     def service(self) -> "ServiceServer":
         return self.server.service  # type: ignore[attr-defined]
+
+    def setup(self) -> None:
+        super().setup()
+        self.service._connections.add(self.connection)
+
+    def finish(self) -> None:
+        self.service._connections.discard(self.connection)
+        super().finish()
+
+    def handle_expect_100(self) -> bool:
+        ok = super().handle_expect_100()
+        self.wfile.flush()  # the client waits for it before its body
+        return ok
 
     def log_message(self, fmt: str, *args) -> None:
         if self.service.verbose:
@@ -225,8 +304,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        if self.close_connection or self.service._draining.is_set():
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         path = self.path.split("?", 1)[0]
@@ -245,6 +327,7 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = 0
+            self.close_connection = True  # the body has no known end
         if length < 0:  # read(-1) would block until the client hangs up
             self.close_connection = True
             self._reply(400, protocol.encode_message(protocol.error_response(
@@ -290,11 +373,17 @@ class ServiceServer:
             maxsize=queue_limit)
         self._draining = threading.Event()
         self._stopping = threading.Event()
+        self._connections = _Connections()
+        self._digests: "OrderedDict[Tuple[str, str], str]" = OrderedDict()
+        self._digests_lock = threading.Lock()
         self._dispatchers = [threading.Thread(
             target=self._dispatch_loop, name="repro-service-dispatcher",
             daemon=True) for _ in range(self.pool.max_workers)]
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.service = self  # type: ignore[attr-defined]
+        # non-daemon handler threads, so ``server_close`` joins them and
+        # an accepted response is flushed before the process exits
+        self._httpd.daemon_threads = False
 
     # ------------------------------------------------------------------
     # addresses / introspection
@@ -337,10 +426,7 @@ class ServiceServer:
             req = protocol.normalize_request(protocol.decode_message(raw))
             if req["debug_sleep"] and not self.allow_debug:
                 req["debug_sleep"] = 0.0
-            fn = build_source_function(req["source"])
-            from repro.analysis.cache import fingerprint_digest
-
-            key = protocol.cache_key(req, fingerprint_digest(fn))
+            key = protocol.cache_key(req, self._source_digest(req["source"]))
         except ProtocolError as exc:
             self.metrics.inc("responses_error")
             body = protocol.encode_message(
@@ -391,6 +477,28 @@ class ServiceServer:
         self.metrics.observe_latency(time.monotonic() - t0)
         return status, {"X-Repro-Cache": "miss", "X-Repro-Key": key}, \
             pending.body
+
+    def _source_digest(self, source: Dict[str, str]) -> str:
+        """The function digest of a normalized source, built and parsed
+        only on a memo miss.  Errors raise and are not remembered."""
+        if "text" in source:
+            memo_key = ("text", hashlib.sha256(source["text"].encode(
+                "utf-8", "surrogatepass")).hexdigest())
+        else:
+            memo_key = ("workload", source["workload"])
+        with self._digests_lock:
+            digest = self._digests.get(memo_key)
+            if digest is not None:
+                self._digests.move_to_end(memo_key)
+                return digest
+        from repro.analysis.cache import fingerprint_digest
+
+        digest = fingerprint_digest(build_source_function(source))
+        with self._digests_lock:
+            self._digests[memo_key] = digest
+            if len(self._digests) > DIGEST_MEMO_SIZE:
+                self._digests.popitem(last=False)
+        return digest
 
     # ------------------------------------------------------------------
     # the dispatchers (one background thread per pool worker)
@@ -512,8 +620,8 @@ class ServiceServer:
         for thread in self._dispatchers:
             if thread.is_alive():
                 thread.join()
-        # joins still-running handler threads so no accepted response is
-        # lost (ThreadingHTTPServer.block_on_close)
+        self._connections.hang_up()
+        # joins the handler threads, so no accepted response is lost
         self._httpd.server_close()
         self.pool.close()
         if self.telemetry_path:

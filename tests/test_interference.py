@@ -1,7 +1,14 @@
 """Interference-graph construction tests."""
 
+import dataclasses
+
+import pytest
+
 from repro.analysis import build_interference
-from repro.ir import parse_function, vreg
+from repro.ir import Interpreter, parse_function, vreg
+from repro.lint import LintOptions, run_lint
+from repro.regalloc import AllocationError, check_allocation, iterated_allocate
+from repro.regalloc.ssa_spill import ssa_spill_allocate
 
 
 class TestEdges:
@@ -63,6 +70,47 @@ exit:
 """)
         g = build_interference(fn, freq={"entry": 1.0, "loop": 10.0, "exit": 1.0})
         assert g.moves[(vreg(1), vreg(2))] == 10.0
+
+
+_TWO_PARAMS = """
+func f(v0, v1):
+entry:
+    add v2, v0, v1
+    ret v2
+"""
+
+
+class TestParametersInterfere:
+    """Parameters are live on entry and defined by no instruction, so
+    only the entry edges keep two of them out of one register."""
+
+    def test_parameters_interfere(self):
+        g = build_interference(parse_function(_TWO_PARAMS))
+        assert g.interferes(vreg(0), vreg(1))
+        assert not g.interferes(vreg(0), vreg(2))
+
+    @pytest.mark.parametrize("allocate",
+                             [iterated_allocate, ssa_spill_allocate])
+    def test_allocation_keeps_parameters_apart(self, allocate):
+        fn = parse_function(_TWO_PARAMS)
+        res = allocate(fn, 4)
+        assert res.coloring[vreg(0)] != res.coloring[vreg(1)]
+        assert Interpreter().run(res.fn, (3, 4)).return_value == 7
+        check_allocation(res, 4, res.colored_fn)
+
+    def test_checkers_reject_merged_parameters(self):
+        fn = parse_function(_TWO_PARAMS)
+        res = iterated_allocate(fn, 4)
+        merged = dict(res.coloring)
+        merged[vreg(1)] = merged[vreg(0)]
+        with pytest.raises(AllocationError, match="interfering"):
+            check_allocation(dataclasses.replace(res, coloring=merged), 4,
+                             res.colored_fn)
+        diags = run_lint(res.fn, LintOptions(
+            allocated=True, coloring=merged,
+            original=res.colored_fn)).by_rule("L010")
+        assert len(diags) == 1
+        assert "share physical register" in diags[0].message
 
 
 class TestGraphOps:

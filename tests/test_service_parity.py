@@ -27,7 +27,9 @@ def served(tmp_path_factory):
     store = ArtifactStore(str(tmp_path_factory.mktemp("store")))
     server = ServiceServer("127.0.0.1", 0, store=store, jobs=1)
     thread = server.start_background()
-    yield server, ServiceClient(server.host, server.port, timeout=60)
+    client = ServiceClient(server.host, server.port, timeout=60)
+    yield server, client
+    client.close()
     server.stop_background(thread)
 
 
@@ -102,6 +104,7 @@ def test_artifacts_survive_a_server_restart(served, tmp_path):
         reply = fresh_client.compile_request(request_doc)
         assert reply.status == 200 and reply.cache == "hit"
         assert reply.body == first.body
+        fresh_client.close()
     finally:
         reborn.stop_background(thread)
 

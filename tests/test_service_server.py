@@ -24,9 +24,11 @@ def serving(tmp_path, **overrides):
     kwargs.update(overrides)
     server = ServiceServer("127.0.0.1", 0, **kwargs)
     thread = server.start_background()
+    client = ServiceClient(server.host, server.port, timeout=30)
     try:
-        yield server, ServiceClient(server.host, server.port, timeout=30)
+        yield server, client
     finally:
+        client.close()
         server.stop_background(thread)
 
 
@@ -53,8 +55,7 @@ class TestEndpoints:
         assert stats["jobs"] == 1
 
     def test_unknown_endpoint_404(self, served):
-        server, _client = served
-        client = ServiceClient(server.host, server.port)
+        _server, client = served
         reply = client._exchange("GET", "/nope")
         assert reply.status == 404
 
@@ -102,6 +103,36 @@ class TestErrors:
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400")
         assert json.loads(body)["error"]["code"] == "SVC03"
+
+    def test_unparsable_content_length_closes_the_connection(self, served):
+        """The body of such a request has no known end, so its bytes
+        must not be read as the connection's next request."""
+        server, _client = served
+        with socket.create_connection((server.host, server.port),
+                                      timeout=3) as sock:
+            sock.sendall(b"POST / HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: ten\r\n\r\n{}")
+            reply = b""
+            while chunk := sock.recv(4096):   # until the server closes
+                reply += chunk
+        assert reply.count(b"HTTP/1.1 ") == 1
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert json.loads(body)["error"]["code"] == "SVC01"
+
+    def test_expect_100_continue_is_answered_before_the_body(self, served):
+        """A client that sends ``Expect: 100-continue`` holds its body
+        back until the interim reply arrives (curl waits 1 s)."""
+        server, _client = served
+        body = encode_message(build_compile_request(workload="crc32",
+                                                    **FAST))
+        with socket.create_connection((server.host, server.port),
+                                      timeout=3) as sock:
+            sock.sendall(b"POST / HTTP/1.1\r\nHost: x\r\n"
+                         b"Expect: 100-continue\r\nContent-Length: "
+                         + str(len(body)).encode() + b"\r\n\r\n")
+            sock.settimeout(0.5)
+            assert sock.recv(4096).startswith(b"HTTP/1.1 100")
 
     def test_handler_survives_errors(self, served):
         """One bad request must not poison the next good one."""
@@ -305,6 +336,7 @@ class TestStoreFailure:
         client = ServiceClient(server.host, server.port, timeout=30)
         request = build_compile_request(workload="crc32", **FAST)
         replies = [client.compile_request(request) for _ in range(2)]
+        client.close()
         stopper = threading.Thread(target=server.stop_background,
                                    args=(thread,), daemon=True)
         stopper.start()
@@ -407,3 +439,212 @@ class TestDispatch:
             pooled = server.pool.stats()["tasks_dispatched"]
         assert [r.body for r in replies] == direct
         assert pooled == (len(requests) if jobs == 2 else 0)
+
+
+def _count_accepts(server):
+    """The client addresses of every connection the server accepts."""
+    accepts = []
+    original = server._httpd.process_request
+
+    def counting(request, client_address):
+        accepts.append(client_address)
+        return original(request, client_address)
+
+    server._httpd.process_request = counting
+    return accepts
+
+
+class TestKeepAlive:
+    def test_one_thread_sends_on_one_connection(self, served):
+        server, client = served
+        accepts = _count_accepts(server)
+        request = build_compile_request(workload="crc32", **FAST)
+        replies = [client.compile_request(request) for _ in range(4)]
+        assert client.health()["ok"]
+        assert [r.cache for r in replies] == ["miss", "hit", "hit", "hit"]
+        assert len(accepts) == 1
+
+    def test_threads_sharing_a_client_get_their_own_connections(
+            self, served):
+        server, client = served
+        accepts = _count_accepts(server)
+        both = threading.Barrier(2, timeout=10)
+        statuses = []
+
+        def talk():
+            statuses.append(client.health()["status"])
+            both.wait()   # both connections are open at once
+            statuses.append(client.health()["status"])
+
+        threads = [threading.Thread(target=talk) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert statuses == ["serving"] * 4
+        assert len(accepts) == 2
+        # close() hangs up both, so no handler waits out its idle timeout
+        client.close()
+        deadline = time.monotonic() + 2
+        while server._connections.open and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not server._connections.open
+
+    def test_resends_once_when_the_server_dropped_the_connection(
+            self, tmp_path, monkeypatch):
+        import repro.service.server as server_module
+
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.2)
+        with serving(tmp_path) as (server, client):
+            accepts = _count_accepts(server)
+            assert client.health()["ok"]
+            time.sleep(0.6)   # the server times the idle connection out
+            assert client.compile(workload="crc32", **FAST)["name"] == \
+                "crc32"
+        assert len(accepts) == 2
+
+    def test_a_new_connection_closes_those_of_ended_threads(self, served):
+        _server, client = served
+        worker = threading.Thread(target=client.health)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        [ended] = client._conns.values()
+        assert ended.sock is not None
+        assert client.health()["ok"]
+        assert ended.sock is None
+        assert list(client._conns) == [threading.current_thread()]
+
+    def test_stop_returns_while_a_client_holds_an_idle_connection(
+            self, tmp_path):
+        server = ServiceServer("127.0.0.1", 0,
+                               store=ArtifactStore(str(tmp_path / "store")),
+                               jobs=1)
+        thread = server.start_background()
+        client = ServiceClient(server.host, server.port, timeout=30)
+        try:
+            assert client.health()["ok"]   # the connection stays open
+            t0 = time.monotonic()
+            stopper = threading.Thread(target=server.stop_background,
+                                       args=(thread,), daemon=True)
+            stopper.start()
+            stopper.join(timeout=15)
+            elapsed = time.monotonic() - t0
+        finally:
+            client.close()
+        assert not stopper.is_alive()
+        assert elapsed < 2.0, f"shutdown waited on an idle connection: " \
+                              f"{elapsed:.2f}s"
+
+    def test_server_sockets_send_without_nagle_delay(self, served):
+        """A reply too big for one buffered write goes out as head and
+        body; with Nagle's algorithm on, the body would wait for the
+        client's delayed ACK of the head, ~40 ms."""
+        server, client = served
+        sockets = []
+        original = server._httpd.process_request
+
+        def capturing(request, client_address):
+            sockets.append(request)
+            return original(request, client_address)
+
+        server._httpd.process_request = capturing
+        assert client.health()["ok"]
+        [sock] = sockets
+        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+class TestDigestMemo:
+    def test_store_hit_builds_no_function(self, served, monkeypatch):
+        import repro.ir
+        import repro.service.server as server_module
+        from repro.fuzz.gen import generate_fuzz_function
+        from repro.ir import format_function
+
+        _server, client = served
+        requests = [
+            build_compile_request(
+                text=format_function(generate_fuzz_function(3)), args=[5],
+                **FAST),
+            build_compile_request(workload="crc32", **FAST)]
+        cold = [client.compile_request(r) for r in requests]
+
+        def boom(*_args, **_kwargs):
+            raise AssertionError("a store hit built the source function")
+
+        monkeypatch.setattr(repro.ir, "parse_function", boom)
+        monkeypatch.setattr(server_module, "build_source_function", boom)
+        warm = [client.compile_request(r) for r in requests]
+        assert [r.cache for r in cold] == ["miss", "miss"]
+        assert [r.cache for r in warm] == ["hit", "hit"]
+        assert [r.body for r in warm] == [r.body for r in cold]
+
+    def test_parse_errors_are_answered_on_every_send(self, served):
+        _server, client = served
+        request = build_compile_request(text="func broken(\n")
+        for _ in range(2):
+            reply = client.compile_request(request)
+            assert reply.status == 400
+            assert reply.envelope["error"]["code"] == "SVC06"
+            assert reply.envelope["error"]["diagnostics"]
+
+    def test_threads_share_the_memo(self, tmp_path, monkeypatch):
+        """Handler threads look up, insert and evict concurrently; every
+        answer stays right and the memo stays within its bound."""
+        import sys
+
+        import repro.service.server as server_module
+        from repro.analysis.cache import fingerprint_digest
+        from repro.workloads import get_workload
+
+        monkeypatch.setattr(server_module, "DIGEST_MEMO_SIZE", 2)
+        names = ("crc32", "sha", "qsort", "bitcount")
+        expected = {name: fingerprint_digest(get_workload(name).function())
+                    for name in names}
+        server = ServiceServer("127.0.0.1", 0,
+                               store=ArtifactStore(str(tmp_path / "store")))
+        wrong = []
+
+        def hammer(i):
+            try:
+                for j in range(600):
+                    name = names[(i + j // 3) % len(names)]
+                    if server._source_digest({"workload": name}) != \
+                            expected[name]:
+                        wrong.append(name)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                wrong.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(i,))
+                   for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            server._httpd.server_close()
+            server.pool.close()
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(server._digests) <= 2
+
+    def test_memo_keeps_the_most_recent_sources(self, tmp_path,
+                                                monkeypatch):
+        import repro.service.server as server_module
+
+        monkeypatch.setattr(server_module, "DIGEST_MEMO_SIZE", 2)
+        server = ServiceServer("127.0.0.1", 0,
+                               store=ArtifactStore(str(tmp_path / "store")))
+        try:
+            for name in ("crc32", "sha", "crc32", "qsort"):
+                server._source_digest({"workload": name})
+            assert list(server._digests) == [("workload", "crc32"),
+                                             ("workload", "qsort")]
+        finally:
+            server._httpd.server_close()
+            server.pool.close()
