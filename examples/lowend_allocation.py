@@ -42,7 +42,7 @@ def main() -> None:
     for setup in SETUPS:
         prog = run_setup(fn, setup, freq=freq)
         result = Interpreter().run(prog.final_fn, args)
-        report = timing.time(result.trace)
+        report = timing.time(result.columnar)
         if checksum is None:
             checksum = result.return_value
         assert result.return_value == checksum, "setups must agree!"

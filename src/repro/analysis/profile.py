@@ -11,11 +11,10 @@ Block names survive every pass in this library (spilling, splitting,
 remapping, encoding), so one profile of the original function weights all
 downstream decisions.  The fast interpreter engine reports per-block
 executed-instruction counts directly (``ExecutionResult.
-block_instr_counts``), so profiling normally records no trace at all;
+block_instr_counts``), so profiling records no trace at all;
 :func:`block_frequencies_from_counts` turns such counts — from a profile
 run or from a recorded run the trace-reuse layer already paid for — into
-frequencies with arithmetic identical to the original trace walk
-(accumulating ``k`` ones in a float gives exactly ``float(k)``).
+frequencies.
 """
 
 from __future__ import annotations
@@ -56,18 +55,4 @@ def profile_block_frequencies(fn: Function, args: Tuple[int, ...] = (),
     the entry block has frequency 1.
     """
     result = Interpreter(max_steps=max_steps, record_trace=False).run(fn, args)
-    if result.block_instr_counts:
-        return block_frequencies_from_counts(fn, result.block_instr_counts)
-
-    # reference engine (or a fast-engine fallback): count from the trace
-    index_to_block: Dict[int, str] = {}
-    idx = 0
-    for block in fn.blocks:
-        for _ in block.instrs:
-            index_to_block[idx] = block.name
-            idx += 1
-    result = Interpreter(max_steps=max_steps).run(fn, args)
-    counts: Dict[str, int] = {b.name: 0 for b in fn.blocks}
-    for entry in result.trace:
-        counts[index_to_block[entry.static_index]] += 1
-    return block_frequencies_from_counts(fn, counts)
+    return block_frequencies_from_counts(fn, result.block_instr_counts)

@@ -45,6 +45,12 @@ def _resolve_cli_jobs(args) -> Optional[int]:
         return None
 
 
+def _add_seed_arg(p) -> None:
+    """The shared remap ``--seed`` flag."""
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the remapping search's random restarts")
+
+
 def _add_parallel_args(p, with_seed: bool = True) -> None:
     """The shared ``--jobs``/``--seed`` experiment flags."""
     p.add_argument("--jobs", type=int, default=1,
@@ -52,9 +58,7 @@ def _add_parallel_args(p, with_seed: bool = True) -> None:
                         "(0 = all cores; results are identical for any "
                         "value)")
     if with_seed:
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for the remapping search's random "
-                            "restarts")
+        _add_seed_arg(p)
 
 
 def _cmd_lowend(args) -> int:
@@ -130,18 +134,14 @@ def _cmd_bench(args) -> int:
 
         verifier = PassVerifier(mode=args.lint_mode)
         verifier.prefix = args.name
-    jobs = _resolve_cli_jobs(args)
-    if jobs is None:
-        return 2
     table = Table(f"{args.name}: all {len(SETUPS)} registered setups",
                   ["setup", "instrs", "spills", "setlr", "cycles"])
     for setup in SETUPS:
         prog = run_setup(fn, setup, freq=freq, remap_restarts=args.restarts,
                          pass_verifier=verifier,
-                         remap_seed=args.seed, remap_jobs=jobs)
+                         remap_seed=args.seed)
         result = interpret_or_derive(prog.final_fn, run_args, recorded)
-        report = timing.time(result.columnar if result.columnar is not None
-                             else result.trace)
+        report = timing.time(result.columnar)
         table.add_row(setup, prog.n_instructions, prog.n_spills,
                       prog.n_setlr, report.cycles)
     print(table.render())
@@ -735,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lint the IR after every pipeline stage")
     p.add_argument("--lint-mode", default="strict",
                    choices=("strict", "warn"))
-    _add_parallel_args(p)
+    _add_seed_arg(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("list", help="list available benchmarks")

@@ -220,28 +220,24 @@ class LintError(ValueError):
 class FormatError(LintError):
     """A versioned JSON document failed envelope validation.
 
-    Raised by :func:`check_format_version` for persisted experiment
-    results (:mod:`repro.experiments.persist`) and service protocol
-    messages (:mod:`repro.service.protocol`).  Subclasses
+    Raised by :func:`check_format_version` for service protocol messages
+    (:mod:`repro.service.protocol`).  Subclasses
     :class:`LintError` so existing ``ValueError`` handlers keep working
     while new callers can read the structured report.
     """
 
 
 def check_format_version(data: object,
-                         kind: Optional[str] = None,
                          supported: Iterable[int] = (1,),
                          version_field: str = "format",
-                         kind_field: str = "kind",
                          file: Optional[str] = None) -> int:
     """Validate the envelope of a versioned JSON document.
 
-    Checks, in order: ``data`` is a JSON object; its ``kind_field``
-    matches ``kind`` (when ``kind`` is given); its ``version_field``
+    Checks, in order: ``data`` is a JSON object; its ``version_field``
     holds one of the ``supported`` integers.  Returns the version on
-    success and raises :class:`FormatError` (rules F001-F003) otherwise —
-    loaders never surface a raw ``KeyError``/``TypeError`` for a file
-    written by a newer schema.
+    success and raises :class:`FormatError` (rules F001 and F003)
+    otherwise — loaders never surface a raw ``KeyError``/``TypeError``
+    for a document written by a newer schema.
     """
     location = Location(file=file)
 
@@ -256,11 +252,6 @@ def check_format_version(data: object,
         raise fail("F001", "not-a-document",
                    f"expected a JSON object, got {type(data).__name__}",
                    "the file is not a persisted document at all")
-    if kind is not None and data.get(kind_field) != kind:
-        raise fail("F002", "wrong-kind",
-                   f"not a {kind!r} document: "
-                   f"{kind_field}={data.get(kind_field)!r}",
-                   f"expected {kind_field}={kind!r}")
     version = data.get(version_field)
     supported = tuple(supported)
     if version not in supported:

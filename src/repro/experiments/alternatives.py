@@ -144,9 +144,7 @@ def _alternatives_workload(payload) -> List[AlternativeRow]:
                          diff_n=8, remap_restarts=remap_restarts,
                          freq=freq)
         result = interpret_or_derive(prog.final_fn, args, recorded)
-        report = LowEndTimingModel(mconfig).time(
-            result.columnar if result.columnar is not None
-            else result.trace)
+        report = LowEndTimingModel(mconfig).time(result.columnar)
         rows.append(AlternativeRow(
             benchmark=w.name,
             option=option,

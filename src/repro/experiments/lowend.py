@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.reporting import Table, arith_mean
 from repro.machine.lowend import LowEndTimingModel
@@ -170,33 +170,21 @@ class LowEndExperiment:
         )
 
 
-def _lowend_workload(task: Tuple[int, Workload], *, setups: Sequence[str],
-                     scale: str, composite: bool, base_k: int, reg_n: int,
-                     diff_n: int, config: LowEndConfig, remap_restarts: int,
-                     use_ilp: bool, verify: bool, profile: bool, seed: int,
+def _lowend_workload(w: Workload, *, setups: Sequence[str], base_k: int,
+                     reg_n: int, diff_n: int, config: LowEndConfig,
+                     remap_restarts: int, use_ilp: bool, verify: bool,
+                     profile: bool, seed: int,
                      pass_verifier=None) -> List[BenchmarkRow]:
     """One workload through every setup; the grid task of
     :func:`run_lowend_experiment`.
 
-    ``task`` is the workload and its index in the suite, a recipe the
-    task builds its (possibly composite) function from, so instruction
+    ``w`` is a recipe the task builds its function from, so instruction
     uids are minted in the process that allocates them.  The cross-setup
     checksum consistency check happens here, inside the task, because it
     only relates rows of the same workload.
     """
-    wi, w = task
     fn = w.function()
-    if composite:
-        from repro.workloads.compose import concat_functions
-        from repro.workloads.synth import generate_function
-
-        fn = concat_functions(w.name, [
-            fn,
-            generate_function(9000 + 2 * wi, n_regions=3, base_values=7),
-            generate_function(9001 + 2 * wi, n_regions=3, base_values=7,
-                              with_memory=True),
-        ])
-    args = w.default_args if scale == "default" else w.bench_args
+    args = w.default_args
     if pass_verifier is not None:
         pass_verifier.prefix = w.name
     timing = LowEndTimingModel(config)
@@ -214,8 +202,7 @@ def _lowend_workload(task: Tuple[int, Workload], *, setups: Sequence[str],
             freq=freq, pass_verifier=pass_verifier, remap_seed=seed,
         )
         result = interpret_or_derive(prog.final_fn, args, recorded)
-        report = timing.time(result.columnar if result.columnar is not None
-                             else result.trace)
+        report = timing.time(result.columnar)
         rows.append(BenchmarkRow(
             benchmark=w.name,
             setup=setup,
@@ -236,30 +223,24 @@ def _lowend_workload(task: Tuple[int, Workload], *, setups: Sequence[str],
 def run_lowend_experiment(workloads: Sequence[Workload] = MIBENCH,
                           setups: Sequence[str] = PAPER_SETUPS,
                           base_k: int = 8, reg_n: int = 12, diff_n: int = 8,
-                          scale: str = "default",
                           config: LowEndConfig = LOWEND,
                           remap_restarts: int = 50,
                           use_ilp: bool = True,
                           verify: bool = True,
                           profile: bool = True,
-                          composite: bool = False,
                           verify_each_pass: bool = False,
                           lint_mode: str = "strict",
                           jobs: int = 1,
                           seed: int = 0) -> LowEndExperiment:
     """Run the full Section 10.1 study.
 
-    ``scale`` selects each workload's ``default_args`` (fast) or
-    ``bench_args`` (longer traces).  ``profile`` weights all frequency
-    estimates with an interpreter profile of each benchmark (Section 4's
-    "profile information could be incorporated"); disable it to reproduce
-    the paper's static-estimation setting, whose per-benchmark results the
-    authors themselves call irregular.  ``composite`` runs each benchmark
-    as a whole program — the hot kernel plus two auxiliary synthetic
-    phases; an ablation, off by default because the synthetic phases are
-    denser than real cold code and inflate every setup's cost.  Semantics
-    are cross-checked: every setup of a benchmark must return the same
-    checksum.
+    Each workload runs on its ``default_args``.  ``profile`` weights all
+    frequency estimates with an interpreter profile of each benchmark
+    (Section 4's "profile information could be incorporated"); disable it
+    to reproduce the paper's static-estimation setting, whose
+    per-benchmark results the authors themselves call irregular.
+    Semantics are cross-checked: every setup of a benchmark must return
+    the same checksum.
 
     ``verify_each_pass`` runs the static IR checker (:mod:`repro.lint`)
     between every pipeline stage of every benchmark; ``lint_mode`` is
@@ -279,14 +260,12 @@ def run_lowend_experiment(workloads: Sequence[Workload] = MIBENCH,
         pass_verifier = PassVerifier(mode=lint_mode)
         jobs = 1
     task = partial(
-        _lowend_workload, setups=tuple(setups), scale=scale,
-        composite=composite, base_k=base_k, reg_n=reg_n, diff_n=diff_n,
-        config=config, remap_restarts=remap_restarts, use_ilp=use_ilp,
+        _lowend_workload, setups=tuple(setups), base_k=base_k,
+        reg_n=reg_n, diff_n=diff_n, config=config, remap_restarts=remap_restarts, use_ilp=use_ilp,
         verify=verify, profile=profile, seed=seed,
         pass_verifier=pass_verifier)
     rows: List[BenchmarkRow] = []
-    for workload_rows in parallel_map(task, list(enumerate(workloads)),
-                                      jobs=jobs):
+    for workload_rows in parallel_map(task, list(workloads), jobs=jobs):
         rows.extend(workload_rows)
     return LowEndExperiment(rows, base_k, reg_n, diff_n, config,
                             pass_verifier=pass_verifier)

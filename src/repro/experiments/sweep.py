@@ -86,8 +86,7 @@ def _sweep_workload(payload) -> List[Tuple[float, float, float, float]]:
                          diff_n=diff_n, remap_restarts=remap_restarts,
                          use_ilp=use_ilp, freq=freq, remap_seed=remap_seed)
         result = interpret_or_derive(prog.final_fn, args, recorded)
-        report = timing.time(result.columnar if result.columnar is not None
-                             else result.trace)
+        report = timing.time(result.columnar)
         if base_cycles is None:
             base_cycles = float(report.cycles)
             base_energy = report.energy

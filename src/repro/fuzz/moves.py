@@ -177,8 +177,8 @@ def run_explicit_case(seed: int, case: MovesCase) -> Dict[str, object]:
     # register file is the mapped one
     fn = _lowered_function(case, resolved.ops)
     try:
-        fast = Interpreter().run(fn, ())
-        ref = Interpreter(engine="reference").run(fn, ())
+        fast = Interpreter(record_trace=False).run(fn, ())
+        ref = Interpreter(record_trace=False, engine="reference").run(fn, ())
     except InterpError as exc:
         _fail(failures, "lowered-interp", f"fault: {exc}")
         return outcome

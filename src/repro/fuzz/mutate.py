@@ -137,9 +137,11 @@ def is_miscompile(original: Function, mutant: Function,
     """Checker-independent evidence that ``mutant`` misbehaves: a wrong
     return value, a fault, or a runaway loop on any probe input."""
     for args in args_list:
-        ref = Interpreter(max_steps=max_steps).run(original, args)
+        ref = Interpreter(max_steps=max_steps,
+                          record_trace=False).run(original, args)
         try:
-            got = Interpreter(max_steps=max_steps).run(mutant, args)
+            got = Interpreter(max_steps=max_steps,
+                              record_trace=False).run(mutant, args)
         except InterpError:
             return True
         if got.return_value != ref.return_value:

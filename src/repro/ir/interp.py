@@ -13,13 +13,15 @@ Two engines implement the same semantics:
   into a zero-argument closure, so the per-dynamic-step cost is one
   indirect call instead of a string-dispatch chain.  With tracing on it
   records the compact block path / data-address form and assembles a
-  :class:`repro.ir.trace.ColumnarTrace`; ``trace_format="objects"``
-  expands that to the classic ``TraceEntry`` list for compatibility.
+  :class:`repro.ir.trace.ColumnarTrace`, the one trace form the timing
+  model times.  It models every block as an executed prefix ending in
+  its only branch, so a branch that is not the last instruction of its
+  block (which the parser, ``Function.validate`` and lint L001 reject)
+  raises :class:`InterpError`.
 * the **reference engine** is the original per-step dispatch loop, kept
-  verbatim as ``_run_reference``.  ``engine="reference"`` selects it;
-  the fast engine also falls back to it for functions outside the
-  structural model it compiles (a branch that is not the last
-  instruction of its block).
+  verbatim as ``_run_reference`` and selected by ``engine="reference"``.
+  It records the object trace (one :class:`TraceEntry` per step) and is
+  the oracle the fast engine is tested against.
 
 Semantics notes:
 
@@ -76,11 +78,11 @@ class TraceEntry:
 class ExecutionResult:
     """Outcome of running a function.
 
-    ``trace`` is the object-form dynamic stream (empty unless it was
-    requested); ``columnar`` is the compact column form when the fast
-    engine recorded one.  ``block_instr_counts`` maps block name to the
-    number of instructions dynamically executed in that block — enough to
-    reconstruct profiles without walking any trace.
+    ``columnar`` is the fast engine's recorded trace (``None`` without
+    recording); ``trace`` is the reference engine's object-form stream
+    (empty from the fast engine).  ``block_instr_counts`` maps block name
+    to the number of instructions dynamically executed in that block —
+    enough to reconstruct profiles without walking any trace.
     """
 
     return_value: int
@@ -216,24 +218,16 @@ class Interpreter:
             or miscompiled programs in tests.
         record_trace: disable for speed when only the result matters; the
             disabled path allocates no per-step objects at all.
-        trace_format: ``"objects"`` (default) materialises the classic
-            ``TraceEntry`` list; ``"columnar"`` records only the compact
-            column form in ``result.columnar`` and leaves ``result.trace``
-            empty.
         engine: ``"fast"`` (pre-decoded closures) or ``"reference"`` (the
             original dispatch loop).
     """
 
     def __init__(self, max_steps: int = 2_000_000, record_trace: bool = True,
-                 trace_format: str = "objects",
                  engine: str = "fast") -> None:
-        if trace_format not in ("objects", "columnar"):
-            raise ValueError(f"unknown trace_format {trace_format!r}")
         if engine not in ("fast", "reference"):
             raise ValueError(f"unknown engine {engine!r}")
         self.max_steps = max_steps
         self.record_trace = record_trace
-        self.trace_format = trace_format
         self.engine = engine
 
     def run(self, fn: Function, args: Tuple[int, ...] = (),
@@ -267,11 +261,6 @@ class Interpreter:
         codec = FunctionCodec(fn)
         compiled = self._compile(fn, codec, regs, mem, slots, dyn_mem,
                                  recording)
-        if compiled is None:
-            # a branch that is not the last instruction of its block makes
-            # the not-taken tail reachable; the prefix model cannot express
-            # that, so run the general loop instead
-            return self._run_reference(fn, args, memory)
 
         max_steps = self.max_steps
         n_blocks = len(fn.blocks)
@@ -353,37 +342,32 @@ class Interpreter:
                 for op in ops:
                     counts[op] = counts.get(op, 0) + c
 
-        trace: List[TraceEntry] = []
-        columnar: Optional[ColumnarTrace] = None
-        if recording:
-            columnar = codec.assemble(path, dyn_mem)
-            if self.trace_format == "objects":
-                trace = columnar.to_entries()
-        return ExecutionResult(value, steps, trace, regs, counts,
+        columnar = codec.assemble(path, dyn_mem) if recording else None
+        return ExecutionResult(value, steps, regs=regs, dynamic_counts=counts,
                                columnar=columnar, block_instr_counts=bic)
 
     def _compile(self, fn: Function, codec: FunctionCodec,
                  regs: Dict[Reg, int], mem: Dict[int, int],
                  slots: Dict[int, int], dyn_mem: List[int],
-                 recording: bool) -> Optional[List[_CompiledBlock]]:
-        """Pre-decode every block's executed prefix; ``None`` means the
-        function is outside the prefix model and needs the reference loop."""
+                 recording: bool) -> List[_CompiledBlock]:
+        """Pre-decode every block's executed prefix."""
         compiled: List[_CompiledBlock] = []
         for bid, block in enumerate(fn.blocks):
             prefix = codec.prefixes[bid]
             if len(prefix) < len(block.instrs):
-                return None  # mid-block branch: not-taken tail is reachable
+                # the not-taken tail would be reachable, which the prefix
+                # model cannot express
+                raise InterpError(
+                    f"{fn.name}/{block.name}: branch {prefix[-1].op} "
+                    f"not at block end")
             cb = _CompiledBlock()
             cb.n = len(prefix)
             term = (prefix[-1]
                     if prefix and prefix[-1].op in BRANCH_OPS else None)
             body = prefix[:-1] if term is not None else prefix
             for instr in body:
-                step = self._compile_step(instr, regs, mem, slots, dyn_mem,
-                                          recording)
-                if step is None:
-                    return None
-                cb.steps.append(step)
+                cb.steps.append(self._compile_step(
+                    instr, regs, mem, slots, dyn_mem, recording))
             # the slow (overrun) path counts the terminator as a step but
             # provably raises before reaching it; a placeholder keeps the
             # closure list aligned with the prefix
@@ -479,9 +463,7 @@ class Interpreter:
                 for d in defs:
                     regs[d] = 0
         else:
-            f = _ALU2.get(op)
-            if f is None:
-                return None  # unknown to this engine: use the reference
+            f = _ALU2[op]
             d = instr.dst
             if len(instr.srcs) > 1:
                 s0, s1 = instr.srcs[0], instr.srcs[1]

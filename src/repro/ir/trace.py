@@ -3,8 +3,9 @@
 The object trace (:class:`repro.ir.interp.TraceEntry` per dynamic
 instruction) is convenient but expensive: a two-million-step run allocates
 two million dataclass instances that the timing model then walks one Python
-iteration at a time.  This module provides the columnar alternative the
-simulation layer runs on: four parallel arrays — ``static_index``, opcode
+iteration at a time.  Only the reference interpreter engine records it, as
+a test oracle.  This module provides the columnar form the simulation
+layer runs on: four parallel arrays — ``static_index``, opcode
 code, ``mem_addr``, block id — assembled per run from two much smaller
 recordings:
 

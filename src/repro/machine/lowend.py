@@ -13,13 +13,13 @@ stream; this model assigns cycles to it:
   never executes — the paper's "removed after decoding"; it contributes one
   cycle like any single-cycle instruction but produces no data-side traffic.
 
-``time`` accepts either trace form.  A :class:`~repro.ir.trace.
-ColumnarTrace` goes through the vectorized engine (segmented passes for
-latency/branch accounting plus the batch LRU of
-:func:`repro.machine.cache.access_hit_flags`).  An object trace goes
-through the original per-entry loop, kept verbatim as
-``_time_reference`` — both engines return bit-identical
-:class:`CycleReport` fields.
+``time`` takes the fast interpreter engine's
+:class:`~repro.ir.trace.ColumnarTrace` and times it with whole-trace
+numpy passes (latency and branch accounting plus the batch LRU of
+:func:`repro.machine.cache.access_hit_flags`).  The original per-entry
+loop over the reference engine's object trace is kept as
+``_time_reference``, the oracle tests compare ``time`` against; both
+return bit-identical :class:`CycleReport` fields.
 
 The absolute numbers are not SimpleScalar's; the relative effects the paper
 measures (spills vs ``set_last_reg`` instructions vs code size) are modelled
@@ -29,7 +29,7 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,18 +97,8 @@ class LowEndTimingModel:
     def __init__(self, config: LowEndConfig = LOWEND) -> None:
         self.config = config
 
-    def time(self, trace: Union[ColumnarTrace, Sequence[TraceEntry]]
-             ) -> CycleReport:
+    def time(self, trace: ColumnarTrace) -> CycleReport:
         """Assign cycles (and cache/energy events) to a dynamic trace."""
-        if isinstance(trace, ColumnarTrace):
-            return self._time_vectorized(trace)
-        return self._time_reference(trace)
-
-    # ------------------------------------------------------------------
-    # vectorized engine: whole-trace numpy passes
-    # ------------------------------------------------------------------
-
-    def _time_vectorized(self, trace: ColumnarTrace) -> CycleReport:
         cfg = self.config
         si = trace.static_index
         opc = trace.op_code
@@ -157,7 +147,8 @@ class LowEndTimingModel:
     # ------------------------------------------------------------------
 
     def _time_reference(self, trace: Sequence[TraceEntry]) -> CycleReport:
-        """The original per-entry loop over an object trace."""
+        """The original per-entry loop over an object trace: the oracle
+        :meth:`time` is tested against."""
         cfg = self.config
         icache = Cache(cfg.icache_size, cfg.icache_line, cfg.icache_assoc)
         dcache = Cache(cfg.dcache_size, cfg.dcache_line, cfg.dcache_assoc)
@@ -205,8 +196,4 @@ def simulate(fn: Function, args: tuple = (),
              max_steps: int = 2_000_000) -> tuple:
     """Run ``fn`` and time its trace; returns ``(ExecutionResult, CycleReport)``."""
     result: ExecutionResult = Interpreter(max_steps=max_steps).run(fn, args)
-    # the fast engine records the columnar form alongside the object trace;
-    # time whichever is available (identical reports either way)
-    trace = result.columnar if result.columnar is not None else result.trace
-    report = LowEndTimingModel(config).time(trace)
-    return result, report
+    return result, LowEndTimingModel(config).time(result.columnar)

@@ -11,16 +11,17 @@ interpretation of the *input* function yields, via
 allocated variant — including the variant's own spill and ``setlr``
 instructions, which are static per block.
 
-``record_reference_run`` interprets a function once with columnar
-recording, memoized on the analysis-cache structural fingerprint (so
-repeated experiment passes over the same input hit the cache), and
+``record_reference_run`` interprets a function once on the fast engine,
+memoized on the analysis-cache structural fingerprint (so repeated
+experiment passes over the same input hit the cache), and
 ``derive_execution`` replays that recording against an allocated
 function.  ``record_and_profile`` is the preamble every grid task and
 compile runs: that one recording, plus the profile block frequencies
 read from its counts.  Derivation is guarded structurally (same
 blocks, terminators and per-block ``ld``/``st`` sequences — see
 ``derive_trace``) and falls back to ``None`` whenever the guard fails;
-callers then interpret from scratch.
+``interpret_or_derive`` then interprets from scratch.  Every result
+these functions return carries a columnar trace.
 
 One honest caveat: a derived result carries the recorded run's return
 value, so the experiments' cross-setup checksum assertion is vacuous for
@@ -35,8 +36,7 @@ from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from repro.analysis.cache import fingerprint_function
-from repro.analysis.profile import (block_frequencies_from_counts,
-                                    profile_block_frequencies)
+from repro.analysis.profile import block_frequencies_from_counts
 from repro.ir.function import Function
 from repro.ir.interp import ExecutionResult, Interpreter
 from repro.ir.trace import derive_trace
@@ -54,23 +54,14 @@ def clear_recorded_runs() -> None:
 
 
 def record_reference_run(fn: Function, args: Tuple[int, ...] = (),
-                         max_steps: int = 2_000_000
-                         ) -> Optional[ExecutionResult]:
-    """Interpret ``fn`` once with columnar recording, memoized.
-
-    Returns ``None`` when no columnar trace is available (reference
-    interpreter engine, or a function outside the fast engine's
-    block-prefix model).
-    """
+                         max_steps: int = 2_000_000) -> ExecutionResult:
+    """Interpret ``fn`` once with columnar recording, memoized."""
     key = (fingerprint_function(fn), tuple(args), max_steps)
     hit = _recorded.get(key)
     if hit is not None:
         _recorded.move_to_end(key)
         return hit
-    result = Interpreter(max_steps=max_steps,
-                         trace_format="columnar").run(fn, args)
-    if result.columnar is None:
-        return None
+    result = Interpreter(max_steps=max_steps).run(fn, args)
     _recorded[key] = result
     while len(_recorded) > _MAX_RECORDED:
         _recorded.popitem(last=False)
@@ -79,24 +70,20 @@ def record_reference_run(fn: Function, args: Tuple[int, ...] = (),
 
 def record_and_profile(fn: Function, args: Tuple[int, ...],
                        profile: bool = True
-                       ) -> Tuple[Optional[ExecutionResult],
-                                  Optional[Dict[str, float]]]:
+                       ) -> Tuple[ExecutionResult, Optional[Dict[str, float]]]:
     """``(recorded, freq)`` for ``fn`` on ``args``.
 
     ``recorded`` is :func:`record_reference_run`'s memoized recording,
     which serves every allocated variant's trace through
     :func:`interpret_or_derive`.  ``freq`` is ``None`` without
     ``profile``; otherwise the profile block frequencies, read from the
-    recording's counts when it has them and from a count-only run when
-    it does not.
+    recording's counts.
     """
     recorded = record_reference_run(fn, args)
     if not profile:
         return recorded, None
-    if recorded is not None and recorded.block_instr_counts:
-        return recorded, block_frequencies_from_counts(
-            fn, recorded.block_instr_counts)
-    return recorded, profile_block_frequencies(fn, args)
+    return recorded, block_frequencies_from_counts(
+        fn, recorded.block_instr_counts)
 
 
 def derive_execution(recorded: ExecutionResult,
@@ -109,8 +96,6 @@ def derive_execution(recorded: ExecutionResult,
     The result carries no register file or object trace — it exists to be
     timed.
     """
-    if recorded.columnar is None:
-        return None
     ct = derive_trace(recorded.columnar, new_fn)
     if ct is None:
         return None
@@ -131,13 +116,9 @@ def interpret_or_derive(fn: Function, args: Tuple[int, ...],
                         max_steps: int = 2_000_000) -> ExecutionResult:
     """An :class:`ExecutionResult` for ``fn``: derived from ``recorded``
     when the structural guard allows it, freshly interpreted otherwise.
-
-    Either way the result carries a trace the timing model accepts —
-    ``result.columnar`` normally, ``result.trace`` if the interpreter had
-    to fall back to its reference engine."""
+    Either way ``result.columnar`` is the trace to time."""
     if recorded is not None:
         derived = derive_execution(recorded, fn)
         if derived is not None:
             return derived
-    return Interpreter(max_steps=max_steps,
-                       trace_format="columnar").run(fn, args)
+    return Interpreter(max_steps=max_steps).run(fn, args)

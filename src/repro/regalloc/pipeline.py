@@ -274,7 +274,6 @@ def run_setup(fn: Function, setup: str,
               freq: Optional[Dict[str, float]] = None,
               pass_verifier: Optional["PassVerifier"] = None,
               remap_seed: int = 0,
-              remap_jobs: int = 1,
               setlr_elim: bool = True,
               machine: Optional["LowEndConfig"] = None,
               ) -> AllocatedProgram:
@@ -299,10 +298,7 @@ def run_setup(fn: Function, setup: str,
     stage-appropriate expectations, attributing the first invariant
     violation to the pass that introduced it (``--verify-each-pass``).
 
-    ``remap_seed`` seeds the remapping search's random restarts;
-    ``remap_jobs`` fans those restarts out over a process pool (``0`` =
-    all cores).  Neither changes results — remap restarts are
-    deterministic in the seed regardless of the job count.
+    ``remap_seed`` seeds the remapping search's random restarts.
 
     ``setlr_elim`` (default on) runs :func:`repro.encoding.setlr_elim.
     eliminate_redundant_setlr` on the chosen encoding: ``set_last_reg``
@@ -345,12 +341,12 @@ def run_setup(fn: Function, setup: str,
         freq_remap = differential_remap(
             allocated_fn, reg_n, diff_n, order=access_order,
             restarts=remap_restarts, freq=freq,
-            seed=remap_seed, jobs=remap_jobs,
+            seed=remap_seed,
         )
         static_remap = differential_remap(
             allocated_fn, reg_n, diff_n, order=access_order,
             restarts=remap_restarts, freq={},
-            seed=remap_seed, jobs=remap_jobs,
+            seed=remap_seed,
         )
         return [allocated_fn, freq_remap.fn, static_remap.fn]
 

@@ -31,9 +31,7 @@ window sum per round.  Edge weights are scaled to exact integers (see
 permutation and cost bit for bit.  Weights beyond
 :data:`_NUMPY_WEIGHT_LIMIT` descend through the reference itself, one
 start at a time, to the same results.  Results are folded in restart
-order, stopping at the first zero-cost start; ``jobs > 1`` fans batches
-of restarts out over :func:`repro.parallel.parallel_map`, again with
-bit-identical results.
+order, stopping at the first zero-cost start.
 """
 
 from __future__ import annotations
@@ -66,7 +64,7 @@ Edge = Tuple[int, int, int]
 #: integers.  Exact weights make the swap search deterministic: a delta is
 #: the same number whether it is read off the lockstep placement tables or
 #: computed by differencing two full-cost evaluations, so the lockstep
-#: descent, the reference (and every ``jobs`` setting) pick the same swap
+#: descent and the reference pick the same swap
 #: at every step.  Reported costs are divided back.
 _WEIGHT_SCALE = 720720
 
@@ -511,35 +509,21 @@ def _start_perms(identity: Sequence[int], free: Sequence[int],
     return starts
 
 
-def _descent_batch(payload: Tuple[Tuple[Edge, ...], int, int,
-                                  Tuple[int, ...], List[List[int]]]
-                   ) -> List[Tuple[int, List[int]]]:
-    """Worker task: run the descent on a batch of starting permutations.
-
-    Module-level and pure so it pickles into a process pool.
-    """
-    return _descend_starts(*payload)
-
-
 def differential_remap(fn: Function, reg_n: int, diff_n: int,
                        order: str = "src_first",
                        freq: Optional[Mapping[str, float]] = None,
                        restarts: int = 100,
                        seed: int = 0,
-                       pinned: Sequence[int] = (),
-                       jobs: int = 1) -> RemapResult:
+                       pinned: Sequence[int] = ()) -> RemapResult:
     """Greedy remapping with random restarts (paper Section 5, Figure 7).
 
     ``pinned`` register numbers keep their identity mapping — used to respect
     calling conventions without the store-repair of Section 9.3 (parameter
     and return registers stay put).
 
-    ``jobs`` fans the restarts out over a process pool (``0`` = all
-    cores).  Starting permutations are drawn serially from one seeded RNG
-    and results are folded in restart order under the same early-exit rule
-    as the serial loop, so every ``jobs`` value returns the identical
-    :class:`RemapResult` — parallelism only buys wall-clock time, at the
-    price of descents past an early zero-cost hit being discarded.
+    Restarts descend in order up to the first that reaches cost 0;
+    ``RemapResult.restarts`` counts those that ran, and the first
+    cheapest local minimum wins.
     """
     if freq is None:
         freq = estimate_block_frequencies(fn)
@@ -550,36 +534,13 @@ def differential_remap(fn: Function, reg_n: int, diff_n: int,
     base_cost = _perm_cost(identity, edges, reg_n, diff_n)
 
     starts = _start_perms(identity, free, restarts, seed)
-
-    from repro.parallel import chunked, parallel_map, resolve_jobs
-
-    n_jobs = resolve_jobs(jobs)
-    if n_jobs > 1 and len(starts) > 1:
-        payloads = [
-            (tuple(edges), reg_n, diff_n, tuple(free), batch)
-            for batch in chunked(starts, n_jobs)
-        ]
-        outcomes = [
-            result
-            for batch_result in parallel_map(_descent_batch, payloads,
-                                             jobs=n_jobs)
-            for result in batch_result
-        ]
-    else:
-        outcomes = _descend_starts(edges, reg_n, diff_n, free, starts)
-
-    best_cost, best_perm = outcomes[0]
-    used = 1
-    for cost, perm in outcomes[1:]:
-        if best_cost == 0:
-            break
-        used += 1
-        if cost < best_cost:
-            best_perm, best_cost = perm, cost
+    outcomes = _descend_starts(edges, reg_n, diff_n, free, starts)
+    # min returns the first of equal costs: the earliest restart wins ties
+    best_cost, best_perm = min(outcomes, key=lambda outcome: outcome[0])
     return RemapResult(
         fn=apply_permutation(fn, best_perm, reg_n),
         permutation=tuple(best_perm),
         cost_before=base_cost / _WEIGHT_SCALE,
         cost_after=best_cost / _WEIGHT_SCALE,
-        restarts=used,
+        restarts=len(outcomes),
     )

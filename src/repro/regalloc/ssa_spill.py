@@ -26,7 +26,9 @@ repo's SSA machinery:
    (:func:`_greedy_color`).  ``MaxLive <= k`` no longer guarantees
    colorability once destruction has left SSA form, so a failed round
    spills the uncolorable values and retries, exactly like the iterated
-   allocator's loop.
+   allocator's loop.  Spill temporaries and values nothing reads are
+   never spilled; when only those fail, their most-constrained real
+   neighbor is spilled instead.
 
 The backend is deliberately structurally unlike the iterated/briggs
 allocator — no coalescing, no interference-driven spill costs — which
@@ -146,6 +148,12 @@ def _greedy_color(
     return coloring, failed, graph
 
 
+def _unread(fn: Function, graph) -> Set[Reg]:
+    """The graph's virtual values that no instruction of ``fn`` reads."""
+    read = {r for instr in fn.instructions() for r in instr.uses()}
+    return {r for r in graph.nodes() if r.virtual and r not in read}
+
+
 def _rewrite_physical(fn: Function, coloring: Dict[Reg, int],
                       cls: str) -> Tuple[Function, int]:
     """Substitute physical registers and drop now-trivial self-moves."""
@@ -230,14 +238,19 @@ def ssa_spill_allocate(fn: Function, k: int,
             result.stats["colored_fn_instrs"] = float(
                 current.num_instructions())
             return result
-        candidates = {r for r in failed if r not in no_spill}
+        # spilling a value nothing reads (a dead call def) cannot help: its
+        # store temporary needs a register at the same def.  Belady never
+        # sees one, because such a value is in no live set.
+        unspillable = no_spill | _unread(current, graph)
+        candidates = {r for r in failed if r not in unspillable}
         if not candidates:
             # every failed value is a reload temporary whose range is
-            # already minimal — re-spilling it would only clone it, so
-            # spill its most-constrained real neighbor instead
+            # already minimal, or unread — spilling it would only clone it,
+            # so spill its most-constrained real neighbor instead
             for f in failed:
                 real = [n for n in graph.neighbors(f)
-                        if n.virtual and n.cls == cls and n not in no_spill]
+                        if n.virtual and n.cls == cls
+                        and n not in unspillable]
                 if real:
                     candidates.add(max(
                         sorted(real),

@@ -17,8 +17,7 @@ Three properties the rest of the service leans on:
   default, so two requests that differ only in spelled-out defaults hash
   to the same cache key.
 * **Shared failure machinery.**  Envelope validation reuses
-  :func:`repro.diagnostics.check_format_version` (the same helper the
-  experiment persistence loaders use), and error envelopes carry
+  :func:`repro.diagnostics.check_format_version`, and error envelopes carry
   :class:`repro.diagnostics.Diagnostic` objects so parser and lint
   findings render identically on both sides of the wire.
 """

@@ -129,7 +129,7 @@ def _compile(req: Dict[str, object]) -> Dict[str, object]:
         base_k=options["base_k"], reg_n=options["reg_n"],
         diff_n=options["diff_n"], remap_restarts=options["restarts"],
         access_order=options["access_order"], freq=freq,
-        remap_seed=options["seed"], remap_jobs=1,
+        remap_seed=options["seed"],
     )
 
     result: Dict[str, object] = {
@@ -165,9 +165,7 @@ def _compile(req: Dict[str, object]) -> Dict[str, object]:
             raise ProtocolError(
                 "SVC08", f"simulation failed: "
                 f"{type(exc).__name__}: {exc}") from None
-        report = LowEndTimingModel(machine).time(
-            execution.columnar if execution.columnar is not None
-            else execution.trace)
+        report = LowEndTimingModel(machine).time(execution.columnar)
         result["cycles"] = {
             "cycles": report.cycles,
             "instructions": report.instructions,

@@ -10,6 +10,7 @@ the symbolic checker, the interference lint and the binary round trip
 
 import pytest
 
+from repro.analysis.ssa import construct_ssa, destruct_ssa
 from repro.fuzz import (FuzzConfig, generate_fuzz_function, knob_matrix,
                         run_case)
 from repro.fuzz.harness import case_seed, default_config
@@ -152,9 +153,10 @@ class TestSSABackendDirect:
     def test_uncolorable_temporaries_spill_a_real_neighbor(self):
         """The call's three dead defs interfere with each other and with
         ``a``/``b`` (one value under two names), so k=3 needs a spill.
-        Spilling the defs leaves store temporaries that still cannot be
-        colored; the fallback then spills their real neighbor instead,
-        without which this allocation raises."""
+        Spilling a dead def cannot help (its store temporary needs a
+        register at the same def), so the uncolored defs are never
+        spilled: the fallback spills their real neighbors instead, the
+        copied value's two names, one round each."""
         fb = FunctionBuilder("deadcall")
         a, b, d1, d2, d3, total = fb.vregs(6)
         fb.block("entry")
@@ -167,6 +169,18 @@ class TestSSABackendDirect:
         result = ssa_spill_allocate(fn, 3)
         check_allocation(result, 3, colored_fn=result.colored_fn)
         assert Interpreter().run(result.fn, ()).return_value == 10
+
+        # the allocator colors this SSA round trip of ``fn``, where ``a``
+        # and ``b`` are the defs of the li and the mov
+        ssa_fn = destruct_ssa(construct_ssa(fn))
+        copied = {i.dst for i in ssa_fn.instructions()
+                  if i.op in ("li", "mov")}
+        assert result.spilled == copied
+        assert result.rounds == 3  # one neighbor spill per failed round
+        call_defs = {d for i in result.colored_fn.instructions()
+                     if i.op == "call" for d in i.call_defs}
+        assert not any(i.op == "stslot" and i.srcs[0] in call_defs
+                       for i in result.colored_fn.instructions())
 
     def test_unspillable_temporaries_raise(self):
         """The fallback for a round whose uncolored values are all spill

@@ -11,7 +11,8 @@ class TestEnergyModel:
     def run(self, text, args=(), config=None):
         fn = parse_function(text)
         result = Interpreter().run(fn, args)
-        return LowEndTimingModel(config or LowEndConfig()).time(result.trace)
+        return LowEndTimingModel(config or LowEndConfig()).time(
+            result.columnar)
 
     def test_energy_positive(self):
         rep = self.run("func f():\nentry:\n    li r1, 1\n    ret r1\n")
@@ -42,7 +43,7 @@ class TestEnergyModel:
         for setup in ("baseline", "select"):
             prog = run_setup(w.function(), setup)
             result = Interpreter().run(prog.final_fn, w.default_args)
-            energies[setup] = timing.time(result.trace).energy
+            energies[setup] = timing.time(result.columnar).energy
         assert energies["select"] < energies["baseline"]
 
     def test_energy_knobs(self):

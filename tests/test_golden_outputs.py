@@ -41,8 +41,7 @@ def grid_rows():
         for setup in SETUPS:
             p = run_setup(fn, setup, freq=freq, remap_restarts=RESTARTS)
             res = interpret_or_derive(p.final_fn, w.default_args, rec)
-            cycles = timing.time(res.columnar if res.columnar is not None
-                                 else res.trace).cycles
+            cycles = timing.time(res.columnar).cycles
             digest = hashlib.sha256(
                 format_function(p.final_fn).encode()).hexdigest()[:16]
             rows.append([w.name, setup, p.n_spills, p.n_setlr, cycles,

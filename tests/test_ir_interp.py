@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.ir import FunctionBuilder, Instr, InterpError, Interpreter, parse_function
+from repro.ir import (BasicBlock, Function, FunctionBuilder, Instr,
+                      InterpError, Interpreter, parse_function, vreg)
 
 
 def run_expr(body, ret="v9", args=(), params=""):
@@ -132,20 +133,46 @@ class TestErrorsAndTrace:
         with pytest.raises(InterpError, match="expects 1 args"):
             Interpreter().run(sum_fn, ())
 
+    def test_mid_block_branch_is_outside_the_fast_engine(self):
+        """A branch that is not the last instruction of its block (which
+        ``validate`` rejects) makes the not-taken tail reachable.  The
+        fast engine refuses the function; the reference engine runs it."""
+        one, two = vreg(1), vreg(2)
+        fn = Function("f", [
+            BasicBlock("entry", [
+                Instr("li", dst=one, imm=0),
+                Instr("li", dst=two, imm=1),
+                Instr("beq", srcs=(one, two), label="done"),
+                Instr("li", dst=one, imm=5),
+                Instr("ret", srcs=(one,)),
+            ]),
+            BasicBlock("done", [Instr("ret", srcs=(two,))]),
+        ])
+        for record in (True, False):
+            with pytest.raises(InterpError, match="beq not at block end"):
+                Interpreter(record_trace=record).run(fn, ())
+        ref = Interpreter(engine="reference").run(fn, ())
+        assert (ref.return_value, ref.steps) == (5, 5)
+
     def test_trace_records_static_indices(self, sum_fn):
         r = Interpreter().run(sum_fn, (2,))
-        assert [e.static_index for e in r.trace[:3]] == [0, 1, 2]
+        assert r.columnar.static_index[:3].tolist() == [0, 1, 2]
+        ref = Interpreter(engine="reference").run(sum_fn, (2,))
+        assert [e.static_index for e in ref.trace[:3]] == [0, 1, 2]
 
     def test_trace_memory_addresses(self):
         fn = parse_function(
             "func f():\nentry:\n    li v1, 256\n    ld v2, [v1+4]\n    ret v2\n"
         )
         r = Interpreter().run(fn, ())
-        assert r.trace[1].mem_addr == 260
+        assert r.columnar.mem_addr[1] == 260
+        ref = Interpreter(engine="reference").run(fn, ())
+        assert ref.trace[1].mem_addr == 260
 
     def test_trace_disabled(self, sum_fn):
         r = Interpreter(record_trace=False).run(sum_fn, (5,))
-        assert r.trace == [] and r.return_value == 10
+        assert r.trace == [] and r.columnar is None
+        assert r.return_value == 10
 
     def test_dynamic_counts(self, sum_fn):
         r = Interpreter().run(sum_fn, (4,))

@@ -129,8 +129,8 @@ exit:
             "func f():\nentry:\n    li r1, 64\n    ld r2, [r1+0]\n    ret r2\n"
         )
         result = Interpreter().run(fn, ())
-        rep_big = LowEndTimingModel(cfg).time(result.trace)
-        rep_small = LowEndTimingModel(LOWEND).time(result.trace)
+        rep_big = LowEndTimingModel(cfg).time(result.columnar)
+        rep_small = LowEndTimingModel(LOWEND).time(result.columnar)
         assert rep_big.cycles > rep_small.cycles
 
 

@@ -1,7 +1,7 @@
 """Every ``repro`` module is reached from something users run.
 
-A module that no command, experiment, service path, benchmark or example
-imports is code that no result depends on: it is deleted, or it is named
+A module that no command, benchmark or example imports is code that no
+result depends on: it is deleted, or it is named
 in ``KEPT`` with the reason it stays.  The set is pinned both ways, so a
 newly unreached module fails here and so does a stale ``KEPT`` entry.
 
@@ -85,9 +85,7 @@ def _targets(base, names):
     return out
 
 
-ROOTS = sorted(name for name in FILES if name not in PACKAGES and (
-    name in ("repro.cli", "repro.__main__")
-    or name.startswith(("repro.experiments.", "repro.service."))))
+ROOTS = ["repro.__main__", "repro.cli"]
 SCRIPT_DIRS = ("perfbench", "benchmarks", "examples")
 
 

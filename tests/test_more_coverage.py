@@ -7,24 +7,11 @@ from repro.encoding import EncodingConfig, encode_function, verify_encoding
 from repro.encoding.verifier import EncodingError
 from repro.ir import Instr, Interpreter, parse_function
 from repro.regalloc import SETUPS, run_setup
-from repro.workloads import MIBENCH, Workload
+from repro.workloads import MIBENCH
 from repro.workloads.spec_loops import generate_loop_population
 
 
 class TestExperimentOptions:
-    def test_bench_scale_uses_bench_args(self):
-        from repro.experiments import run_lowend_experiment
-
-        tiny = (
-            Workload("bitcount", MIBENCH[0].build, (4,), (6,)),
-        )
-        default = run_lowend_experiment(workloads=tiny, remap_restarts=2,
-                                        scale="default")
-        bench = run_lowend_experiment(workloads=tiny, remap_restarts=2,
-                                      scale="bench")
-        assert bench.row("bitcount", "baseline").cycles > \
-            default.row("bitcount", "baseline").cycles
-
     def test_swp_custom_reg_ns(self):
         from repro.experiments import run_swp_experiment
 

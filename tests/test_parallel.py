@@ -1,15 +1,14 @@
 """Deterministic parallel engine tests.
 
 The contract under test is the whole point of :mod:`repro.parallel`:
-``jobs=1`` and ``jobs>1`` are *bit-identical* — for the primitive map, for
-the remapping restart fan-out, and for every experiment grid built on it.
+``jobs=1`` and ``jobs>1`` are *bit-identical* — for the primitive map and
+for every experiment grid built on it.
 """
 
 import pytest
 
 from repro.parallel import chunked, derive_seed, parallel_map, resolve_jobs
-from repro.regalloc import differential_remap, iterated_allocate
-from repro.workloads import MIBENCH, get_workload
+from repro.workloads import MIBENCH
 
 
 def _square(x):
@@ -79,31 +78,6 @@ class TestParallelMap:
         assert parallel_map(_square, [], jobs=4) == []
 
 
-@pytest.fixture(scope="module")
-def allocated_sha():
-    return iterated_allocate(get_workload("sha").function(), 12).fn
-
-
-class TestRemapJobsParity:
-    def test_parallel_remap_identical(self, allocated_sha):
-        serial = differential_remap(allocated_sha, 12, 8, restarts=12,
-                                    seed=7, jobs=1)
-        parallel = differential_remap(allocated_sha, 12, 8, restarts=12,
-                                      seed=7, jobs=3)
-        assert serial.permutation == parallel.permutation
-        assert serial.cost_before == parallel.cost_before
-        assert serial.cost_after == parallel.cost_after
-        assert serial.restarts == parallel.restarts
-
-    def test_jobs_zero_identical(self, allocated_sha):
-        serial = differential_remap(allocated_sha, 12, 8, restarts=6,
-                                    seed=2, jobs=1)
-        parallel = differential_remap(allocated_sha, 12, 8, restarts=6,
-                                      seed=2, jobs=0)
-        assert serial.permutation == parallel.permutation
-        assert serial.restarts == parallel.restarts
-
-
 class TestExperimentJobsParity:
     def test_regn_sweep_identical(self):
         from repro.experiments import run_regn_sweep
@@ -115,20 +89,17 @@ class TestExperimentJobsParity:
 
     def test_lowend_identical(self):
         """Forked workers and the verify_each_pass path run the one task
-        body the serial path runs, composite functions included (the
-        task builds them)."""
+        body the serial path runs."""
         from repro.experiments import run_lowend_experiment
 
-        for composite in (False, True):
-            kw = dict(workloads=MIBENCH[:2],
-                      setups=("baseline", "remapping"), remap_restarts=2,
-                      composite=composite)
-            serial = run_lowend_experiment(jobs=1, **kw)
-            assert serial.pass_verifier is None
-            assert run_lowend_experiment(jobs=2, **kw).rows == serial.rows
-            verified = run_lowend_experiment(verify_each_pass=True, **kw)
-            assert verified.rows == serial.rows
-            assert verified.pass_verifier.clean
+        kw = dict(workloads=MIBENCH[:2], setups=("baseline", "remapping"),
+                  remap_restarts=2)
+        serial = run_lowend_experiment(jobs=1, **kw)
+        assert serial.pass_verifier is None
+        assert run_lowend_experiment(jobs=2, **kw).rows == serial.rows
+        verified = run_lowend_experiment(verify_each_pass=True, **kw)
+        assert verified.rows == serial.rows
+        assert verified.pass_verifier.clean
 
     def test_swp_identical(self):
         from repro.experiments import run_swp_experiment

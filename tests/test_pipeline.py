@@ -145,8 +145,7 @@ class TestPipelineParity:
             "        p = run_setup(fn, setup, freq=freq, remap_restarts=50)\n"
             "        res = interpret_or_derive(p.final_fn, w.default_args,\n"
             "                                  rec)\n"
-            "        cycles = timing.time(res.columnar if res.columnar\n"
-            "                             is not None else res.trace).cycles\n"
+            "        cycles = timing.time(res.columnar).cycles\n"
             "        h.update(format_function(p.final_fn).encode())\n"
             "        h.update(repr((w.name, setup, p.n_spills, p.n_setlr,\n"
             "                       cycles)).encode())\n"

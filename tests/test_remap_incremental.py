@@ -204,7 +204,7 @@ entry:
 
 
 class TestRemapResult:
-    """Whole :func:`differential_remap` results across descents and jobs."""
+    """Whole :func:`differential_remap` results across descents."""
 
     @staticmethod
     def _key(result):
@@ -235,17 +235,18 @@ class TestRemapResult:
 
     @pytest.mark.parametrize("name, diff_n, restarts, used", [
         ("sha", 8, 12, 12),      # no zero-cost hit
-        ("bitcount", 8, 12, 3),  # hit in the first worker's batch
-        ("dct", 11, 4, 4),       # hit in the second worker's batch
+        ("bitcount", 8, 12, 3),  # hit at the third start
+        ("dct", 11, 4, 4),       # hit at the last start
     ])
-    def test_jobs_two_equals_serial(self, name, diff_n, restarts, used):
+    def test_restarts_stop_at_first_zero_cost(self, monkeypatch, name,
+                                              diff_n, restarts, used):
         fn = iterated_allocate(get_workload(name).function(), 12).fn
-        serial = differential_remap(fn, 12, diff_n, restarts=restarts,
-                                    seed=4)
-        fanned = differential_remap(fn, 12, diff_n, restarts=restarts,
-                                    seed=4, jobs=2)
-        assert self._key(serial) == self._key(fanned)
-        assert serial.restarts == used
+        fast = differential_remap(fn, 12, diff_n, restarts=restarts, seed=4)
+        monkeypatch.setattr(remap, "_descend_starts",
+                            _descend_starts_reference)
+        pure = differential_remap(fn, 12, diff_n, restarts=restarts, seed=4)
+        assert self._key(fast) == self._key(pure)
+        assert fast.restarts == used
 
 
 class TestEdgeList:

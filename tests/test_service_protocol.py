@@ -41,7 +41,7 @@ class TestNormalize:
         assert spelled == normalize_request(_request())
 
     def test_version_check_shared_with_persist_helper(self):
-        # the protocol rides the same helper the persistence loaders use
+        # the protocol rides the shared diagnostics envelope helper
         with pytest.raises(FormatError):
             check_format_version({"v": 2}, supported=(SCHEMA_VERSION,),
                                  version_field="v")

@@ -10,9 +10,11 @@ asserted bit-identical to its fast counterpart:
   included);
 * the fast (pre-compiled) interpreter engine vs ``engine="reference"``,
   on random generated programs and the MIBENCH suite — return value,
-  step count, dynamic opcode counts and the full object trace;
-* the vectorized timing engine vs the per-entry reference on the
-  resulting traces — every :class:`CycleReport` field.
+  step count, dynamic opcode counts, and the fast engine's columnar
+  trace expanded against the reference's object trace;
+* :meth:`LowEndTimingModel.time` on the columns vs the per-entry
+  ``_time_reference`` on the object traces — every :class:`CycleReport`
+  field.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.ir import Interpreter
-from repro.ir.trace import NO_ADDR, OP_NAMES
+from repro.ir.trace import NO_ADDR, OP_NAMES, FunctionCodec
 from repro.machine import LOWEND, Cache, LowEndTimingModel, access_hit_flags
 from repro.workloads import generate_function
 from repro.workloads.mibench import MIBENCH
@@ -46,6 +48,10 @@ def report_fields(report):
     return (report.cycles, report.instructions, report.icache_misses,
             report.dcache_misses, report.dcache_accesses,
             report.branch_penalties, report.setlr_executed)
+
+
+def entry_fields(entries):
+    return [(e.static_index, e.instr.op, e.mem_addr) for e in entries]
 
 
 def synth_programs():
@@ -99,8 +105,8 @@ class TestInterpreterEngineEquivalence:
         ops = {e.instr.op for e in ref.trace}
         assert {op: fast.count(op) for op in ops} == \
                {op: ref.count(op) for op in ops}
-        assert [(e.static_index, e.instr.op, e.mem_addr) for e in fast.trace] \
-            == [(e.static_index, e.instr.op, e.mem_addr) for e in ref.trace]
+        assert entry_fields(fast.columnar.to_entries()) \
+            == entry_fields(ref.trace)
 
     @pytest.mark.parametrize("w", MIBENCH, ids=lambda w: w.name)
     def test_fast_matches_reference_on_mibench(self, w):
@@ -109,8 +115,8 @@ class TestInterpreterEngineEquivalence:
         ref = Interpreter(engine="reference").run(fn, w.default_args)
         assert fast.return_value == ref.return_value
         assert fast.steps == ref.steps
-        assert [(e.static_index, e.instr.op, e.mem_addr) for e in fast.trace] \
-            == [(e.static_index, e.instr.op, e.mem_addr) for e in ref.trace]
+        assert entry_fields(fast.columnar.to_entries()) \
+            == entry_fields(ref.trace)
 
     @given(fn=synth_programs(), arg=st.integers(min_value=0, max_value=4))
     @settings(max_examples=25, **COMMON)
@@ -121,23 +127,24 @@ class TestInterpreterEngineEquivalence:
         assert bare.columnar is None
         assert bare.return_value == recorded.return_value
         assert bare.steps == recorded.steps
-        ops = {e.instr.op for e in recorded.trace}
+        ops = recorded.columnar.counts()
         assert {op: bare.count(op) for op in ops} == \
                {op: recorded.count(op) for op in ops}
         assert bare.block_instr_counts == recorded.block_instr_counts
 
     def test_columnar_format_matches_objects(self, sum_fn):
-        obj = Interpreter(engine="fast").run(sum_fn, (9,))
-        col = Interpreter(trace_format="columnar", engine="fast").run(sum_fn, (9,))
+        """The fast engine records columns only; the reference engine
+        records objects only; they describe the same stream."""
+        col = Interpreter(engine="fast").run(sum_fn, (9,))
+        obj = Interpreter(engine="reference").run(sum_fn, (9,))
         assert col.trace == []
-        assert col.columnar is not None
+        assert obj.columnar is None
         assert len(col.columnar) == col.steps == obj.steps
-        assert [(e.static_index, e.instr.op, e.mem_addr)
-                for e in col.columnar.to_entries()] \
-            == [(e.static_index, e.instr.op, e.mem_addr) for e in obj.trace]
+        assert entry_fields(col.columnar.to_entries()) \
+            == entry_fields(obj.trace)
 
     def test_columnar_counts_match_trace(self, sum_fn):
-        res = Interpreter(trace_format="columnar", engine="fast").run(sum_fn, (9,))
+        res = Interpreter(engine="fast").run(sum_fn, (9,))
         counts = res.columnar.counts()
         assert sum(counts.values()) == res.steps
         for op, c in counts.items():
@@ -148,35 +155,38 @@ class TestInterpreterEngineEquivalence:
 class TestTimingEngineEquivalence:
     @pytest.mark.parametrize("w", MIBENCH, ids=lambda w: w.name)
     def test_three_engines_agree_on_mibench(self, w):
-        """The object trace and the columns' own expansion through the
-        reference, and the columns through the vectorized engine."""
+        """The reference engine's object trace through the reference
+        timing loop, against the fast engine's columns through ``time``
+        and through the reference loop after expansion."""
         fn = w.function()
-        result = Interpreter(engine="fast").run(fn, w.default_args)
+        ref = Interpreter(engine="reference").run(fn, w.default_args)
+        fast = Interpreter(engine="fast").run(fn, w.default_args)
         model = LowEndTimingModel(LOWEND)
-        reference = model.time(result.trace)
-        assert result.columnar is not None
-        expanded = model._time_reference(result.columnar.to_entries())
-        assert report_fields(expanded) == report_fields(reference)
-        assert report_fields(model.time(result.columnar)) \
+        reference = model._time_reference(ref.trace)
+        assert report_fields(model.time(fast.columnar)) \
             == report_fields(reference)
+        expanded = model._time_reference(fast.columnar.to_entries())
+        assert report_fields(expanded) == report_fields(reference)
 
     @given(fn=synth_programs(), arg=st.integers(min_value=0, max_value=4))
     @settings(max_examples=30, **COMMON)
     def test_engines_agree_on_random_programs(self, fn, arg):
-        result = Interpreter(trace_format="columnar", engine="fast").run(fn, (arg,))
-        if result.columnar is None:
-            return  # reference-engine fallback: nothing columnar to compare
+        result = Interpreter(engine="fast").run(fn, (arg,))
         model = LowEndTimingModel(LOWEND)
         reference = model._time_reference(result.columnar.to_entries())
         assert report_fields(model.time(result.columnar)) \
             == report_fields(reference)
 
-    def test_empty_trace(self):
+    def test_empty_trace(self, sum_fn):
+        empty = FunctionCodec(sum_fn).assemble([], [])
+        assert len(empty) == 0
         model = LowEndTimingModel(LOWEND)
-        assert report_fields(model.time([])) == (0, 0, 0, 0, 0, 0, 0)
+        assert report_fields(model.time(empty)) == (0, 0, 0, 0, 0, 0, 0)
+        assert report_fields(model._time_reference([])) \
+            == (0, 0, 0, 0, 0, 0, 0)
 
     def test_mem_addr_sentinel_excludes_no_access(self, sum_fn):
-        result = Interpreter(trace_format="columnar", engine="fast").run(sum_fn, (5,))
+        result = Interpreter(engine="fast").run(sum_fn, (5,))
         ct = result.columnar
         assert ct is not None
         report = LowEndTimingModel(LOWEND).time(ct)

@@ -53,13 +53,11 @@ class TestDerivedEqualsInterpreted:
         fn = w.function()
         args = w.default_args
         recorded = record_reference_run(fn, args)
-        assert recorded is not None, "MIBENCH kernels fit the fast engine"
 
         final_fn = allocated(w, setup)
         derived = derive_execution(recorded, final_fn)
         assert derived is not None, "allocation must keep the trace derivable"
-        fresh = Interpreter(trace_format="columnar").run(final_fn, args)
-        assert fresh.columnar is not None
+        fresh = Interpreter().run(final_fn, args)
 
         assert derived.steps == fresh.steps
         for col in ("static_index", "op_code", "mem_addr", "block_id"):
@@ -79,7 +77,7 @@ class TestDerivedEqualsInterpreted:
         recorded = record_reference_run(fn, args)
         final_fn = allocated(w, "remapping")
         result = interpret_or_derive(final_fn, args, recorded)
-        fresh = Interpreter(trace_format="columnar").run(final_fn, args)
+        fresh = Interpreter().run(final_fn, args)
         assert result.return_value == fresh.return_value
         assert result.steps == fresh.steps
         assert column(result.columnar.static_index) \
