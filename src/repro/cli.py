@@ -435,13 +435,11 @@ def _cmd_allocators(args) -> int:
                          indent=2, sort_keys=True))
         return 0
     table = Table(f"allocator zoo: {len(infos)} registered backends",
-                  ["name", "spill style", "diff", "ssa", "classes",
-                   "description"])
+                  ["name", "spill style", "diff", "ssa", "description"])
     for info in infos:
         table.add_row(info.name, info.spill_style,
                       "yes" if info.differential else "no",
-                      "yes" if info.needs_ssa else "no",
-                      ",".join(info.reg_classes), info.description)
+                      "yes" if info.needs_ssa else "no", info.description)
     print(table.render())
     return 0
 

@@ -31,8 +31,6 @@ br              block16
 conditional     2 register fields + block16
 ret             1 register field
 setlr           regw value + delay4 + class4
-permi           RegN direct register numbers (regw each); no differential
-                fields, so it neither reads nor moves ``last_reg``
 nop             —
 =============== ==========================================================
 
@@ -65,7 +63,7 @@ __all__ = ["PackedProgram", "pack_function", "unpack_function", "PackError"]
 _OPCODES: Tuple[str, ...] = tuple(sorted(
     set(ALU_REG_OPS) | set(ALU_IMM_OPS)
     | {"li", "mov", "ld", "st", "ldslot", "stslot", "br", "ret", "setlr",
-       "nop", "permi"} | set(COND_BRANCH_OPS)
+       "nop"} | set(COND_BRANCH_OPS)
 ))
 _OP_BITS = 6
 _IMM_BITS = 32
@@ -179,14 +177,6 @@ def pack_function(enc: EncodedFunction) -> PackedProgram:
                 w.write(value, reg_bits)
                 w.write(delay, _DELAY_BITS)
                 w.write(class_index[cls], _CLASS_BITS)
-                continue
-            if instr.op == "permi":
-                if len(instr.imm) != config.reg_n:
-                    raise PackError(
-                        f"permi permutation width {len(instr.imm)} does not "
-                        f"match RegN={config.reg_n}")
-                for p in instr.imm:
-                    w.write(p, reg_bits)
                 continue
             codes = list(enc.field_codes.get(instr.uid, ()))
             ci = 0
@@ -307,14 +297,6 @@ def unpack_function(packed: PackedProgram,
                 if collect_extents is not None:
                     collect_extents.append((name, start_bit, r.pos, True))
                 continue  # removed after decoding (§2.3)
-            if op == "permi":
-                # direct register numbers: decoded without touching the
-                # differential last_reg state
-                perm = tuple(r.read(reg_bits) for _ in range(config.reg_n))
-                if collect_extents is not None:
-                    collect_extents.append((name, start_bit, r.pos, False))
-                block.append(Instr("permi", imm=perm))
-                continue
             opinfo = _OPINFO[op]
             # fields arrive in access order; rebuild srcs/dst from it
             if (config.access_order == "two_address"

@@ -145,15 +145,6 @@ def _unknown_transfer(instrs: List[Instr], i: int, state: State,
     elif ins.op == "stslot":
         state[_slot(ins)] = (read(ins.srcs[0], str(ins.srcs[0]))
                              | {_DEFINED})
-    elif ins.op == "permi":
-        # one permutation instruction: gather every non-fixed position's
-        # held set from its source position, simultaneously
-        perm = ins.imm
-        old = {i: read(Reg(p, virtual=False), f"r{p}")
-               for i, p in enumerate(perm) if p != i}
-        for i, p in enumerate(perm):
-            if p != i:
-                state[Reg(i, virtual=False)] = old[i] | {_DEFINED}
     elif ins.op in ("setlr", "nop"):
         pass  # decode bookkeeping / padding: no value movement
     else:

@@ -5,8 +5,8 @@ feeds random partial permutations through the resolver and checks the
 emitted sequence against a simulation oracle; this module is the same idea
 for :mod:`repro.regalloc.moves`.  One *case* is a seed-derived
 :class:`MovesCase` — a random partial register permutation (optionally a
-fan-out), a liveness environment that may or may not provide a scratch
-register, and the ``permi`` machine-feature coin — judged by five oracles:
+fan-out) and a liveness environment that may or may not provide a
+scratch register — judged by five oracles:
 
 * **abstract-apply** — replaying the emitted ops over a symbolic register
   file yields exactly the target mapping, everything else untouched;
@@ -15,15 +15,14 @@ register, and the ``permi`` machine-feature coin — judged by five oracles:
   closed form;
 * **exhaustive-minimality** — for small files (``RegN <= 5``) the length
   equals the true optimum found by Dijkstra over register-file states;
-* **lowered-interp** — the lowering (xor-swap triples, one ``permi``
-  instruction) runs through both interpreter engines and produces the
-  mapped register file, and the strict lint accepts the lowered function;
-* **binary-roundtrip** — when a ``permi`` was emitted, the lowered
-  function survives differential encode → pack → unpack bit-exactly.
+* **lowered-interp** — the lowering (``mov`` instructions and xor-swap
+  triples) runs through both interpreter engines and produces the mapped
+  register file;
+* **strict-lint** — the strict lint accepts the lowered function.
 
-Failing cases shrink greedily — drop mapping pairs, then the scratch, then
-the ``permi`` flag — while the failure persists, and the report ends with
-a ``repro fuzz moves --replay SEED`` line that replays the original case.
+Failing cases shrink greedily — drop mapping pairs, then the scratch —
+while the failure persists, and the report ends with a ``repro fuzz moves
+--replay SEED`` line that replays the original case.
 Seeds derive via :func:`repro.parallel.derive_seed`, so campaigns are
 bit-identical for any ``--jobs`` value.
 """
@@ -57,12 +56,11 @@ _SEARCH_REG_N = 5
 
 @dataclass(frozen=True)
 class MovesCase:
-    """One resolver input: mapping, liveness environment, machine flag."""
+    """One resolver input: mapping and liveness environment."""
 
     reg_n: int
     mapping: Tuple[Tuple[int, int], ...]   # sorted (dst, src) pairs
     scratch: Optional[int] = None
-    has_permi: bool = False
 
     def mapping_dict(self) -> Dict[int, int]:
         """The mapping as the ``{dst: src}`` dict the resolver takes."""
@@ -71,8 +69,7 @@ class MovesCase:
     def describe(self) -> str:
         """Compact one-line rendering for reports."""
         pairs = ", ".join(f"r{d}<-r{s}" for d, s in self.mapping)
-        return (f"reg_n={self.reg_n} {{{pairs}}} scratch="
-                f"{self.scratch} permi={self.has_permi}")
+        return f"reg_n={self.reg_n} {{{pairs}}} scratch={self.scratch}"
 
 
 def generate_moves_case(seed: int) -> MovesCase:
@@ -91,8 +88,7 @@ def generate_moves_case(seed: int) -> MovesCase:
     involved = {r for pair in mapping for r in pair}
     free = [r for r in range(reg_n) if r not in involved]
     scratch = rng.choice(free) if free and rng.random() < 0.5 else None
-    return MovesCase(reg_n=reg_n, mapping=mapping, scratch=scratch,
-                     has_permi=rng.random() < 0.5)
+    return MovesCase(reg_n=reg_n, mapping=mapping, scratch=scratch)
 
 
 def _fail(failures: List[Dict[str, str]], oracle: str, message: str) -> None:
@@ -120,12 +116,7 @@ def run_moves_case(seed: int) -> Dict[str, object]:
 def run_explicit_case(seed: int, case: MovesCase) -> Dict[str, object]:
     """Judge an explicit :class:`MovesCase` (shrinking re-enters here)."""
     from repro.diagnostics import Severity
-    from repro.encoding.binary import pack_function, unpack_function
-    from repro.encoding.config import EncodingConfig
-    from repro.encoding.encoder import encode_function
-    from repro.fuzz.mutate import strip_setlr
     from repro.ir.interp import InterpError, Interpreter
-    from repro.ir.printer import format_function
     from repro.lint import LintOptions, run_lint
 
     failures: List[Dict[str, str]] = []
@@ -134,9 +125,7 @@ def run_explicit_case(seed: int, case: MovesCase) -> Dict[str, object]:
     }
     mapping = case.mapping_dict()
     try:
-        resolved = resolve_parallel_move(mapping, scratch=case.scratch,
-                                         has_permi=case.has_permi,
-                                         reg_n=case.reg_n)
+        resolved = resolve_parallel_move(mapping, scratch=case.scratch)
     except Exception as exc:
         _fail(failures, "resolver-crash", f"{type(exc).__name__}: {exc}")
         return outcome
@@ -156,16 +145,14 @@ def run_explicit_case(seed: int, case: MovesCase) -> Dict[str, object]:
     injective = len(set(srcs)) == len(srcs)
     if injective:
         want_len = minimal_instruction_count(
-            mapping, scratch_available=case.scratch is not None,
-            has_permi=case.has_permi)
+            mapping, scratch_available=case.scratch is not None)
         if resolved.n_instructions != want_len:
             _fail(failures, "closed-form",
                   f"emitted {resolved.n_instructions} instructions, "
                   f"closed form says {want_len} (ops {resolved.ops})")
 
     if case.reg_n <= _SEARCH_REG_N:
-        opt = search_minimal_cost(mapping, case.reg_n, scratch=case.scratch,
-                                  has_permi=case.has_permi)
+        opt = search_minimal_cost(mapping, case.reg_n, scratch=case.scratch)
         bad = (resolved.n_instructions != opt if injective
                else resolved.n_instructions < opt)
         if bad:
@@ -199,21 +186,6 @@ def run_explicit_case(seed: int, case: MovesCase) -> Dict[str, object]:
     lint = run_lint(fn, LintOptions(allocated=True))
     if lint.at_least(Severity.WARNING):
         _fail(failures, "strict-lint", lint.render_text())
-
-    if resolved.used_permi:
-        config = EncodingConfig(reg_n=case.reg_n,
-                                diff_n=max(2, case.reg_n // 2))
-        try:
-            encoded = encode_function(fn, config)
-            packed = pack_function(encoded)
-            decoded = unpack_function(packed)
-        except Exception as exc:
-            _fail(failures, "binary-roundtrip",
-                  f"{type(exc).__name__}: {exc}")
-            return outcome
-        if format_function(decoded) != format_function(strip_setlr(fn)):
-            _fail(failures, "binary-roundtrip",
-                  "decode does not reproduce the lowered function")
     return outcome
 
 
@@ -256,9 +228,9 @@ def run_moves_fuzz(base_seed: int, n_cases: int,
 def shrink_moves_case(seed: int, case: MovesCase) -> MovesCase:
     """Greedily minimise a failing case while it keeps failing.
 
-    Drops mapping pairs one at a time, then the scratch register, then
-    the ``permi`` flag; repeats until a full pass makes no progress.  The
-    result is re-judged at every step, so it is a genuine reproducer.
+    Drops mapping pairs one at a time, then the scratch register; repeats
+    until a full pass makes no progress.  The result is re-judged at every
+    step, so it is a genuine reproducer.
     """
     def failing(candidate: MovesCase) -> bool:
         return bool(run_explicit_case(seed, candidate)["failures"])
@@ -275,11 +247,6 @@ def shrink_moves_case(seed: int, case: MovesCase) -> MovesCase:
                 progressed = True
         if current.scratch is not None:
             dropped = replace(current, scratch=None)
-            if failing(dropped):
-                current = dropped
-                progressed = True
-        if current.has_permi:
-            dropped = replace(current, has_permi=False)
             if failing(dropped):
                 current = dropped
                 progressed = True

@@ -26,22 +26,12 @@ control    br / beq bne blt bge bgt    labels name basic blocks
            ble / ret
 call       call                        explicit use/def reg lists
 decode     setlr                       ``set_last_reg(value[, delay])``
-shuffle    permi                       full-file register permutation;
-                                       ``imm`` is the permutation tuple
 ========== =========================== ==========================
 
 ``setlr`` is the paper's ``set_last_reg`` ISA extension (Section 2.3).  It
 carries no register fields — its payload lives in ``instr.imm`` as a
 ``(value, delay)`` pair — and it is discarded after the decode stage, which
 the timing model honours.
-
-``permi`` is the optional permutation instruction of the shuffle-code
-extension (Buchwald et al., see ``docs/moves.md``), gated by the
-``has_permi`` machine feature flag: ``R'[i] = R[perm[i]]`` for the
-permutation carried in ``instr.imm``.  Like ``call`` its register effects
-(every non-fixed point of the permutation) are not differential register
-*fields* — the specifiers are direct, so it neither reads nor disturbs the
-decoder's ``last_reg`` chain.
 """
 
 from __future__ import annotations
@@ -165,7 +155,6 @@ OPCODES["ret"] = _op("ret", 1, False, False, is_branch=True)
 OPCODES["call"] = _op("call", 0, False, False)
 OPCODES["setlr"] = _op("setlr", 0, False, True)
 OPCODES["nop"] = _op("nop", 0, False, False)
-OPCODES["permi"] = _op("permi", 0, False, True)
 
 
 _counter = [0]
@@ -215,13 +204,6 @@ class Instr:
             raise ValueError(f"{self.op} requires a destination register")
         if not info.has_dst and self.dst is not None:
             raise ValueError(f"{self.op} takes no destination register")
-        if self.op == "permi":
-            perm = self.imm
-            if (not isinstance(perm, tuple)
-                    or sorted(perm) != list(range(len(perm)))):
-                raise ValueError(
-                    f"permi immediate must be a permutation of its register "
-                    f"window, got {perm!r}")
 
     @property
     def info(self) -> OpInfo:
@@ -231,18 +213,12 @@ class Instr:
         """Registers read by this instruction, in field order."""
         if self.op == "call":
             return self.srcs + self.call_uses
-        if self.op == "permi":
-            return tuple(Reg(p, virtual=False)
-                         for i, p in enumerate(self.imm) if p != i)
         return self.srcs
 
     def defs(self) -> Tuple[Reg, ...]:
         """Registers written by this instruction."""
         if self.op == "call":
             return self.call_defs
-        if self.op == "permi":
-            return tuple(Reg(i, virtual=False)
-                         for i, p in enumerate(self.imm) if p != i)
         return (self.dst,) if self.dst is not None else ()
 
     def reg_fields(self) -> Tuple[Reg, ...]:
@@ -264,21 +240,6 @@ class Instr:
         """
         new = self.copy()
         sub = lambda r: mapping.get(r, r)  # noqa: E731 - tiny local helper
-        if self.op == "permi":
-            # permi's registers live in its immediate; a renaming sigma
-            # turns R'[i] = R[perm[i]] into R'[sigma(i)] = R[sigma(perm[i])]
-            perm = tuple(self.imm)
-            sigma = {i: sub(Reg(i, virtual=False)).id
-                     for i in range(len(perm))}
-            if sorted(sigma.values()) != list(range(len(perm))):
-                raise ValueError(
-                    f"rewrite of permi {perm} is not a permutation of its "
-                    f"register window")
-            new_perm = list(range(len(perm)))
-            for i, p in enumerate(perm):
-                new_perm[sigma[i]] = sigma[p]
-            new.imm = tuple(new_perm)
-            return new
         if self.dst is not None:
             new.dst = sub(self.dst)
         new.srcs = tuple(sub(s) for s in self.srcs)

@@ -448,14 +448,6 @@ class Interpreter:
                 slots[slot] = regs[s]
         elif op == "setlr" or op == "nop":
             step = _nop_step
-        elif op == "permi":
-            moved = tuple((Reg(i, virtual=False), Reg(p, virtual=False))
-                          for i, p in enumerate(instr.imm) if p != i)
-
-            def step(regs=regs, moved=moved):
-                vals = [regs[s] for _, s in moved]
-                for (d, _), v in zip(moved, vals):
-                    regs[d] = v
         elif op == "call":
             defs = instr.call_defs
 
@@ -543,11 +535,6 @@ class Interpreter:
                 slots[instr.imm] = read(instr.srcs[0])
             elif op == "setlr" or op == "nop":
                 pass
-            elif op == "permi":
-                moved = [(Reg(i, virtual=False), read(Reg(p, virtual=False)))
-                         for i, p in enumerate(instr.imm) if p != i]
-                for d, v in moved:
-                    regs[d] = v
             elif op == "call":
                 for d in instr.call_defs:
                     regs[d] = 0

@@ -156,8 +156,6 @@ def _parse_instr(text: str, line_no: int) -> Instr:
             return Instr("setlr", imm=(value, delay, cls))
         if op == "nop":
             return Instr("nop")
-        if op == "permi":
-            return Instr("permi", imm=tuple(imm(i) for i in range(len(ops))))
         if op == "call":
             raise _err(line_no, "call is not parseable from text")
         info = OPCODES[op]

@@ -51,8 +51,6 @@ def format_instr(instr: Instr) -> str:
         if delay or suffix:
             return f"setlr {value}, {delay}{suffix}"
         return f"setlr {value}"
-    if op == "permi":
-        return "permi " + ", ".join(str(p) for p in instr.imm)
     if op == "nop":
         return "nop"
     # generic ALU forms

@@ -96,32 +96,6 @@ class DecoderCostModel:
             levels = 2
         return gates, levels
 
-    def permi_estimate(self) -> DecoderEstimate:
-        """Decode + execute cost of the shuffle-code ``permi`` extension.
-
-        ``permi`` carries RegN direct register numbers (``reg_bits`` each),
-        so its *decode* needs no modulo adders at all — the cost sits in
-        the register file: an all-to-all crossbar of RegN lanes, each lane
-        a RegN-to-1 mux of ``reg_bits``-wide values (a tree of 2-to-1
-        muxes, ~3 gates each, ``ceil(log2 RegN)`` levels).  This is the
-        estimate the ``has_permi`` machine flag buys, to be read next to
-        the differential decoder's own envelope (:meth:`estimate`).
-        """
-        n = self.config.reg_n
-        bits = self.reg_bits
-        mux2_per_lane = max(1, n - 1)                  # n-to-1 mux tree
-        gates_per_lane = mux2_per_lane * bits * 3      # 2:1 mux ~ 3 gates
-        total_gates = n * gates_per_lane
-        levels = max(1, math.ceil(math.log2(max(2, n))))
-        return DecoderEstimate(
-            operands=n,
-            input_bits=n * bits,
-            output_bits=n * bits,
-            gate_count=total_gates,
-            transistor_count=total_gates * _TRANSISTORS_PER_GATE,
-            logic_levels=levels,
-        )
-
     def estimate(self, operands: int = 3) -> DecoderEstimate:
         """Cost of decoding ``operands`` register fields in parallel."""
         if operands < 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-__all__ = ["LowEndConfig", "VLIWConfig", "LOWEND", "LOWEND_PERMI", "VLIW"]
+__all__ = ["LowEndConfig", "VLIWConfig", "LOWEND", "VLIW"]
 
 
 @dataclass(frozen=True)
@@ -32,17 +32,11 @@ class LowEndConfig:
     dcache_assoc: int = 2
     cache_miss_penalty: int = 20
     taken_branch_penalty: int = 1
-    #: shuffle-code extension (docs/moves.md): when set, the ISA carries a
-    #: ``permi`` full-file permutation instruction and the parallel-move
-    #: resolver may fold register cycles into one of them
-    has_permi: bool = False
     extra_latency: Dict[str, int] = field(
         # loads pay a load-use bubble even on a hit; multiplies and divides
-        # are iterative on this machine class; permi pays one extra cycle
-        # for its wide register-file access (Buchwald et al. price it as a
-        # short fixed-latency shuffle op)
+        # are iterative on this machine class
         default_factory=lambda: {
-            "mul": 1, "div": 7, "rem": 7, "ld": 1, "ldslot": 1, "permi": 1,
+            "mul": 1, "div": 7, "rem": 7, "ld": 1, "ldslot": 1,
         }
     )
     # relative energy per event, in arbitrary units.  Ratios follow the
@@ -77,9 +71,6 @@ class LowEndConfig:
             ("D-cache", f"{self.dcache_size // 1024}KB, "
                         f"{self.dcache_assoc}-way, {self.dcache_line}B lines"),
             ("Miss penalty", f"{self.cache_miss_penalty} cycles"),
-            ("Permutation instruction",
-             "permi (shuffle-code extension)" if self.has_permi
-             else "none"),
         )
 
 
@@ -104,6 +95,4 @@ class VLIWConfig:
 
 
 LOWEND = LowEndConfig()
-#: the same core with the shuffle-code ``permi`` extension enabled
-LOWEND_PERMI = LowEndConfig(name="arm-thumb-like+permi", has_permi=True)
 VLIW = VLIWConfig()

@@ -98,8 +98,7 @@ def _sequence_parallel_moves(wanted: Sequence[Tuple[Reg, Reg]]) -> List[Instr]:
     shuffle-code problem :mod:`repro.regalloc.moves` solves.  Acyclic
     dependencies become plain moves in safe order; residual cycles break
     with xor-swap triples, which need no scratch register (liveness at a
-    call site is too murky to prove one dead, and the calling convention
-    is machine-independent, so no ``permi`` here either).
+    call site is too murky to prove one dead).
     """
     from repro.regalloc.moves import lower_ops, resolve_parallel_move
 

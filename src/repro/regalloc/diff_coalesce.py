@@ -202,7 +202,6 @@ def differential_coalesce_allocate(fn: Function, k: int, diff_n: int,
                                    order: str = "src_first",
                                    use_ilp: bool = True,
                                    join_splitting: bool = False,
-                                   has_permi: bool = False,
                                    freq: Optional[Dict[str, float]] = None
                                    ) -> AllocationResult:
     """The full approach-3 pipeline (paper Section 7).
@@ -212,9 +211,7 @@ def differential_coalesce_allocate(fn: Function, k: int, diff_n: int,
     overrides the static block-frequency estimate throughout.
 
     The residence/join moves that survive coloring are re-emitted
-    minimally by :func:`repro.regalloc.moves.resolve_move_runs`;
-    ``has_permi`` lets it fold register cycles into one ``permi``
-    permutation instruction.
+    minimally by :func:`repro.regalloc.moves.resolve_move_runs`.
     """
     from repro.regalloc.moves import resolve_move_runs
 
@@ -229,7 +226,7 @@ def differential_coalesce_allocate(fn: Function, k: int, diff_n: int,
     selector = DifferentialSelector(k, diff_n, order=order)
     result = iterated_allocate(coalesced_fn, k, selector=selector,
                                freq=dict(freq) if freq else None)
-    move_stats = resolve_move_runs(result.fn, k, has_permi=has_permi)
+    move_stats = resolve_move_runs(result.fn, k)
     result.stats.update(move_stats.as_stats())
     result.stats.update({
         "coalesce_committed": float(stats.committed),

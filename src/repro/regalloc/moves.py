@@ -15,24 +15,14 @@ each residual cycle with whichever mechanism the machine offers cheapest —
   member's value, that copy doubles as the save and the cycle costs ``L``
   moves (non-injective mappings only);
 * **xor-swap triples** when no scratch exists anywhere: ``3 (L - 1)``
-  instructions per cycle, no temporary needed;
-* a single ``permi`` **permutation instruction** when the machine feature
-  flag (:class:`repro.machine.spec.LowEndConfig` ``has_permi``) is set:
-  *all* cycles collapse into one instruction — and chains ride along too,
-  each rotated through its tail inside the same permutation and repaired
-  with one duplicating ``mov`` (the tail's value must survive in two
-  places, which no bijective instruction can produce).  A parallel move
-  with ``C`` chains and any cycle therefore costs exactly ``C + 1``
-  instructions: permutations never duplicate values, so ``C`` moves is a
-  hard floor and one more op is forced as soon as anything cyclic (or any
-  chain longer than one move) remains.
+  instructions per cycle, no temporary needed.
 
 Minimality is with respect to this instruction repertoire — sequences built
-from register copies, register swaps (priced at their 3-instruction xor
-lowering) and full-file permutation instructions — and is verified
-exhaustively for small register files by :func:`search_minimal_cost`, a
-Dijkstra search over abstract register-file states.  See ``docs/moves.md``
-for the cost model and the optimality-gap methodology.
+from register copies and register swaps (priced at their 3-instruction xor
+lowering) — and is verified exhaustively for small register files by
+:func:`search_minimal_cost`, a Dijkstra search over abstract register-file
+states.  See ``docs/moves.md`` for the cost model and the optimality-gap
+methodology.
 
 :func:`resolve_move_runs` applies the resolver to allocated functions: every
 maximal run of consecutive register-to-register ``mov`` instructions is
@@ -45,7 +35,7 @@ identical-or-better.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.ir.function import Function
@@ -65,9 +55,8 @@ __all__ = [
     "resolve_move_runs",
 ]
 
-#: abstract resolver operations: ``("mov", dst, src)``, ``("swap", a, b)``
-#: (lowered to the 3-instruction xor triple) or ``("permi", perm)`` (one
-#: permutation instruction whose tuple ``perm`` satisfies R'[i] = R[perm[i]]).
+#: abstract resolver operations: ``("mov", dst, src)`` or ``("swap", a, b)``
+#: (lowered to the 3-instruction xor triple).
 MoveOp = Tuple
 
 
@@ -143,8 +132,7 @@ class ResolvedMoves:
     mapping: Tuple[Tuple[int, int], ...]   # sorted (dst, src) pairs
     ops: Tuple[MoveOp, ...]
     scratch: Optional[int] = None          # external scratch actually used
-    used_permi: bool = False
-    strategy: str = "trivial"              # permi | scratch | chain | alias | swap | trivial
+    strategy: str = "trivial"              # scratch | chain | alias | swap | mixed | trivial
 
     @property
     def n_instructions(self) -> int:
@@ -169,123 +157,33 @@ def _cycle_with_swaps(cycle: Tuple[int, ...]) -> List[MoveOp]:
     return [("swap", cycle[0], cycle[i]) for i in range(1, len(cycle))]
 
 
-def _chains(edges: Dict[int, int]) -> List[List[Tuple[int, int]]]:
-    """The disjoint chains of an injective mapping.
-
-    Each chain is a list of ``(dst, src)`` edges terminal-first; the last
-    edge's source is the chain's *tail*, a register that is read but never
-    written (its value must survive the move).  Cycle members never appear:
-    they are all sources of other edges.
-    """
-    src_set = set(edges.values())
-    chains: List[List[Tuple[int, int]]] = []
-    for d in sorted(edges):
-        if d in src_set:
-            continue
-        chain = []
-        cur = d
-        while cur in edges:
-            chain.append((cur, edges[cur]))
-            cur = edges[cur]
-        chains.append(chain)
-    return chains
-
-
-def _permi_plan(edges: Dict[int, int],
-                cycles: List[Tuple[int, ...]],
-                reg_n: int) -> Optional[Tuple[MoveOp, ...]]:
-    """The permutation-instruction plan for an injective mapping, if it pays.
-
-    Cycles fold into one ``permi`` for free; a chain of ``k >= 2`` moves
-    folds too, rotated through its tail, at the price of one repair ``mov``
-    that duplicates the tail's value back (``permi`` is a bijection and
-    cannot duplicate).  The plan is used when any cycle exists, or when the
-    folded chains save strictly more than the ``permi`` itself costs —
-    which makes the emitted length exactly ``1 + #chains``, the proven
-    optimum (each chain's tail duplication forces one ``mov``, and any
-    cycle or multi-move chain forces one more op on top).
-
-    Returns ``None`` when some cycle leaves the ``permi`` window or plain
-    moves are just as short (ties prefer the boring encoding).
-    """
-    if not all(c < reg_n for cyc in cycles for c in cyc):
-        return None
-    chains = _chains(edges)
-    fold = [ch for ch in chains
-            if len(ch) >= 2
-            and all(d < reg_n for d, _ in ch) and ch[-1][1] < reg_n]
-    savings = sum(len(ch) - 1 for ch in fold)
-    if not cycles and savings <= 1:
-        return None
-
-    ops: List[MoveOp] = []
-    folded = {id(ch) for ch in fold}
-    for ch in chains:
-        if id(ch) not in folded:
-            ops.extend(("mov", d, s) for d, s in ch)
-    perm = list(range(reg_n))
-    for cyc in cycles:
-        k = len(cyc)
-        for i, c in enumerate(cyc):
-            perm[c] = cyc[(i - 1) % k]       # R'[c_i] = R[c_{i-1}]
-    for ch in fold:
-        for d, s in ch:
-            perm[d] = s
-        perm[ch[-1][1]] = ch[0][0]           # tail takes the dead terminal
-    ops.append(("permi", tuple(perm)))
-    for ch in fold:
-        # after the rotation the tail's old value sits in the last dst;
-        # copy it home (the one unavoidable duplication per chain)
-        ops.append(("mov", ch[-1][1], ch[-1][0]))
-    return tuple(ops)
-
-
 def resolve_parallel_move(mapping: Dict[int, int],
-                          scratch: Optional[int] = None,
-                          has_permi: bool = False,
-                          reg_n: Optional[int] = None) -> ResolvedMoves:
+                          scratch: Optional[int] = None) -> ResolvedMoves:
     """Compile a parallel move to a minimal abstract op sequence.
 
     ``mapping`` maps destination register to source register; sources may
     repeat (a fan-out), destinations cannot.  ``scratch`` names a register
     liveness proved dead across the move (it may be clobbered freely).
-    With ``has_permi``, cycles whose members all lie below ``reg_n`` are
-    folded into one permutation instruction.
 
     For injective mappings (partial register permutations — the join-repair
-    case) the emitted sequence is provably minimal for the mov/swap/permi
-    cost model; :func:`minimal_instruction_count` is its closed form and
+    case) the emitted sequence is provably minimal for the mov/swap cost
+    model; :func:`minimal_instruction_count` is its closed form and
     :func:`search_minimal_cost` the exhaustive cross-check.
     """
     edges = _check_mapping(dict(mapping))
     if scratch is not None and (scratch in edges or scratch in edges.values()):
         raise ValueError(f"scratch r{scratch} participates in the move")
-    if has_permi and reg_n is None:
-        raise ValueError("has_permi needs reg_n for the permutation width")
 
     tree, cycles = decompose_parallel_move(edges)
     srcs = list(edges.values())
     injective = len(set(srcs)) == len(srcs)
 
-    if has_permi and injective and edges:
-        assert reg_n is not None
-        plan = _permi_plan(edges, cycles, reg_n)
-        if plan is not None:
-            return ResolvedMoves(
-                mapping=tuple(sorted(edges.items())),
-                ops=plan,
-                used_permi=True,
-                strategy="permi",
-            )
-
     if not cycles:
         return ResolvedMoves(
             mapping=tuple(sorted(edges.items())),
             ops=tuple(("mov", d, s) for d, s in tree),
-            strategy="trivial" if tree else "trivial",
         )
 
-    src_set = set(srcs)
     # fan-out saves: tree dsts that duplicate a cycle member's value
     cycle_members: Set[int] = set()
     for cyc in cycles:
@@ -294,14 +192,6 @@ def resolve_parallel_move(mapping: Dict[int, int],
     for d, s in tree:
         if s in cycle_members and s not in alias:
             alias[s] = d
-
-    permi_cycles: List[Tuple[int, ...]] = []
-    other_cycles: List[Tuple[int, ...]] = []
-    for cyc in cycles:
-        if has_permi and reg_n is not None and all(c < reg_n for c in cyc):
-            permi_cycles.append(cyc)
-        else:
-            other_cycles.append(cyc)
 
     ops: List[MoveOp] = []
     strategies: List[str] = []
@@ -312,8 +202,8 @@ def resolve_parallel_move(mapping: Dict[int, int],
     # temporary in the meantime
     deferred: List[Tuple[int, int]] = []
     internal_scratch: Optional[int] = None
-    needs_scratch = bool(other_cycles) and scratch is None and not any(
-        c in alias for cyc in other_cycles for c in cyc
+    needs_scratch = scratch is None and not any(
+        c in alias for cyc in cycles for c in cyc
     )
     if needs_scratch and injective and tree:
         # tree edges of an injective mapping form disjoint chains, emitted
@@ -335,18 +225,8 @@ def resolve_parallel_move(mapping: Dict[int, int],
     for d, s in tree:
         ops.append(("mov", d, s))
 
-    if permi_cycles:
-        assert reg_n is not None
-        perm = list(range(reg_n))
-        for cyc in permi_cycles:
-            k = len(cyc)
-            for i, c in enumerate(cyc):
-                perm[c] = cyc[(i - 1) % k]   # R'[c_i] = R[c_{i-1}]
-        ops.append(("permi", tuple(perm)))
-        strategies.append("permi")
-
     temp = scratch if scratch is not None else internal_scratch
-    for cyc in other_cycles:
+    for cyc in cycles:
         saved = next((c for c in cyc if c in alias), None)
         if saved is not None:
             # rotate so the aliased member leads, then shift through it
@@ -371,7 +251,6 @@ def resolve_parallel_move(mapping: Dict[int, int],
         ops=tuple(ops),
         scratch=scratch if scratch is not None and any(
             s == "scratch" for s in strategies) else None,
-        used_permi=bool(permi_cycles),
         strategy=strategy,
     )
 
@@ -380,9 +259,7 @@ def lower_ops(ops: Sequence[MoveOp], cls: str = "int") -> List[Instr]:
     """Lower abstract ops to instructions.
 
     ``swap`` becomes the exact 3-xor triple the symbolic checker
-    recognises (``xor a,(a,b); xor b,(b,a); xor a,(a,b)``); ``permi``
-    becomes one ``permi`` instruction carrying its permutation as the
-    immediate.
+    recognises (``xor a,(a,b); xor b,(b,a); xor a,(a,b)``).
     """
     out: List[Instr] = []
     for op in ops:
@@ -397,8 +274,6 @@ def lower_ops(ops: Sequence[MoveOp], cls: str = "int") -> List[Instr]:
             out.append(Instr("xor", dst=a, srcs=(a, b)))
             out.append(Instr("xor", dst=b, srcs=(b, a)))
             out.append(Instr("xor", dst=a, srcs=(a, b)))
-        elif op[0] == "permi":
-            out.append(Instr("permi", imm=tuple(op[1])))
         else:
             raise ValueError(f"unknown abstract op {op!r}")
     return out
@@ -415,49 +290,29 @@ def apply_ops(ops: Sequence[MoveOp], state: Dict[int, object]
         elif op[0] == "swap":
             _, a, b = op
             st[a], st[b] = st[b], st[a]
-        elif op[0] == "permi":
-            perm = op[1]
-            old = dict(st)
-            for i, p in enumerate(perm):
-                if p != i:
-                    st[i] = old[p]
         else:
             raise ValueError(f"unknown abstract op {op!r}")
     return st
 
 
 def minimal_instruction_count(mapping: Dict[int, int],
-                              scratch_available: bool = False,
-                              has_permi: bool = False) -> int:
+                              scratch_available: bool = False) -> int:
     """Closed-form minimal instruction count of a parallel move.
 
     Exact for injective mappings (partial permutations): ``T`` tree moves
     plus, per length-``L`` cycle, ``L + 1`` moves with a scratch register
     (external, or internal whenever ``T >= 1``) and ``3 (L - 1)``
-    instructions otherwise.  With ``permi`` (assumed wide enough to cover
-    every involved register) the optimum is ``C + 1`` — one permutation
-    plus one duplicating repair move per chain — whenever any cycle exists
-    or folding chains into the permutation saves more than the ``permi``
-    costs; plain ``T`` moves otherwise.  For fan-out mappings the fan-out
-    save makes an aliased cycle cost ``L``; the value is then the
-    resolver's emitted length (an upper bound on the true optimum).
+    instructions otherwise.  For fan-out mappings the fan-out save makes
+    an aliased cycle cost ``L``; the value is then the resolver's emitted
+    length (an upper bound on the true optimum).
     """
     edges = _check_mapping(dict(mapping))
     tree, cycles = decompose_parallel_move(edges)
     total = len(tree)
-    srcs = list(edges.values())
-    injective = len(set(srcs)) == len(srcs)
-    if has_permi and injective:
-        src_set = set(srcs)
-        n_chains = sum(1 for d in edges if d not in src_set)
-        if cycles or (total - n_chains) > 1:
-            return n_chains + 1
-        return total
     if not cycles:
         return total
-    if has_permi:
-        # tree moves + one permutation instruction for all cycles
-        return total + 1
+    srcs = list(edges.values())
+    injective = len(set(srcs)) == len(srcs)
     aliased = set()
     members = {c for cyc in cycles for c in cyc}
     for d, s in tree:
@@ -480,11 +335,10 @@ def minimal_instruction_count(mapping: Dict[int, int],
 
 def search_minimal_cost(mapping: Dict[int, int], reg_n: int,
                         scratch: Optional[int] = None,
-                        has_permi: bool = False,
                         limit: Optional[int] = None) -> int:
     """Dijkstra over abstract register-file states: the true minimal
-    instruction count for ``mapping`` within the mov (1) / swap (3) /
-    permi (1) repertoire.
+    instruction count for ``mapping`` within the mov (1) / swap (3)
+    repertoire.
 
     State is "which original register's value each register holds".
     Registers outside the mapping must end holding their own value —
@@ -492,8 +346,6 @@ def search_minimal_cost(mapping: Dict[int, int], reg_n: int,
     ``reg_n``; intended for ``reg_n <= 5`` (plus scratch) as the
     minimality oracle in tests and the ``moves`` fuzz target.
     """
-    from itertools import permutations
-
     edges = _check_mapping(dict(mapping))
     n = max([reg_n] + [r + 1 for r in edges] + [s + 1 for s in edges.values()]
             + ([scratch + 1] if scratch is not None else []))
@@ -509,11 +361,6 @@ def search_minimal_cost(mapping: Dict[int, int], reg_n: int,
             if state[r] != want:
                 return False
         return True
-
-    perms = None
-    if has_permi:
-        perms = [p for p in permutations(range(reg_n))
-                 if any(p[i] != i for i in range(reg_n))]
 
     best: Dict[Tuple[int, ...], int] = {start: 0}
     heap: List[Tuple[int, Tuple[int, ...]]] = [(0, start)]
@@ -546,12 +393,6 @@ def search_minimal_cost(mapping: Dict[int, int], reg_n: int,
                 lst[a], lst[b] = state[b], state[a]
                 push(tuple(lst), cost + 3)
                 lst[a], lst[b] = state[a], state[b]
-        if perms:
-            for p in perms:
-                nxt = tuple(state[p[i]] if i < reg_n else state[i]
-                            for i in range(n))
-                if nxt != state:
-                    push(nxt, cost + 1)
     raise RuntimeError(f"no resolution found for {edges!r}")  # pragma: no cover
 
 
@@ -567,10 +408,6 @@ class MoveRunStats:
     runs_rewritten: int = 0
     movs_before: int = 0
     instrs_after: int = 0
-    permis: int = 0
-    swaps: int = 0
-    scratch_cycles: int = 0
-    stats: Dict[str, float] = field(default_factory=dict)
 
     @property
     def instructions_saved(self) -> int:
@@ -582,7 +419,6 @@ class MoveRunStats:
             "moves_runs_seen": float(self.runs_seen),
             "moves_runs_rewritten": float(self.runs_rewritten),
             "moves_instructions_saved": float(self.instructions_saved),
-            "moves_permis": float(self.permis),
         }
 
 
@@ -603,7 +439,6 @@ def _composite_mapping(instrs: Sequence[Instr]) -> Dict[int, int]:
 
 
 def resolve_move_runs(fn: Function, reg_n: int,
-                      has_permi: bool = False,
                       cls: str = "int") -> MoveRunStats:
     """Rewrite maximal runs of consecutive physical copies minimally.
 
@@ -652,23 +487,14 @@ def resolve_move_runs(fn: Function, reg_n: int,
                  and Reg(r, virtual=False, cls=cls) not in live_before[i]),
                 None,
             )
-            resolved = resolve_parallel_move(
-                mapping, scratch=scratch, has_permi=has_permi, reg_n=reg_n,
-            )
+            resolved = resolve_parallel_move(mapping, scratch=scratch)
             if resolved.n_instructions < len(run):
                 stats.runs_rewritten += 1
                 stats.instrs_after += resolved.n_instructions
-                stats.permis += sum(1 for op in resolved.ops
-                                    if op[0] == "permi")
-                stats.swaps += sum(1 for op in resolved.ops
-                                   if op[0] == "swap")
-                if resolved.scratch is not None:
-                    stats.scratch_cycles += 1
                 out.extend(lower_ops(resolved.ops, cls=cls))
             else:
                 stats.instrs_after += len(run)
                 out.extend(run)
             i = j
         block.instrs = out
-    stats.stats = stats.as_stats()
     return stats

@@ -50,7 +50,6 @@ from repro.regalloc.zoo import (AllocatorContext, AllocatorInfo,
 
 if TYPE_CHECKING:  # the verifier is duck-typed at runtime: regalloc never
     from repro.lint import PassVerifier  # imports lint at module level
-    from repro.machine.spec import LowEndConfig
 
 __all__ = ["AllocatedProgram", "run_setup", "SETUPS", "PAPER_SETUPS"]
 
@@ -174,8 +173,7 @@ def _run_select(fn: Function, ctx: AllocatorContext) -> AllocationResult:
     alloc = iterated_allocate(fn, ctx.reg_n, selector=selector, freq=ctx.freq)
     ctx.checkpoint("alloc:diff_select", alloc.fn, allocated=True, k=ctx.reg_n,
                    coloring=alloc.coloring, original=alloc.colored_fn)
-    move_stats = resolve_move_runs(alloc.fn, ctx.reg_n,
-                                   has_permi=ctx.has_permi)
+    move_stats = resolve_move_runs(alloc.fn, ctx.reg_n)
     alloc.stats.update(move_stats.as_stats())
     return alloc
 
@@ -191,7 +189,7 @@ def _run_ospill(fn: Function, ctx: AllocatorContext) -> AllocationResult:
 def _run_coalesce(fn: Function, ctx: AllocatorContext) -> AllocationResult:
     alloc = differential_coalesce_allocate(
         fn, ctx.reg_n, ctx.diff_n, order=ctx.access_order,
-        use_ilp=ctx.use_ilp, has_permi=ctx.has_permi, freq=ctx.freq,
+        use_ilp=ctx.use_ilp, freq=ctx.freq,
     )
     ctx.checkpoint("alloc:diff_coalesce", alloc.fn, allocated=True,
                    k=ctx.reg_n, coloring=alloc.coloring,
@@ -203,10 +201,9 @@ def _run_ssa_spill(fn: Function, ctx: AllocatorContext) -> AllocationResult:
     alloc = ssa_spill_allocate(fn, ctx.reg_n, freq=ctx.freq)
     ctx.checkpoint("alloc:ssa_spill", alloc.fn, allocated=True, k=ctx.reg_n,
                    coloring=alloc.coloring, original=alloc.colored_fn)
-    # phi lowering leaves copy runs the resolver can shorten (and fold
-    # into permi when the machine has it), same as the select setup
-    move_stats = resolve_move_runs(alloc.fn, ctx.reg_n,
-                                   has_permi=ctx.has_permi)
+    # phi lowering leaves copy runs the resolver can shorten, same as
+    # the select setup
+    move_stats = resolve_move_runs(alloc.fn, ctx.reg_n)
     alloc.stats.update(move_stats.as_stats())
     return alloc
 
@@ -275,7 +272,6 @@ def run_setup(fn: Function, setup: str,
               pass_verifier: Optional["PassVerifier"] = None,
               remap_seed: int = 0,
               setlr_elim: bool = True,
-              machine: Optional["LowEndConfig"] = None,
               ) -> AllocatedProgram:
     """Run one function through one registered allocation setup.
 
@@ -304,12 +300,6 @@ def run_setup(fn: Function, setup: str,
     eliminate_redundant_setlr` on the chosen encoding: ``set_last_reg``
     repairs the static verifier proves redundant or dead are deleted
     before verification.
-
-    ``machine`` (a :class:`repro.machine.spec.LowEndConfig`) feeds ISA
-    feature flags to the allocators — today just ``has_permi``, which
-    lets the parallel-move resolver (``docs/moves.md``) fold join-repair
-    register cycles into one ``permi`` permutation instruction in the
-    ``select`` and ``coalesce`` setups.
     """
     from repro.analysis.batched import prewarm_corpus
 
@@ -320,7 +310,6 @@ def run_setup(fn: Function, setup: str,
 
     config = EncodingConfig(reg_n=reg_n, diff_n=diff_n, access_order=access_order)
     encoded: Optional[EncodedFunction] = None
-    has_permi = bool(machine is not None and machine.has_permi)
 
     def checkpoint(stage: str, f: Function, **expectations) -> None:
         if pass_verifier is None:
@@ -358,7 +347,7 @@ def run_setup(fn: Function, setup: str,
 
     ctx = AllocatorContext(
         base_k=base_k, reg_n=reg_n, diff_n=diff_n, freq=freq,
-        use_ilp=use_ilp, has_permi=has_permi, access_order=access_order,
+        use_ilp=use_ilp, access_order=access_order,
         checkpoint=checkpoint,
     )
     alloc = entry.runner(fn, ctx)

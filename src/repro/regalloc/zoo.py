@@ -70,8 +70,6 @@ class AllocatorInfo:
     #: builds SSA form internally (diagnostic: such backends exercise
     #: the construct/destruct path and the parallel-move resolver)
     needs_ssa: bool = False
-    #: register classes the backend knows how to color
-    reg_classes: Tuple[str, ...] = ("int",)
     #: provenance note, e.g. the paper a scheme comes from
     source: str = ""
 
@@ -83,7 +81,6 @@ class AllocatorInfo:
             "spill_style": self.spill_style,
             "differential": self.differential,
             "needs_ssa": self.needs_ssa,
-            "reg_classes": list(self.reg_classes),
             "source": self.source,
         }
 
@@ -109,7 +106,6 @@ class AllocatorContext:
     #: block name -> execution frequency estimate
     freq: Optional[Dict[str, float]] = None
     use_ilp: bool = True
-    has_permi: bool = False
     access_order: str = "src_first"
     checkpoint: Callable[..., None] = field(default=_no_checkpoint)
 

@@ -80,7 +80,6 @@ MACHINE_FIELDS: Dict[str, type] = {
     f.name: type(getattr(LOWEND, f.name))
     for f in dataclasses.fields(LowEndConfig)
     if isinstance(getattr(LOWEND, f.name), (int, float))
-    and not isinstance(getattr(LOWEND, f.name), bool)
 }
 
 _OPTION_DEFAULTS: Dict[str, object] = {

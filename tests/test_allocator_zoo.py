@@ -47,10 +47,8 @@ class TestRegistry:
         assert by_name["ssa_spill"].needs_ssa
         assert by_name["ssa_spill"].spill_style == "everywhere"
         for info in by_name.values():
-            assert info.reg_classes == ("int",)
             doc = info.to_dict()
             assert doc["name"] == info.name
-            assert isinstance(doc["reg_classes"], list)
 
     def test_get_unknown_names_the_known(self):
         with pytest.raises(KeyError, match="baseline"):

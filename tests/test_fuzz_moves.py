@@ -72,7 +72,7 @@ class TestShrinker:
         # survives — the shrinker must strip everything else
         case = MovesCase(reg_n=8,
                          mapping=((0, 1), (2, 3), (4, 5)),
-                         scratch=1, has_permi=False)
+                         scratch=1)
         outcome = run_explicit_case(0, case)
         assert outcome["failures"]
         assert outcome["failures"][0]["oracle"] == "resolver-crash"
@@ -91,7 +91,8 @@ class TestReporting:
         case = MovesCase(reg_n=4, mapping=((0, 1),), scratch=1)
         outcome = run_explicit_case(7, case)
         text = format_moves_failure(outcome,
-                                    shrunk=replace(case, has_permi=False))
+                                    shrunk=replace(case, scratch=None))
         assert "seed=7" in text
+        assert "shrunk to: reg_n=4 {r0<-r1} scratch=None" in text
         assert "resolver-crash" in text
         assert "python -m repro fuzz moves --replay 7" in text

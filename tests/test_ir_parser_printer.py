@@ -109,6 +109,8 @@ class TestParseErrors:
         ("entry:\n    nop\n", "before func header"),
         ("func f():\n    nop\n", "before first label"),
         ("func f():\nentry:\n    bogus v1\n", "unknown opcode"),
+        ("func f():\nentry:\n    permi 1, 0\n",
+         "line 3: unknown opcode 'permi'"),
         ("func f():\nentry:\n    add v1\n", "too few operands"),
         ("func f():\nentry:\n    ld v1, v2\n", "bad address"),
         ("func f():\nentry:\n    mov v1, 7\n", "expected register"),

@@ -126,18 +126,6 @@ class TestInstr:
         out = i.rewrite({vreg(2): phys(5)})
         assert (out.dst, out.srcs) == (vreg(0), (vreg(1), phys(5)))
 
-    def test_rewrite_permi(self):
-        i = Instr("permi", imm=(1, 2, 0))
-        swap01 = {phys(0): phys(1), phys(1): phys(0)}
-        out = i.rewrite(swap01)
-        assert out.imm == (2, 0, 1) and out.uid == i.uid
-        assert i.imm == (1, 2, 0)
-
-    def test_rewrite_permi_rejects_non_permutation(self):
-        i = Instr("permi", imm=(1, 0))
-        with pytest.raises(ValueError, match="not a permutation"):
-            i.rewrite({phys(0): phys(1)})
-
     def test_unknown_attribute_rejected(self):
         i = Instr("nop")
         with pytest.raises(AttributeError):

@@ -1,5 +1,7 @@
 """Cache and low-end timing-model tests."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.ir import Interpreter, parse_function
@@ -140,3 +142,15 @@ class TestTable1:
         assert rows["Architected registers"] == "8"
         assert rows["Physical registers"] == "16"
         assert "16 bits" in rows["Instruction width"]
+
+    def test_repro_table1_matches_results_md(self, capsys):
+        # the committed Table 1 block is what `repro table1` prints, row
+        # for row and column width for column width
+        from repro.cli import main
+
+        lines = (Path(__file__).parents[1] / "RESULTS.md").read_text() \
+            .splitlines()
+        start = lines.index("Table 1: low-end machine configuration")
+        end = lines.index("", start)
+        assert main(["table1", "--restarts", "1"]) == 0
+        assert capsys.readouterr().out == "\n".join(lines[start:end]) + "\n"
