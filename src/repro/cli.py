@@ -61,13 +61,24 @@ def _add_parallel_args(p, with_seed: bool = True) -> None:
         _add_seed_arg(p)
 
 
+def _cmd_table1(args) -> int:
+    from repro.experiments.lowend import table1
+
+    print(table1().render())
+    return 0
+
+
 def _cmd_lowend(args) -> int:
     from repro.experiments import run_lowend_experiment
+    from repro.experiments.lowend import DIFFERENTIAL_SETUPS
+    from repro.regalloc.pipeline import PAPER_SETUPS
 
     jobs = _resolve_cli_jobs(args)
     if jobs is None:
         return 2
-    exp = run_lowend_experiment(remap_restarts=args.restarts,
+    # Figure 12 reports only the differential schemes
+    setups = DIFFERENTIAL_SETUPS if args.command == "fig12" else PAPER_SETUPS
+    exp = run_lowend_experiment(setups=setups, remap_restarts=args.restarts,
                                 profile=not args.static_weights,
                                 verify_each_pass=args.verify_each_pass,
                                 lint_mode=args.lint_mode,
@@ -76,7 +87,6 @@ def _cmd_lowend(args) -> int:
         print(exp.pass_verifier.attribution(), file=sys.stderr)
     figures = {
         "lowend": exp.render_all,
-        "table1": lambda: exp.table1().render(),
         "fig11": lambda: exp.fig11_spills().render(),
         "fig12": lambda: exp.fig12_cost().render(),
         "fig13": lambda: exp.fig13_codesize().render(),
@@ -696,6 +706,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("fig14", "speedup over baseline"),
     ]:
         p = sub.add_parser(name, help=help_text)
+        if name == "table1":
+            p.set_defaults(func=_cmd_table1)
+            continue
         p.add_argument("--restarts", type=int, default=50,
                        help="remapping restarts (paper uses 1000)")
         p.add_argument("--static-weights", action="store_true",

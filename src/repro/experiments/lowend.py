@@ -25,9 +25,20 @@ from repro.parallel import parallel_map
 from repro.regalloc.pipeline import PAPER_SETUPS, AllocatedProgram, run_setup
 from repro.workloads.mibench import MIBENCH, Workload
 
-__all__ = ["BenchmarkRow", "LowEndExperiment", "run_lowend_experiment"]
+__all__ = ["BenchmarkRow", "LowEndExperiment", "run_lowend_experiment",
+           "table1"]
 
 DIFFERENTIAL_SETUPS = ("remapping", "select", "coalesce")
+
+
+def table1(config: LowEndConfig = LOWEND) -> Table:
+    """The machine-configuration table (paper Table 1); it needs no
+    experiment run."""
+    t = Table("Table 1: low-end machine configuration",
+              ["parameter", "value"])
+    for k, v in config.rows():
+        t.add_row(k, v)
+    return t
 
 
 @dataclass
@@ -92,11 +103,7 @@ class LowEndExperiment:
 
     def table1(self) -> Table:
         """The machine-configuration table (paper Table 1)."""
-        t = Table("Table 1: low-end machine configuration",
-                  ["parameter", "value"])
-        for k, v in self.config.rows():
-            t.add_row(k, v)
-        return t
+        return table1(self.config)
 
     def fig11_spills(self) -> Table:
         """Static spill percentage over the entire code (paper averages:

@@ -12,9 +12,11 @@ Two searches are provided:
   steepest-descent over pairwise swaps of the register vector, restarted from
   a number of random initial vectors (the paper uses 1000) and keeping the
   best local minimum.
-* :func:`exact_remap` — the optimum for small ``RegN`` (the paper's
-  exhaustive search is "tractable for small RegN"), found by branch and
-  bound; :func:`remap_optimality_gap` calibrates the greedy against it.
+* :func:`exact_remap` — the optimum (the paper's exhaustive search is
+  "tractable for small RegN"), found by HiGHS on an assignment model at
+  any ``RegN`` within a time limit; :func:`remap_optimality_gap`
+  calibrates the greedy against it.  It is a test and benchmark oracle,
+  not a pipeline stage.
 
 All restarts of one search descend **in lockstep**
 (:func:`_lockstep_descent`): the starting permutations form one
@@ -36,7 +38,7 @@ order, stopping at the first zero-cost start.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -98,11 +100,10 @@ def _edge_list(fn: Function, reg_n: int, order: str,
     """The adjacency edges inside the differential space, as id triples.
 
     Parallel ``(u, v)`` edges are collapsed into one summed weight so both
-    searches iterate a minimal edge set (and the incremental buckets stay
-    small); first-seen order is preserved.  Weights are scaled to exact
-    integers (:data:`_WEIGHT_SCALE`); with integer block frequencies the
-    scaling is lossless, anything else is quantised to ~1e-6 of a unit
-    weight.
+    searches work on a minimal edge set; first-seen order is preserved.
+    Weights are scaled to exact integers (:data:`_WEIGHT_SCALE`); with
+    integer block frequencies the scaling is lossless, anything else is
+    quantised to ~1e-6 of a unit weight.
     """
     graph = build_adjacency(fn, order=order, freq=freq)
     weights: Dict[Tuple[int, int], float] = {}
@@ -133,142 +134,89 @@ def apply_permutation(fn: Function, perm: Sequence[int], reg_n: int) -> Function
     return fn.rewrite_registers(mapping)
 
 
-class _ExactEngine:
-    """Branch-and-bound over register→number assignments, provably exact.
+#: Wall-clock limit of one exact solve, in seconds.  A search that hits
+#: it returns the best permutation HiGHS found and its dual bound,
+#: unproven.
+_EXACT_TIME_LIMIT = 60.0
 
-    Numbers are assigned in order ``0, 1, ..., reg_n - 1``; at depth ``k``
-    the engine chooses which still-unplaced register receives number ``k``.
-    Three devices keep the tree far below ``RegN!`` leaves:
 
-    * **rotation pinning** — condition (3) only reads differences
-      ``(perm[v] - perm[u]) mod RegN``, which a rotation of all numbers
-      leaves untouched, so with no ``pinned`` constraint the first free
-      register can be fixed at number 0 (a factor-``RegN`` reduction);
-    * **forced cross-edge violations** — an edge from a placed register
-      whose partner cannot reach any remaining number within ``DiffN``
-      contributes its full weight to the bound already;
-    * **a memoized subproblem table** ``h(mask)`` — the exact minimum
-      violation weight of the edges internal to the unplaced set ``mask``,
-      placed into any contiguous number block.  Because the remaining
-      numbers ``{k..RegN-1}`` are always a translate of ``{0..m-1}`` and
-      translation preserves differences mod ``RegN``, ``h`` depends only
-      on the *set* of unplaced registers: at most ``2^RegN`` entries, each
-      solved once.  ``memo`` is exposed for the DP-table unit tests.
+def _exact_solve(edges: Sequence[Edge], reg_n: int, diff_n: int,
+                 pinned: Sequence[int] = ()
+                 ) -> Tuple[Tuple[int, ...], int, int]:
+    """The assignment model of condition (3), solved by HiGHS.
 
-    The admissible bound is ``g + forced_cross + h(mask)``; ``nodes`` and
-    ``pruned`` count explored and cut subtrees for the calibration report.
+    Binaries ``x[r, p]`` place register ``r`` at number ``p`` (a
+    ``RegN x RegN`` assignment).  Each edge ``u -> v`` with ``u != v``
+    has a continuous ``y_e`` that must reach 1 whenever ``u`` sits at
+    some ``p`` and ``v`` at a number ``DiffN`` or more past it:
+    ``y_e >= x[u, p] + sum(x[v, q] for (q - p) % RegN >= DiffN) - 1``.
+    The objective is ``sum(w_e * y_e)``.  Pinned registers keep their
+    number; with none pinned, the lowest register that has an edge is
+    fixed at number 0, since the cost reads only differences.
+
+    Returns the permutation, its cost and HiGHS's lower bound on every
+    permutation's cost (both in scaled integer weights, the bound capped
+    at the cost); the permutation is optimal when the two are equal.
     """
+    # imported here, as in optimal_spill: scipy stays off ``import repro``
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
-    def __init__(self, edges: Sequence[Edge], reg_n: int, diff_n: int,
-                 pinned: Sequence[int] = ()) -> None:
-        self.edges = list(edges)
-        self.reg_n = reg_n
-        self.diff_n = diff_n
-        self.pinned_set = set(pinned)
-        self.memo: Dict[int, int] = {}
-        self.nodes = 0
-        self.pruned = 0
-
-    def _violates(self, nu: int, nv: int) -> bool:
-        return (nv - nu) % self.reg_n >= self.diff_n
-
-    def h(self, mask: int) -> int:
-        """Exact minimum violation weight of the edges internal to the
-        register set ``mask``, placed into a contiguous number block."""
-        cached = self.memo.get(mask)
-        if cached is not None:
-            return cached
-        regs = [r for r in range(self.reg_n) if mask >> r & 1]
-        internal = [(u, v, w) for u, v, w in self.edges
-                    if u != v and (mask >> u & 1) and (mask >> v & 1)]
-        best = 0
-        if internal:
-            best = None
-            for images in itertools.permutations(range(len(regs))):
-                num = dict(zip(regs, images))
-                c = sum(w for u, v, w in internal
-                        if self._violates(num[u], num[v]))
-                if best is None or c < best:
-                    best = c
-                    if best == 0:
-                        break
-        self.memo[mask] = best
-        return best
-
-    def _forced_cross(self, num: List[int], mask: int, k: int) -> int:
-        """Weight of cross edges violated under every remaining number."""
-        remaining = range(k, self.reg_n)
-        total = 0
-        for u, v, w in self.edges:
-            u_placed = not (mask >> u & 1)
-            v_placed = not (mask >> v & 1)
-            if u_placed == v_placed:
-                continue
-            if u_placed:
-                if all(self._violates(num[u], q) for q in remaining):
-                    total += w
-            else:
-                if all(self._violates(q, num[v]) for q in remaining):
-                    total += w
-        return total
-
-    def solve(self) -> Tuple[int, Tuple[int, ...]]:
-        """The minimum scaled cost and a permutation achieving it."""
-        n = self.reg_n
-        num = [-1] * n
-        best_cost: Optional[int] = None
-        best_perm: Optional[Tuple[int, ...]] = None
-
-        def place(k: int, mask: int, g: int) -> None:
-            nonlocal best_cost, best_perm
-            self.nodes += 1
-            if mask == 0:
-                if best_cost is None or g < best_cost:
-                    best_cost, best_perm = g, tuple(num)
-                return
-            if best_cost is not None:
-                bound = g + self._forced_cross(num, mask, k) + self.h(mask)
-                if bound >= best_cost:
-                    self.pruned += 1
-                    return
-            if k in self.pinned_set:
-                candidates = [k]
-            elif k == 0 and not self.pinned_set:
-                # rotation pinning: fix the lowest register at number 0
-                candidates = [min(r for r in range(n) if mask >> r & 1)]
-            else:
-                candidates = [r for r in range(n)
-                              if (mask >> r & 1) and r not in self.pinned_set]
-            for r in candidates:
-                num[r] = k
-                nm = mask & ~(1 << r)
-                dg = 0
-                for u, v, w in self.edges:
-                    if u == r and v != r and not (nm >> v & 1):
-                        if self._violates(k, num[v]):
-                            dg += w
-                    elif v == r and u != r and not (nm >> u & 1):
-                        if self._violates(num[u], k):
-                            dg += w
-                place(k + 1, nm, g + dg)
-                num[r] = -1
-
-        place(0, (1 << n) - 1, 0)
-        assert best_cost is not None and best_perm is not None
-        return best_cost, best_perm
+    # a self-edge is satisfied under every permutation
+    cross = [(u, v, w) for u, v, w in edges if u != v and w]
+    # the objective in units of the weights' gcd is integral, so a dual
+    # bound within 1 of the incumbent proves it optimal
+    unit = math.gcd(*(w for _, _, w in cross)) or 1
+    n_x = reg_n * reg_n
+    regs = np.arange(reg_n)
+    # the assignment: one number per register, one register per number
+    rows = [np.repeat(regs, reg_n), reg_n + np.tile(regs, reg_n)]
+    cols = [np.arange(n_x)] * 2
+    # (p, q): u at p and v at q violate the edge
+    p, q = np.nonzero((regs[None, :] - regs[:, None]) % reg_n >= diff_n)
+    for e, (u, v, _) in enumerate(cross):
+        base = 2 * reg_n + e * reg_n
+        rows += [base + regs, base + p, base + regs]
+        cols += [u * reg_n + regs, v * reg_n + q,
+                 np.full(reg_n, n_x + e)]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    vals = np.where(cols < n_x, 1.0, -1.0)
+    n_rows = 2 * reg_n + len(cross) * reg_n
+    lo = np.full(n_rows, -np.inf)
+    lo[:2 * reg_n] = 1.0
+    hi = np.ones(n_rows)
+    var_lo = np.zeros(n_x + len(cross))
+    if pinned:
+        var_lo[[r * reg_n + r for r in pinned]] = 1.0
+    elif cross:
+        var_lo[min(min(u, v) for u, v, _ in cross) * reg_n] = 1.0
+    res = milp(
+        c=np.concatenate([np.zeros(n_x), [w // unit for _, _, w in cross]]),
+        constraints=LinearConstraint(
+            sparse.csr_matrix((vals, (rows, cols)),
+                              shape=(n_rows, len(var_lo))), lo, hi),
+        bounds=Bounds(var_lo, 1.0),
+        integrality=np.arange(len(var_lo)) < n_x,
+        options={"time_limit": _EXACT_TIME_LIMIT, "mip_rel_gap": 0.0},
+    )
+    if res.x is None:
+        raise RuntimeError(f"HiGHS found no assignment: {res.message}")
+    perm = tuple(res.x[:n_x].reshape(reg_n, reg_n).argmax(axis=1).tolist())
+    cost = _perm_cost(perm, edges, reg_n, diff_n)
+    bound = math.ceil(res.mip_dual_bound - 1e-6) * unit
+    return perm, cost, min(bound, cost)
 
 
 @dataclass
 class ExactRemapResult:
-    """Outcome of the exact branch-and-bound remapping search."""
+    """Outcome of the exact remapping search."""
 
     fn: Function
     permutation: Tuple[int, ...]
     cost_before: float
     cost_after: float
-    nodes: int = 0          # branch-and-bound tree nodes explored
-    pruned: int = 0         # subtrees cut by the admissible bound
-    memo_size: int = 0      # distinct h(mask) subproblems solved
+    bound: float   # HiGHS's dual bound: no permutation costs less
+    proven: bool   # bound == cost_after: the permutation is optimal
 
     @property
     def improvement(self) -> float:
@@ -280,31 +228,27 @@ def exact_remap(fn: Function, reg_n: int, diff_n: int,
                 order: str = "src_first",
                 freq: Optional[Mapping[str, float]] = None,
                 pinned: Sequence[int] = ()) -> ExactRemapResult:
-    """Provably optimal remapping via branch-and-bound (``RegN <= 8``).
+    """Provably optimal remapping via a HiGHS assignment model.
 
     Same contract as :func:`differential_remap`, but the returned cost is
-    the true minimum of condition (3)'s adjacency objective — the engine
-    exists to *calibrate* the greedy descent's optimality gap
-    (:func:`remap_optimality_gap`), not to replace it: the tree is
-    exponential in ``RegN`` even with the :class:`_ExactEngine` bounds.
+    the true minimum of condition (3)'s adjacency objective whenever
+    ``proven`` is set; a solve that hits :data:`_EXACT_TIME_LIMIT` returns
+    its best permutation and dual bound.  The model exists to *calibrate*
+    the greedy descent (:func:`remap_optimality_gap`), not to replace it:
+    it takes seconds where the descent takes milliseconds.
     """
-    if reg_n > 8:
-        raise ValueError(f"exact remap is exponential; RegN={reg_n} > 8")
     if freq is None:
         freq = estimate_block_frequencies(fn)
     edges = _edge_list(fn, reg_n, order, freq)
-    identity = tuple(range(reg_n))
-    base_cost = _perm_cost(identity, edges, reg_n, diff_n)
-    engine = _ExactEngine(edges, reg_n, diff_n, pinned)
-    best_cost, best_perm = engine.solve()
+    base_cost = _perm_cost(range(reg_n), edges, reg_n, diff_n)
+    perm, cost, bound = _exact_solve(edges, reg_n, diff_n, pinned)
     return ExactRemapResult(
-        fn=apply_permutation(fn, best_perm, reg_n),
-        permutation=best_perm,
+        fn=apply_permutation(fn, perm, reg_n),
+        permutation=perm,
         cost_before=base_cost / _WEIGHT_SCALE,
-        cost_after=best_cost / _WEIGHT_SCALE,
-        nodes=engine.nodes,
-        pruned=engine.pruned,
-        memo_size=len(engine.memo),
+        cost_after=cost / _WEIGHT_SCALE,
+        bound=bound / _WEIGHT_SCALE,
+        proven=bound == cost,
     )
 
 
@@ -318,9 +262,9 @@ def remap_optimality_gap(fn: Function, reg_n: int, diff_n: int,
 
     Runs :func:`differential_remap` and :func:`exact_remap` on the same
     adjacency problem and reports both costs plus their gap — by
-    construction ``gap >= 0``, and the regression suite ratchets it
-    non-increasing per corpus function.  Keys: ``greedy_cost``,
-    ``exact_cost``, ``gap``, ``nodes``, ``pruned``, ``memo_size``.
+    construction ``gap >= 0`` when ``proven`` is 1, and the regression
+    suite ratchets it non-increasing per corpus function.  Keys:
+    ``greedy_cost``, ``exact_cost``, ``bound``, ``proven``, ``gap``.
     """
     if freq is None:
         freq = estimate_block_frequencies(fn)
@@ -331,10 +275,9 @@ def remap_optimality_gap(fn: Function, reg_n: int, diff_n: int,
     return {
         "greedy_cost": greedy.cost_after,
         "exact_cost": exact.cost_after,
+        "bound": exact.bound,
+        "proven": float(exact.proven),
         "gap": greedy.cost_after - exact.cost_after,
-        "nodes": float(exact.nodes),
-        "pruned": float(exact.pruned),
-        "memo_size": float(exact.memo_size),
     }
 
 

@@ -152,5 +152,5 @@ class TestTable1:
             .splitlines()
         start = lines.index("Table 1: low-end machine configuration")
         end = lines.index("", start)
-        assert main(["table1", "--restarts", "1"]) == 0
+        assert main(["table1"]) == 0
         assert capsys.readouterr().out == "\n".join(lines[start:end]) + "\n"

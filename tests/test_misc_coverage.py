@@ -109,6 +109,25 @@ class TestCLISwpAndFigures(object):
         out = capsys.readouterr().out
         assert "Figure 11" in out
 
+    def test_fig12_runs_only_the_differential_setups(self, capsys,
+                                                     monkeypatch):
+        # Figure 12 reports remapping, select and coalesce; a baseline or
+        # O-spill run would be computed and thrown away
+        import repro.experiments.lowend as le
+        from repro.cli import main
+
+        ran = []
+
+        def fake_workload(w, *, setups, **_):
+            ran.extend(setups)
+            return [le.BenchmarkRow(w.name, s, 10, 0, 1, 100, 0)
+                    for s in setups]
+
+        monkeypatch.setattr(le, "_lowend_workload", fake_workload)
+        assert main(["fig12", "--restarts", "1"]) == 0
+        assert set(ran) == set(le.DIFFERENTIAL_SETUPS)
+        assert "Figure 12" in capsys.readouterr().out
+
     def test_swp_command_small(self, capsys):
         from repro.cli import main
         assert main(["swp", "--loops", "12", "--seed", "3"]) == 0
