@@ -9,7 +9,8 @@ the coalescing allocators can prioritise them.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+                    Optional, Set, Tuple)
 
 from repro.analysis.liveness import LivenessInfo, compute_liveness
 from repro.ir.function import Function
@@ -106,20 +107,25 @@ class InterferenceGraph:
             new_moves[key] = new_moves.get(key, 0.0) + w
         self.moves = new_moves
 
-    def check_coloring(self, coloring: Dict[Reg, int]) -> Optional[Tuple[Reg, Reg]]:
-        """Return a violated edge, or ``None`` if the coloring is proper.
+    def clashes(self, coloring: Mapping[Reg, int]
+                ) -> Iterator[Tuple[Reg, Reg]]:
+        """Yield every edge ``(a, b)``, ``a < b``, whose ends share a color.
 
-        Nodes are walked in sorted order, so the edge reported is the
-        same whatever the sets' layout."""
+        Nodes missing from ``coloring`` are uncolored and clash with
+        nothing.  Edges come in sorted order, whatever the sets' layout."""
         for a in self.nodes():
             ca = coloring.get(a)
             if ca is None:
                 continue
-            for b in self._adj[a]:
-                cb = coloring.get(b)
-                if cb is not None and ca == cb:
-                    return (a, b)
-        return None
+            for b in sorted(n for n in self._adj[a] if n > a):
+                if coloring.get(b) == ca:
+                    yield (a, b)
+
+    def check_coloring(self, coloring: Mapping[Reg, int]
+                       ) -> Optional[Tuple[Reg, Reg]]:
+        """Return the first violated edge, or ``None`` if the coloring is
+        proper."""
+        return next(self.clashes(coloring), None)
 
 
 def build_interference(fn: Function,

@@ -25,8 +25,9 @@ static_verifier.analyze_last_reg`:
 The two classes must not be deleted in the *same* sweep: a repair can be
 redundant only because a dead repair upstream wrote its value.  The pass
 therefore alternates — delete all dead, re-analyse, delete all redundant,
-re-analyse — until neither class is inhabited, then (by default) proves
-the result with the decode-replay verifier.  Deleting a ``set_last_reg``
+re-analyse — until neither class is inhabited.  Callers prove the
+result: ``run_setup`` decode-replays every encoding it returns, after
+this pass.  Deleting a ``set_last_reg``
 never perturbs other delay counters: counters tick on decoded register
 fields only, never on ``set_last_reg`` instructions themselves.
 """
@@ -70,16 +71,12 @@ def _delete_setlrs(enc: EncodedFunction, uids: Set[int]) -> None:
         ]
 
 
-def eliminate_redundant_setlr(enc: EncodedFunction,
-                              verify: bool = True) -> EliminationResult:
+def eliminate_redundant_setlr(enc: EncodedFunction) -> EliminationResult:
     """Delete every provably redundant or dead ``set_last_reg`` in ``enc``.
 
     Mutates ``enc`` in place (the function, and the ``n_setlr_removed``
     counter that :attr:`EncodedFunction.n_setlr` subtracts) and returns
-    the statistics.  With ``verify`` set, the result is decode-replayed
-    over every CFG path — an :class:`~repro.encoding.verifier.
-    EncodingError` here would mean the static proof is wrong, so it
-    propagates rather than being swallowed.
+    the statistics.
     """
     result = EliminationResult(enc=enc)
     while True:
@@ -103,8 +100,4 @@ def eliminate_redundant_setlr(enc: EncodedFunction,
         break
 
     enc.n_setlr_removed += result.n_removed
-    if verify and result.n_removed:
-        from repro.encoding.verifier import verify_encoding
-
-        verify_encoding(enc)
     return result

@@ -1,24 +1,21 @@
 """Differential fuzzing: adversarial inputs for the allocation pipeline.
 
 Three layers, mirroring the fuzzing stack regalloc2 built around its
-``ion_checker``:
+``ion_checker`` (whose counterpart here,
+:mod:`repro.regalloc.checker`, runs inside every ``run_setup``):
 
 * :mod:`repro.fuzz.gen` — a seeded random IR generator whose output is
   lint-clean (L001-L009) *by construction*, with knobs for control-flow
   shape, register pressure, call density and memory traffic;
-* :mod:`repro.fuzz.checker` — a symbolic allocation checker that proves,
-  without executing anything, that every use in an allocated function
-  reads the value of the correct original def;
 * :mod:`repro.fuzz.harness` — the differential oracle harness: every
   generated program through every setup, cross-checked against the
-  interpreters, the encoder round trip and the symbolic checker, with
-  failing cases shrunk to minimal reproducers;
+  interpreters, the encoder round trip and the pipeline's own semantics
+  proof, with failing cases shrunk to minimal reproducers;
 * :mod:`repro.fuzz.mutate` — a bug injector that corrupts allocations in
   known-miscompiling ways, used to prove the checker actually catches
   real bugs (mutation testing).
 """
 
-from repro.fuzz.checker import check_allocation_semantics
 from repro.fuzz.gen import (
     FuzzConfig,
     generate_fuzz_function,
@@ -48,7 +45,6 @@ __all__ = [
     "generate_pressure_function",
     "generate_loop_ddg",
     "knob_matrix",
-    "check_allocation_semantics",
     "run_case",
     "run_fuzz",
     "FuzzReport",

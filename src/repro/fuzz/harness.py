@@ -3,8 +3,9 @@
 One *case* is a ``(seed, FuzzConfig)`` pair.  For each case the harness
 generates a program and cross-checks, per allocator setup:
 
-* **symbolic checker** — :func:`check_allocation_semantics` proves the
-  allocated output reads the right values without running it;
+* **symbolic checker** — ``run_setup`` proves every allocation it
+  returns (:mod:`repro.regalloc.checker`); a failed proof surfaces as a
+  :class:`~repro.diagnostics.LintError` carrying the C-series report;
 * **allocator semantics** — the allocated function returns what the
   original does, on several probe inputs;
 * **engine agreement** — the fast (pre-decoded, columnar-recording)
@@ -30,7 +31,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.fuzz.checker import check_allocation_semantics
 from repro.fuzz.gen import FuzzConfig, generate_fuzz_function
 from repro.parallel import derive_seed, parallel_map
 
@@ -85,6 +85,7 @@ def run_case(seed: int, config: FuzzConfig,
     with an empty failure list meaning all oracles agreed.  Pure function
     of its arguments — the parallel fan-out depends on it.
     """
+    from repro.diagnostics import LintError, Severity
     from repro.encoding.binary import pack_function, unpack_function
     from repro.encoding.encoder import encode_function
     from repro.encoding.setlr_elim import eliminate_redundant_setlr
@@ -94,7 +95,6 @@ def run_case(seed: int, config: FuzzConfig,
     from repro.ir.printer import format_function
     from repro.lint import LintOptions, run_lint
     from repro.regalloc.pipeline import SETUPS, run_setup
-    from repro.regalloc.zoo import get_allocator
 
     setups = tuple(setups) if setups is not None else SETUPS
     failures: List[Dict[str, str]] = []
@@ -106,7 +106,6 @@ def run_case(seed: int, config: FuzzConfig,
     has_calls = any(i.op == "call" for i in fn.instructions())
 
     # oracle 0: the generator's own contract — lint-clean by construction
-    from repro.diagnostics import Severity
     lint = run_lint(fn, LintOptions())
     if lint.at_least(Severity.WARNING):
         _fail(failures, "gen-lint", "-", lint.render_text())
@@ -134,25 +133,20 @@ def run_case(seed: int, config: FuzzConfig,
             prog = run_setup(fn, setup, remap_restarts=restarts,
                              remap_seed=derive_seed(seed, "remap", setup),
                              verify=True)
+        except LintError as exc:
+            # a failed semantics proof carries C-series diagnostics; any
+            # other rejection (encoder preconditions) is a pipeline finding
+            proof = any(d.rule.startswith("C") for d in exc.diagnostics)
+            _fail(failures, "symbolic-checker" if proof else "pipeline",
+                  setup, str(exc))
+            continue
         except Exception as exc:  # any pipeline crash is a finding
             _fail(failures, "pipeline", setup,
                   f"{type(exc).__name__}: {exc}")
             continue
 
-        # SSA backends legitimately change the block layout (critical-edge
-        # splits from phi destruction), which the checker's C001 shape gate
-        # rejects; for those, prove the physical program implements its own
-        # spill-extended virtual function (identical layout — the same
-        # reference L010 colors against below), and leave the original-to-
-        # SSA link to the interpreter probes
-        checker_original = (prog.allocation.colored_fn
-                            if get_allocator(setup).info.needs_ssa else fn)
-        report = check_allocation_semantics(checker_original, prog.final_fn)
-        if not report.ok:
-            _fail(failures, "symbolic-checker", setup, report.render_text())
-
         # oracle: the allocation-interference lint (L010) must accept the
-        # coloring the symbolic checker just proved semantics-preserving
+        # coloring run_setup just proved semantics-preserving
         alloc_lint = run_lint(
             prog.final_fn,
             LintOptions(allocated=True,
@@ -227,7 +221,7 @@ def run_case(seed: int, config: FuzzConfig,
                 re_enc = encode_function(decoded, prog.encoded.config)
                 # the pipeline ran setlr_elim on the original encoding;
                 # determinism of encode + elim makes the bitstreams match
-                eliminate_redundant_setlr(re_enc, verify=False)
+                eliminate_redundant_setlr(re_enc)
                 re_packed = pack_function(re_enc)
             except Exception as exc:
                 _fail(failures, "re-encode", setup,

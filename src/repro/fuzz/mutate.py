@@ -1,9 +1,9 @@
 """Bug injector: known-miscompiling corruptions of allocated functions.
 
-Mutation testing for :mod:`repro.fuzz.checker`: if the symbolic checker is
-to be trusted as the harness's main oracle, it must catch every *real*
-miscompile we can manufacture.  The catalogue covers seven distinct
-classes:
+Mutation testing for :mod:`repro.regalloc.checker`: if the symbolic
+checker is to be trusted as the pipeline's semantics proof, it must catch
+every *real* miscompile we can manufacture.  The catalogue covers seven
+distinct classes:
 
 =============== ======================================================
 kind            corruption
@@ -44,11 +44,11 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.encoding.binary import PackError, pack_function, unpack_function
 from repro.encoding.encoder import EncodedFunction, setlr_payload
-from repro.fuzz.checker import check_allocation_semantics
 from repro.ir.function import Function
 from repro.ir.instr import Reg
 from repro.ir.interp import InterpError, Interpreter
 from repro.parallel import derive_seed
+from repro.regalloc.checker import check_allocation_semantics
 from repro.regalloc.pipeline import AllocatedProgram
 
 __all__ = ["Mutation", "MUTATION_KINDS", "GateResult", "enumerate_mutations",

@@ -607,12 +607,6 @@ def _check_alloc_interference(ctx: LintContext) -> List[Diagnostic]:
     from repro.analysis.interference import build_interference
     from repro.analysis.liveness import compute_liveness
 
-    coloring = opts.coloring
-
-    def color_of(r: Reg) -> Optional[int]:
-        # precolored physical operands carry their own assignment
-        return coloring.get(r, None if r.virtual else r.id)
-
     out: List[Diagnostic] = []
     try:
         liveness = compute_liveness(opts.original)
@@ -624,30 +618,22 @@ def _check_alloc_interference(ctx: LintContext) -> List[Diagnostic]:
             Location(function=ctx.fn.name),
         )]
     classes = sorted({r.cls for r in opts.original.registers()})
-    seen: Set[Tuple[Reg, Reg]] = set()
     for cls in classes:
         graph = build_interference(opts.original, liveness=liveness, cls=cls)
-        for a in graph.nodes():
-            ca = color_of(a)
-            if ca is None:
-                continue  # spilled (rewritten to split temps) or uncolored
-            for b in graph.neighbors(a):
-                cb = color_of(b)
-                if cb is None or cb != ca:
-                    continue
-                pair = (min(a, b), max(a, b))
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                out.append(make(
-                    Severity.ERROR,
-                    f"values {pair[0]} and {pair[1]} are simultaneously "
-                    f"live but share physical register r{ca} "
-                    f"(class {cls!r})",
-                    Location(function=ctx.fn.name),
-                    hint="the allocator merged interfering live ranges; "
-                         "one of the two values is clobbered",
-                ))
+        # precolored physical operands carry their own assignment; values
+        # missing from the coloring (spilled to split temps) clash with
+        # nothing
+        colors = {r: opts.coloring.get(r, None if r.virtual else r.id)
+                  for r in graph.nodes()}
+        for a, b in graph.clashes(colors):
+            out.append(make(
+                Severity.ERROR,
+                f"values {a} and {b} are simultaneously live but share "
+                f"physical register r{colors[a]} (class {cls!r})",
+                Location(function=ctx.fn.name),
+                hint="the allocator merged interfering live ranges; "
+                     "one of the two values is clobbered",
+            ))
     return out
 
 

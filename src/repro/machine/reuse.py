@@ -23,11 +23,9 @@ blocks, terminators and per-block ``ld``/``st`` sequences — see
 ``interpret_or_derive`` then interprets from scratch.  Every result
 these functions return carries a columnar trace.
 
-One honest caveat: a derived result carries the recorded run's return
-value, so the experiments' cross-setup checksum assertion is vacuous for
-derived rows.  Fresh interpretations (and
-``tests/test_trace_reuse.py``'s derived-equals-interpreted properties)
-keep that contract covered.
+A derived result carries the recorded run's return value, so it says
+nothing about the allocated function's semantics; ``run_setup`` proves
+those before any trace is derived (:mod:`repro.regalloc.checker`).
 """
 
 from __future__ import annotations

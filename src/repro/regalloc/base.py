@@ -75,9 +75,9 @@ def check_allocation(result: AllocationResult, k: Optional[int] = None,
     interfering live ranges share a register number.
 
     Raises :class:`AllocationError` on the first violation.  Semantic
-    preservation (same observable behaviour) is asserted separately by
-    interpreter-equivalence tests, since distinct values sharing a register
-    number collapse structurally in allocated code.
+    preservation (same observable behaviour) is proven separately, by the
+    symbolic checker ``run_setup`` runs on every result
+    (:mod:`repro.regalloc.checker`).
     """
     k = k if k is not None else result.k
     fn = result.fn

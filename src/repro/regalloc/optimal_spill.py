@@ -626,6 +626,7 @@ def apply_residence(fn: Function, plan: ResidencePlan,
     uf = _UnionFind()
     token_maps: Dict[Reg, Dict[str, List[Optional[tuple]]]] = {}
     entry_loads: Dict[str, List[Tuple[Reg, tuple]]] = {}
+    exit_stores: Dict[str, List[Tuple[Reg, tuple]]] = {}
     for v in sorted(plan.spilled):
         token_maps[v] = _segment_walk(new_fn, plan, v)
         for p in new_fn.blocks:
@@ -633,13 +634,20 @@ def apply_residence(fn: Function, plan: ResidencePlan,
             exit_tok = token_maps[v][p.name][n]
             if exit_tok is None:
                 continue
+            in_memory = False
             for s in succs[p.name]:
                 entry_tok = token_maps[v][s][0]
                 if entry_tok is not None:
                     uf.union(exit_tok, entry_tok)
+                elif v in pts.live_at[(s, 0)]:
+                    in_memory = True
+            if in_memory:
+                exit_stores.setdefault(p.name, []).append((v, exit_tok))
         # A block entered with the value nominally in a register, but with
-        # some predecessor leaving it in memory, needs a reload at its head.
-        # ILP plans never hit this (edge-equality constraints); greedy
+        # some predecessor leaving it in memory, needs a reload at its head;
+        # mirror-image, a block left with the value in a register that some
+        # successor expects in memory writes it back at its end (if dirty).
+        # ILP plans never hit either (edge-equality constraints); greedy
         # spill-everywhere plans do, since their forced points are reloads.
         for b in new_fn.blocks:
             entry_tok = token_maps[v][b.name][0]
@@ -759,6 +767,12 @@ def apply_residence(fn: Function, plan: ResidencePlan,
                 new_instrs.append(rewritten)
                 new_instrs.extend(post_ops)
         b.instrs = new_instrs
+        at = len(new_instrs) - (b.terminator() is not None)
+        new_instrs[at:at] = [
+            Instr("stslot", srcs=(reg_of(tok),), imm=slots.slot_for(v))
+            for v, tok in exit_stores.get(b.name, ())
+            if uf.find(tok) in dirty
+        ]
 
     new_fn.validate()
     return new_fn, next_vreg

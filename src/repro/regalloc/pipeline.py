@@ -32,11 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
+from repro.diagnostics import LintError
 from repro.encoding.config import EncodingConfig
 from repro.encoding.encoder import EncodedFunction, encode_function
 from repro.encoding.verifier import verify_encoding
 from repro.ir.function import Function
 from repro.regalloc.base import AllocationResult
+from repro.regalloc.checker import check_allocation_semantics
 from repro.regalloc.diff_coalesce import differential_coalesce_allocate
 from repro.regalloc.diff_select import DifferentialSelector
 from repro.regalloc.iterated import iterated_allocate
@@ -283,8 +285,14 @@ def run_setup(fn: Function, setup: str,
 
     ``base_k`` is the directly encodable register count (the THUMB-like 8);
     ``reg_n``/``diff_n`` parameterise the differential setups.  With
-    ``verify`` set, differential encodings are decode-replayed over every
-    CFG path before the result is returned.  ``freq`` supplies block
+    ``verify`` set (every caller leaves it on) the result is proven before
+    it is returned: differential encodings are decode-replayed over every
+    CFG path, and the symbolic checker (:mod:`repro.regalloc.checker`)
+    proves ``final_fn`` computes what ``fn`` does — for ``needs_ssa``
+    backends, what their spill-extended ``colored_fn`` does, since phi
+    destruction changes the block layout.  A failed proof raises
+    :class:`~repro.diagnostics.LintError` with the C-series report.
+    ``freq`` supplies block
     frequencies (e.g. from :func:`repro.analysis.profile.
     profile_block_frequencies`); the default is the static loop-nest
     estimate the paper uses.
@@ -363,11 +371,18 @@ def run_setup(fn: Function, setup: str,
     if encoded is not None and setlr_elim:
         from repro.encoding.setlr_elim import eliminate_redundant_setlr
 
-        if eliminate_redundant_setlr(encoded, verify=False).n_removed:
+        if eliminate_redundant_setlr(encoded).n_removed:
             checkpoint("encode:setlr_elim", final,
                        allocated=True, encoding=config)
-    if verify and encoded is not None:
-        verify_encoding(encoded)
+    if verify:
+        if encoded is not None:
+            verify_encoding(encoded)
+        original = alloc.colored_fn if entry.info.needs_ssa else fn
+        proof = check_allocation_semantics(original, final)
+        if not proof.ok:
+            raise LintError(
+                f"{fn.name}: {setup} allocation fails the semantics proof",
+                proof)
     return AllocatedProgram(
         name=fn.name, setup=setup, allocation=alloc,
         final_fn=final, encoded=encoded,

@@ -131,3 +131,27 @@ join:
 @pytest.fixture
 def pressure_fn():
     return make_pressure_fn()
+
+
+@pytest.fixture
+def miscompiled_select(monkeypatch):
+    """Swap the select backend for one that reads the wrong register: the
+    first instruction with two distinct register operands reads its
+    second operand twice.  ``run_setup``'s semantics proof must catch it."""
+    from dataclasses import replace
+
+    from repro.regalloc import zoo
+
+    select = zoo.get_allocator("select")
+
+    def miscompiled(fn, ctx):
+        alloc = select.runner(fn, ctx)
+        block, i = next(
+            (b, i) for b in alloc.fn.blocks
+            for i, ins in enumerate(b.instrs) if len(set(ins.srcs)) == 2)
+        ins = block.instrs[i]
+        block.instrs[i] = replace(ins, srcs=(ins.srcs[1], ins.srcs[1]))
+        return alloc
+
+    monkeypatch.setitem(zoo._REGISTRY, "select",
+                        zoo.RegisteredAllocator(select.info, miscompiled))

@@ -12,8 +12,8 @@ individually.
 
 import pytest
 
-from repro.fuzz import check_allocation_semantics
 from repro.ir import Instr, Reg, parse_function
+from repro.regalloc.checker import check_allocation_semantics
 from repro.regalloc.pipeline import SETUPS, run_setup
 from repro.workloads import MIBENCH, generate_function
 
@@ -34,16 +34,17 @@ class TestPositive:
     @pytest.mark.parametrize("setup", SETUPS)
     @pytest.mark.parametrize("workload", [w.name for w in MIBENCH])
     def test_every_workload_every_setup(self, workload, setup):
-        from repro.regalloc.zoo import get_allocator
-
+        # run_setup proves its result, raising LintError on a failed proof
         fn = next(w for w in MIBENCH if w.name == workload).build()
-        prog = run_setup(fn, setup, remap_restarts=1, remap_seed=7)
-        # SSA backends legitimately add split blocks; check them against
-        # their own spill-extended virtual function, like the harness
-        original = (prog.allocation.colored_fn
-                    if get_allocator(setup).info.needs_ssa else fn)
-        report = check_allocation_semantics(original, prog.final_fn)
-        assert report.ok, [str(d) for d in report.diagnostics][:5]
+        run_setup(fn, setup, remap_restarts=1, remap_seed=7)
+
+    @pytest.mark.parametrize("setup", ["ospill", "coalesce"])
+    @pytest.mark.parametrize("workload", [w.name for w in MIBENCH])
+    def test_greedy_residence_fallback(self, workload, setup):
+        # the spill-everywhere plan must write back values its successors
+        # enter with in memory (dijkstra, sha, fft, ... failed before)
+        fn = next(w for w in MIBENCH if w.name == workload).build()
+        run_setup(fn, setup, remap_restarts=1, remap_seed=7, use_ilp=False)
 
     def test_identity_allocation_checks_clean(self):
         fn = generate_function(seed=5, n_regions=3, base_values=6)

@@ -98,16 +98,24 @@ class TestComposeEdges:
 
 class TestCLISwpAndFigures(object):
     def test_fig_command_small(self, capsys, monkeypatch):
-        # patch the workload list so the CLI figure command stays fast
-        import repro.experiments.lowend as le
+        # the CLI looks the experiment up at call time, so binding its
+        # workload list here keeps the figure command to two kernels
+        from functools import partial
+
+        import repro.experiments as experiments
         from repro.cli import main
         from repro.workloads import MIBENCH
         monkeypatch.setattr(
-            "repro.experiments.lowend.MIBENCH", MIBENCH[:2]
-        )
+            experiments, "run_lowend_experiment",
+            partial(experiments.run_lowend_experiment,
+                    workloads=MIBENCH[:2]))
         assert main(["fig11", "--restarts", "2"]) == 0
         out = capsys.readouterr().out
         assert "Figure 11" in out
+        kernels = {w.name for w in MIBENCH}
+        rows = [line.split()[0] for line in out.splitlines()
+                if line.split() and line.split()[0] in kernels]
+        assert rows == [w.name for w in MIBENCH[:2]]
 
     def test_fig12_runs_only_the_differential_setups(self, capsys,
                                                      monkeypatch):
@@ -120,7 +128,7 @@ class TestCLISwpAndFigures(object):
 
         def fake_workload(w, *, setups, **_):
             ran.extend(setups)
-            return [le.BenchmarkRow(w.name, s, 10, 0, 1, 100, 0)
+            return [le.BenchmarkRow(w.name, s, 10, 0, 1, 100)
                     for s in setups]
 
         monkeypatch.setattr(le, "_lowend_workload", fake_workload)

@@ -5,11 +5,13 @@ import pytest
 from repro.analysis import compute_liveness
 from repro.ir import Interpreter, parse_function, vreg
 from repro.regalloc import check_allocation, iterated_allocate, optimal_spill_allocate
+from repro.regalloc.checker import check_allocation_semantics
 from repro.regalloc.optimal_spill import (
     apply_residence,
     decide_residence,
 )
 
+from repro.workloads import get_workload
 from tests.conftest import make_pressure_fn
 
 
@@ -113,6 +115,17 @@ entry:
         plan = decide_residence(fn, 4)
         split_fn, _ = apply_residence(fn, plan)
         assert Interpreter().run(split_fn, args).return_value == ref
+
+    def test_greedy_plan_writes_back_before_a_spilled_successor(self):
+        # dijkstra's fall-through block dist_src ends by defining a value
+        # the greedy plan leaves in a register, and round_next enters with
+        # it in memory: the value must reach its slot before the edge
+        fn = get_workload("dijkstra").function()
+        plan = decide_residence(fn, 8, use_ilp=False)
+        assert plan.solver == "greedy"
+        split_fn, _ = apply_residence(fn, plan)
+        assert split_fn.block("dist_src").instrs[-1].op == "stslot"
+        assert check_allocation_semantics(fn, split_fn).ok
 
 
 class TestEndToEnd:

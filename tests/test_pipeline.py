@@ -165,3 +165,20 @@ class TestPipelineParity:
             assert proc.returncode == 0, err
             digests.add(out.strip())
         assert len(digests) == 1, digests
+
+
+def test_failed_proof_is_a_lint_error_and_svc07(miscompiled_select):
+    from repro.diagnostics import LintError
+    from repro.service import protocol
+    from repro.service.server import execute_request
+    from repro.workloads import get_workload
+
+    with pytest.raises(LintError) as exc_info:
+        run_setup(get_workload("bitcount").function(), "select",
+                  remap_restarts=1)
+    assert [d.rule for d in exc_info.value.diagnostics] == ["C002"]
+    response = execute_request(protocol.normalize_request({
+        "v": protocol.SCHEMA_VERSION, "source": {"workload": "bitcount"},
+        "setup": "select", "options": {"restarts": 1}}))
+    assert response["error"]["code"] == "SVC07"
+    assert response["error"]["diagnostics"][0]["rule"] == "C002"

@@ -22,13 +22,13 @@ from repro.encoding import (
     encode_sequence,
     verify_encoding,
 )
-from repro.fuzz import check_allocation_semantics
 from repro.ir import Interpreter, Reg
 from repro.regalloc import (
     differential_remap,
     iterated_allocate,
     optimal_spill_allocate,
 )
+from repro.regalloc.checker import check_allocation_semantics
 from repro.regalloc.diff_select import DifferentialSelector
 
 COMMON = dict(

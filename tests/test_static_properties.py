@@ -99,7 +99,7 @@ class TestEliminationPreservesReplay:
     @settings(max_examples=25, **COMMON)
     def test_elimination_keeps_replay_green(self, fn, diff_n):
         enc = _encode(fn, diff_n)
-        eliminate_redundant_setlr(enc, verify=False)
+        eliminate_redundant_setlr(enc)
         verify_encoding(enc)  # replay must still accept the encoding
         # and the pass must have run to a genuine fixed point
         analysis = analyze_last_reg(enc.fn, enc.config)
@@ -129,6 +129,6 @@ class TestEliminationPreservesReplay:
         injected = before.setlr_facts[
             [f.block for f in before.setlr_facts].index(name)]
         assert injected.redundant
-        res = eliminate_redundant_setlr(enc, verify=False)
+        res = eliminate_redundant_setlr(enc)
         assert res.n_removed >= 1
         verify_encoding(enc)

@@ -244,6 +244,7 @@ class TestSetlrElim:
         _, before = simulate(enc.fn, wl.default_args)
         res = eliminate_redundant_setlr(enc)
         assert res.n_removed >= 1
+        verify_encoding(enc)
         _, after = simulate(enc.fn, wl.default_args)
         assert after.cycles <= before.cycles
         assert after.setlr_executed <= before.setlr_executed
@@ -256,3 +257,4 @@ class TestSetlrElim:
         eliminate_redundant_setlr(enc)
         res2 = eliminate_redundant_setlr(enc)
         assert res2.n_removed == 0
+        verify_encoding(enc)
