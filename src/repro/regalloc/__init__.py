@@ -25,7 +25,9 @@ Differential schemes
 the five experimental setups of Section 10.1, dispatching through the
 allocator zoo (:mod:`repro.regalloc.zoo`) — the pluggable backend registry
 that also hosts :mod:`repro.regalloc.ssa_spill`, the SSA-based
-spill-everywhere allocator (``docs/allocators.md``).
+spill-everywhere allocator (``docs/allocators.md``).  Both ILPs, optimal
+spilling's residence model and the exact remap model, are solved through
+:mod:`repro.regalloc.highs`.
 """
 
 from repro.regalloc.base import (

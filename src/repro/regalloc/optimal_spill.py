@@ -11,15 +11,16 @@ the graph.  We reproduce that structure:
    instruction must be in registers at it; definitions write to registers;
    residence agrees across CFG edges.  The objective minimises frequency
    weighted loads (memory→register transitions) plus stores
-   (register→memory transitions of dirty values).  Solved exactly with
-   ``scipy.optimize.milp`` (HiGHS) — the authors used CPLEX — with a greedy
-   spill-everywhere fallback when the instance exceeds ``max_ilp_vars`` or
-   the solver returns no solution.
+   (register→memory transitions of dirty values).  Solved exactly by
+   HiGHS through :mod:`repro.regalloc.highs` — the authors used CPLEX —
+   with a greedy spill-everywhere fallback when the instance exceeds
+   ``max_ilp_vars`` or HiGHS returns no optimal solution.
 
-   Each function's problem is built once; only the capacity bounds change
-   with ``k``.  When no capacity row can bind, the all-resident plan is
-   returned without calling HiGHS.  That is exact: the plan meets every
-   constraint and its cost 0 is the ILP's lower bound.
+   Each function's problem, constraint matrix included, is built once;
+   only the capacity bounds change with ``k``.  When no capacity row can
+   bind, the all-resident plan is returned without calling HiGHS.  That
+   is exact: the plan meets every constraint and its cost 0 is the ILP's
+   lower bound.
    :func:`optimal_spill_allocate` also solves its ``k - 1`` slack-retry
    model speculatively, on a worker thread alongside the ``k`` solve; the
    result is used only if the retry runs, so outputs match a serial run.
@@ -52,6 +53,7 @@ from repro.analysis.frequency import estimate_block_frequencies
 from repro.analysis.liveness import LivenessInfo, compute_liveness
 from repro.ir.function import Function
 from repro.ir.instr import Instr, Reg
+from repro.regalloc import highs
 from repro.regalloc.base import AllocationResult
 from repro.regalloc.iterated import ColorSelector, iterated_allocate
 from repro.regalloc.spill import SpillSlotAllocator
@@ -143,19 +145,19 @@ def _forced_points(fn: Function) -> Set[Tuple[Reg, str, int]]:
 
 
 # ----------------------------------------------------------------------
-# exact solution via scipy.optimize.milp
+# exact solution via HiGHS
 # ----------------------------------------------------------------------
 
 
 @dataclass
 class _IlpModel:
-    """The residence ILP in the COO form ``scipy.optimize.milp`` takes.
+    """The residence ILP: COO triplets, and the CSC ``matrix`` HiGHS reads.
 
     Row blocks in order: capacity per live point, loads, stores, edge
     equalities.  ``x_index`` maps ``(v, block, point)`` to its binary
-    column; the transition cost columns follow the ``n_x`` x columns.
-    Only the capacity rows depend on the budget ``k``: row ``i`` has
-    ``cap_live[i]`` x columns and bound ``k - cap_phys[i]``.
+    column; the continuous transition cost columns follow the ``n_x`` x
+    columns.  Only the capacity rows depend on the budget ``k``: row
+    ``i`` has ``cap_live[i]`` x columns and bound ``k - cap_phys[i]``.
     """
 
     x_index: Dict[Tuple[Reg, str, int], int]
@@ -167,16 +169,16 @@ class _IlpModel:
     ub: Any
     var_lb: Any
     var_ub: Any
-    integrality: Any
     cap_live: Any
     cap_phys: Any
+    matrix: highs.CscMatrix
 
     @property
     def shape(self) -> Tuple[int, int]:
         return len(self.lb), len(self.c)
 
     def rebound(self, k: int) -> "_IlpModel":
-        """The model at budget ``k``: every array is shared except ``ub``,
+        """The model at budget ``k``: everything is shared except ``ub``,
         whose capacity rows become what :func:`_build_ilp_model` gives at
         ``k``."""
         ub = self.ub.copy()
@@ -206,7 +208,8 @@ def _build_ilp_model(fn: Function, k: int, pts: _Points,
     (every live set is walked sorted), or the solver's tie-breaks would
     vary with the process hash seed.
     """
-    # variable layout: x vars first (binary), then transition cost vars.
+    # variable layout: x vars first (binary), then transition cost vars;
+    # the solver reads the integer columns off this layout.
     # The x columns of one point are contiguous, ascending in register
     # order, starting at base[(block, j)].
     x_index: Dict[Tuple[Reg, str, int], int] = {}
@@ -314,43 +317,27 @@ def _build_ilp_model(fn: Function, k: int, pts: _Points,
         if col is not None:
             var_lb[col] = 1.0
 
-    integrality = np.zeros(n_vars)
-    integrality[:n_x] = 1
     return _IlpModel(x_index, c, rows, cols, vals, lb, ub, var_lb, var_ub,
-                     integrality, cap_len_arr, cap_phys_arr)
+                     cap_len_arr, cap_phys_arr,
+                     highs.CscMatrix.from_coo(rows, cols, vals,
+                                              (n_rows, n_vars)))
 
 
-def _run_highs(model: _IlpModel) -> Optional[Any]:
-    """Solve ``model`` with HiGHS: the ``milp`` result, or None when it
-    found no solution.
+def _run_highs(model: _IlpModel) -> Optional[highs.MipSolution]:
+    """Solve ``model`` with HiGHS: the optimal solution, or None when HiGHS
+    proved none (a time-limited incumbent also counts as none).
 
     Reads nothing but the model's arrays, so it can run on a worker thread
     while the caller allocates (HiGHS releases the GIL).
     """
-    # imported here: scipy's import time would otherwise land on every
-    # ``import repro``, ILP or not
-    from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    constraints = LinearConstraint(
-        sparse.csr_matrix((model.vals, (model.rows, model.cols)),
-                          shape=model.shape),
-        model.lb, model.ub,
-    )
-    res = milp(
-        c=model.c,
-        constraints=constraints,
-        bounds=Bounds(model.var_lb, model.var_ub),
-        integrality=model.integrality,
-        options={"time_limit": 60.0},
-    )
-    if not res.success or res.x is None:
-        return None
-    return res
+    res = highs.solve_mip(model.c, model.matrix, model.lb, model.ub,
+                          model.var_lb, model.var_ub,
+                          n_int=len(model.x_index), time_limit=60.0)
+    return res if res is not None and res.optimal else None
 
 
 def _ilp_plan(fn: Function, pts: _Points, model: _IlpModel,
-              res: Any) -> ResidencePlan:
+              res: highs.MipSolution) -> ResidencePlan:
     """The residence plan a HiGHS solution of ``model`` encodes."""
     # vectors default to False; True only at live points where the value is
     # resident.  Dead points read as non-resident so segment walking starts
@@ -518,7 +505,7 @@ class _Residence:
         """Whether deciding at budget ``k`` calls HiGHS."""
         return self.model is not None and self.model.needs_solver(k)
 
-    def solve(self, k: int) -> Optional[Any]:
+    def solve(self, k: int) -> Optional[highs.MipSolution]:
         """HiGHS on the model at budget ``k`` (see :func:`_run_highs`)."""
         return _run_highs(self.model.rebound(k))
 

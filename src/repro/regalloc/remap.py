@@ -49,6 +49,7 @@ from repro.analysis.adjacency import build_adjacency
 from repro.analysis.frequency import estimate_block_frequencies
 from repro.ir.function import Function
 from repro.ir.instr import Reg
+from repro.regalloc import highs
 
 __all__ = [
     "RemapResult",
@@ -158,10 +159,6 @@ def _exact_solve(edges: Sequence[Edge], reg_n: int, diff_n: int,
     permutation's cost (both in scaled integer weights, the bound capped
     at the cost); the permutation is optimal when the two are equal.
     """
-    # imported here, as in optimal_spill: scipy stays off ``import repro``
-    from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
     # a self-edge is satisfied under every permutation
     cross = [(u, v, w) for u, v, w in edges if u != v and w]
     # the objective in units of the weights' gcd is integral, so a dual
@@ -190,17 +187,14 @@ def _exact_solve(edges: Sequence[Edge], reg_n: int, diff_n: int,
         var_lo[[r * reg_n + r for r in pinned]] = 1.0
     elif cross:
         var_lo[min(min(u, v) for u, v, _ in cross) * reg_n] = 1.0
-    res = milp(
-        c=np.concatenate([np.zeros(n_x), [w // unit for _, _, w in cross]]),
-        constraints=LinearConstraint(
-            sparse.csr_matrix((vals, (rows, cols)),
-                              shape=(n_rows, len(var_lo))), lo, hi),
-        bounds=Bounds(var_lo, 1.0),
-        integrality=np.arange(len(var_lo)) < n_x,
-        options={"time_limit": _EXACT_TIME_LIMIT, "mip_rel_gap": 0.0},
+    res = highs.solve_mip(
+        np.concatenate([np.zeros(n_x), [w // unit for _, _, w in cross]]),
+        highs.CscMatrix.from_coo(rows, cols, vals, (n_rows, len(var_lo))),
+        lo, hi, var_lo, np.ones(len(var_lo)), n_int=n_x,
+        time_limit=_EXACT_TIME_LIMIT, mip_rel_gap=0.0,
     )
-    if res.x is None:
-        raise RuntimeError(f"HiGHS found no assignment: {res.message}")
+    if res is None:
+        raise RuntimeError("HiGHS found no assignment")
     perm = tuple(res.x[:n_x].reshape(reg_n, reg_n).argmax(axis=1).tolist())
     cost = _perm_cost(perm, edges, reg_n, diff_n)
     bound = math.ceil(res.mip_dual_bound - 1e-6) * unit

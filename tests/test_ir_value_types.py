@@ -277,10 +277,14 @@ def _assert_same_model(model, oracle) -> None:
     assert model.rows.tolist() == oracle["rows"]
     assert model.cols.tolist() == oracle["cols"]
     assert model.vals.tolist() == oracle["vals"]
-    for name in ("c", "lb", "ub", "var_lb", "var_ub", "integrality"):
+    for name in ("c", "lb", "ub", "var_lb", "var_ub"):
         got, want = getattr(model, name), oracle[name]
         assert got.dtype == want.dtype, name
         assert got.tobytes() == want.tobytes(), name
+    # the solver takes the leading len(x_index) columns as the integers
+    n_vars = oracle["shape"][1]
+    assert (oracle["integrality"]
+            == (np.arange(n_vars) < len(model.x_index))).all()
 
 
 def _mibench():

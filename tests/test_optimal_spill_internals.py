@@ -11,7 +11,7 @@ from repro.analysis import compute_liveness
 from repro.analysis.frequency import estimate_block_frequencies
 from repro.ir import Interpreter, parse_function, vreg
 from repro.ir.printer import format_function
-from repro.regalloc import optimal_spill
+from repro.regalloc import highs, optimal_spill
 from repro.regalloc.iterated import iterated_allocate
 from repro.regalloc.optimal_spill import (
     _MAX_ILP_VARS,
@@ -303,8 +303,7 @@ class TestNonBindingShortcut:
 
 
 class TestRebound:
-    _ARRAYS = ("c", "rows", "cols", "vals", "lb", "ub", "var_lb", "var_ub",
-               "integrality")
+    _ARRAYS = ("c", "rows", "cols", "vals", "lb", "ub", "var_lb", "var_ub")
 
     def _assert_equal(self, got, want):
         assert list(got.x_index.items()) == list(want.x_index.items())
@@ -333,6 +332,7 @@ class TestRebound:
         # re-bounding copies ub and shares everything else
         assert base.rebound(7).ub is not base.ub
         assert base.rebound(7).rows is base.rows
+        assert base.rebound(7).matrix is base.matrix
 
 
 class TestSpeculativeRetry:
@@ -362,8 +362,6 @@ class TestSpeculativeRetry:
         non-binding models are skipped, and each of the 14 binding ospill
         functions solves its k-1 model on the worker thread, 10 of which
         feed a retry."""
-        import scipy.optimize
-
         from repro.analysis.profile import block_frequencies_from_counts
         from repro.machine import record_reference_run
         from repro.regalloc import run_setup
@@ -376,13 +374,13 @@ class TestSpeculativeRetry:
             profiled.append(
                 (fn, block_frequencies_from_counts(fn, rec.block_instr_counts)))
 
-        real_milp = scipy.optimize.milp
+        real_solve = highs.solve_mip
         on_main = []
 
-        def counting_milp(*args, **kwargs):
+        def counting_solve(*args, **kwargs):
             on_main.append(threading.current_thread()
                            is threading.main_thread())
-            return real_milp(*args, **kwargs)
+            return real_solve(*args, **kwargs)
 
         real_decide = _Residence.decide
         speculated = []
@@ -392,7 +390,7 @@ class TestSpeculativeRetry:
                 speculated.append(k)
             return real_decide(self, k, solved)
 
-        monkeypatch.setattr(scipy.optimize, "milp", counting_milp)
+        monkeypatch.setattr(highs, "solve_mip", counting_solve)
         monkeypatch.setattr(_Residence, "decide", counting_decide)
         for fn, freq in profiled:
             for setup in ("ospill", "coalesce"):
@@ -451,20 +449,18 @@ class TestRetryThreadHygiene:
 
     def test_failed_speculative_solve_falls_back_to_greedy(self,
                                                             monkeypatch):
-        import scipy.optimize
-
         fn = dict(_mibench())["crc32"]
-        real_milp = scipy.optimize.milp
+        real_solve = highs.solve_mip
         calls = []
 
-        def milp_without_k_minus_one(*args, constraints, **kwargs):
+        def solve_without_k_minus_one(c, a, row_lb, row_ub, *args,
+                                      **kwargs):
             # MiBench has no physical pressure: a budget-k model's
             # largest row bound is k
-            calls.append(constraints.ub.max())
-            if constraints.ub.max() == 7:
-                return scipy.optimize.OptimizeResult(success=False, x=None,
-                                                     fun=None)
-            return real_milp(*args, constraints=constraints, **kwargs)
+            calls.append(row_ub.max())
+            if row_ub.max() == 7:
+                return None
+            return real_solve(c, a, row_lb, row_ub, *args, **kwargs)
 
         greedy = []
         real_greedy = optimal_spill._solve_greedy
@@ -473,7 +469,7 @@ class TestRetryThreadHygiene:
             greedy.append(k)
             return real_greedy(fn, k, *args)
 
-        monkeypatch.setattr(scipy.optimize, "milp", milp_without_k_minus_one)
+        monkeypatch.setattr(highs, "solve_mip", solve_without_k_minus_one)
         monkeypatch.setattr(optimal_spill, "_solve_greedy", spy_greedy)
         got = optimal_spill_allocate(fn, 8)
         assert sorted(calls) == [7, 8]  # no second HiGHS call for k-1
