@@ -25,24 +25,51 @@ from typing import List, Optional
 __all__ = ["main"]
 
 
-def _resolve_cli_jobs(args) -> Optional[int]:
-    """Validate ``--jobs``, rendering failures through the shared
-    diagnostics machinery.  Returns the worker count, or ``None`` after
-    printing the finding (the caller exits 2)."""
+class _UsageError(Exception):
+    """A bad target or parameter found after parsing; ``main`` prints the
+    message and exits 2."""
+
+
+def _resolve_cli_jobs(jobs: int) -> int:
+    """Validate ``--jobs``, rendering a failure through the shared
+    diagnostics machinery."""
     from repro.parallel import resolve_jobs
 
     try:
-        return resolve_jobs(args.jobs)
+        return resolve_jobs(jobs)
     except ValueError as exc:
         from repro.diagnostics import Diagnostic, Location, Severity
 
-        print(Diagnostic(
+        raise _UsageError(Diagnostic(
             rule="CLI01", name="bad-jobs", severity=Severity.ERROR,
             message=str(exc),
             location=Location(file="--jobs"),
             hint="pass a non-negative integer; 0 means one worker per core",
-        ).render(), file=sys.stderr)
-        return None
+        ).render()) from None
+
+
+def _targets(command: str, names):
+    """``(display name, function factory)`` for each ``lint``/``analyze``
+    target: a ``.s`` path, a bundled workload name, or ``all``.  A
+    generator, so a caller that builds each function as it goes parses a
+    file before it resolves the next name."""
+    import os
+    from functools import partial
+
+    from repro.workloads import MIBENCH, get_workload
+
+    for name in names:
+        if name == "all":
+            yield from ((w.name, w.function) for w in MIBENCH)
+        elif os.path.exists(name):
+            yield name, partial(_parse_file, name)
+        else:
+            try:
+                yield name, get_workload(name).function
+            except KeyError:
+                raise _UsageError(
+                    f"{command} target {name!r} is neither a file nor a "
+                    "workload; try `python -m repro list`") from None
 
 
 def _add_seed_arg(p) -> None:
@@ -52,11 +79,13 @@ def _add_seed_arg(p) -> None:
 
 
 def _add_parallel_args(p, with_seed: bool = True) -> None:
-    """The shared ``--jobs``/``--seed`` experiment flags."""
+    """The shared ``--jobs``/``--seed`` experiment flags; ``main``
+    validates ``--jobs`` before the handler runs."""
     p.add_argument("--jobs", type=int, default=1,
                    help="process-pool workers for the experiment grid "
                         "(0 = all cores; results are identical for any "
                         "value)")
+    p.set_defaults(parallel=True)
     if with_seed:
         _add_seed_arg(p)
 
@@ -73,36 +102,27 @@ def _cmd_lowend(args) -> int:
     from repro.experiments.lowend import DIFFERENTIAL_SETUPS
     from repro.regalloc.pipeline import PAPER_SETUPS
 
-    jobs = _resolve_cli_jobs(args)
-    if jobs is None:
-        return 2
     # Figure 12 reports only the differential schemes
     setups = DIFFERENTIAL_SETUPS if args.command == "fig12" else PAPER_SETUPS
     exp = run_lowend_experiment(setups=setups, remap_restarts=args.restarts,
                                 profile=not args.static_weights,
                                 verify_each_pass=args.verify_each_pass,
                                 lint_mode=args.lint_mode,
-                                jobs=jobs, seed=args.seed)
+                                jobs=args.jobs, seed=args.seed)
     if exp.pass_verifier is not None and not exp.pass_verifier.clean:
         print(exp.pass_verifier.attribution(), file=sys.stderr)
-    figures = {
-        "lowend": exp.render_all,
-        "fig11": lambda: exp.fig11_spills().render(),
-        "fig12": lambda: exp.fig12_cost().render(),
-        "fig13": lambda: exp.fig13_codesize().render(),
-        "fig14": lambda: exp.fig14_speedup().render(),
-    }
-    print(figures[args.command]())
+    if args.figure is None:
+        print(exp.render_all())
+    else:
+        print(getattr(exp, args.figure)().render())
     return 0
 
 
 def _cmd_swp(args) -> int:
     from repro.experiments import run_swp_experiment
 
-    jobs = _resolve_cli_jobs(args)
-    if jobs is None:
-        return 2
-    exp = run_swp_experiment(n_loops=args.loops, seed=args.seed, jobs=jobs)
+    exp = run_swp_experiment(n_loops=args.loops, seed=args.seed,
+                             jobs=args.jobs)
     print(f"population: {len(exp.loops)} loops; "
           f"{100 * exp.fraction_needing_more_than_32:.1f}% need >32 registers")
     print()
@@ -113,10 +133,8 @@ def _cmd_swp(args) -> int:
 def _cmd_alternatives(args) -> int:
     from repro.experiments.alternatives import run_alternatives_study
 
-    jobs = _resolve_cli_jobs(args)
-    if jobs is None:
-        return 2
-    study = run_alternatives_study(remap_restarts=args.restarts, jobs=jobs)
+    study = run_alternatives_study(remap_restarts=args.restarts,
+                                   jobs=args.jobs)
     print(study.table().render())
     return 0
 
@@ -213,12 +231,9 @@ def _cmd_disasm(args) -> int:
 def _cmd_report(args) -> int:
     from repro.experiments.reporting import generate_report
 
-    jobs = _resolve_cli_jobs(args)
-    if jobs is None:
-        return 2
     text = generate_report(n_loops=args.loops,
                            remap_restarts=args.restarts,
-                           jobs=jobs)
+                           jobs=args.jobs)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")
@@ -230,11 +245,9 @@ def _cmd_report(args) -> int:
 
 def _cmd_lint(args) -> int:
     import json
-    import os
 
     from repro.encoding import EncodingConfig
     from repro.lint import LintOptions, Severity, run_lint
-    from repro.workloads import MIBENCH, get_workload
 
     encoding = None
     if args.reg_n is not None:
@@ -243,8 +256,7 @@ def _cmd_lint(args) -> int:
                                       diff_n=args.diff_n or args.reg_n,
                                       access_order=args.access_order)
         except ValueError as exc:
-            print(f"bad encoding parameters: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"bad encoding parameters: {exc}") from None
     options = LintOptions(
         allocated=True if args.allocated else None,
         k=args.k,
@@ -253,38 +265,23 @@ def _cmd_lint(args) -> int:
         disabled=frozenset(args.disable or ()),
     )
 
-    targets = []  # (display name, Function)
-    for target in args.targets:
-        if target == "all":
-            targets.extend((w.name, w.function()) for w in MIBENCH)
-        elif os.path.exists(target):
-            targets.append((target, _parse_file(target)))
-        else:
-            try:
-                targets.append((target, get_workload(target).function()))
-            except KeyError:
-                print(f"lint target {target!r} is neither a file nor a "
-                      "workload; try `python -m repro list`",
-                      file=sys.stderr)
-                return 2
+    targets = [(display, factory())
+               for display, factory in _targets("lint", args.targets)]
 
     # exit-code contract (documented in docs/lint_rules.md): 1 only on
     # error-severity findings — warnings alone pass, unless --strict
     # escalates them or --max-warnings bounds their total; 2 on bad usage
     threshold = Severity.WARNING if args.strict else Severity.ERROR
-    as_json = args.json or args.format == "json"
+    as_json = args.format == "json"
     failed = False
     n_warnings = 0
-    json_out = {}
     envelope = []
     for display, fn in targets:
         report = run_lint(fn, options)
         if report.at_least(threshold):
             failed = True
         n_warnings += len(report.warnings)
-        if args.json:
-            json_out[display] = json.loads(report.render_json())
-        elif args.format == "json":
+        if as_json:
             # field names shared with the compile service's error envelope
             # (repro.service.protocol.error_response): name, message,
             # diagnostics, ok — tooling can parse both with one schema
@@ -306,9 +303,7 @@ def _cmd_lint(args) -> int:
             print(f"{n_warnings} warning(s) exceed the "
                   f"--max-warnings {args.max_warnings} budget",
                   file=sys.stderr)
-    if args.json:
-        print(json.dumps(json_out, indent=2))
-    elif args.format == "json":
+    if as_json:
         print(json.dumps({"ok": not failed, "targets": envelope}, indent=2))
     return 1 if failed else 0
 
@@ -325,29 +320,14 @@ def _fmt_abstract(state):
 
 def _cmd_analyze(args) -> int:
     import json
-    import os
 
     from repro.encoding.static_verifier import verify_encoding_static
     from repro.regalloc.pipeline import SETUPS, run_setup
-    from repro.workloads import MIBENCH, get_workload
 
     setups = tuple(args.setup) if args.setup else \
         tuple(s for s in SETUPS if s not in ("baseline", "ospill"))
-
-    targets = []  # (display name, factory) — fresh Function per setup
-    for target in args.targets:
-        if target == "all":
-            targets.extend((w.name, w.function) for w in MIBENCH)
-        elif os.path.exists(target):
-            targets.append((target, lambda t=target: _parse_file(t)))
-        else:
-            try:
-                targets.append((target, get_workload(target).function))
-            except KeyError:
-                print(f"analyze target {target!r} is neither a file nor a "
-                      "workload; try `python -m repro list`",
-                      file=sys.stderr)
-                return 2
+    # every name resolves before anything runs; a fresh Function per setup
+    targets = list(_targets("analyze", args.targets))
 
     failed = False
     results = []
@@ -423,10 +403,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_sweep(args) -> int:
     from repro.experiments import run_regn_sweep
 
-    jobs = _resolve_cli_jobs(args)
-    if jobs is None:
-        return 2
-    sweep = run_regn_sweep(remap_restarts=args.restarts, jobs=jobs,
+    sweep = run_regn_sweep(remap_restarts=args.restarts, jobs=args.jobs,
                            seed=args.seed)
     print(sweep.table().render())
     print(f"\nbest RegN on this suite: {sweep.best_reg_n()}")
@@ -437,19 +414,18 @@ def _cmd_allocators(args) -> int:
     import json
 
     from repro.experiments.reporting import Table
-    from repro.regalloc.zoo import list_allocators
+    from repro.regalloc.pipeline import SETUP_TABLE
 
-    infos = list_allocators()
     if args.json:
-        print(json.dumps({"allocators": [i.to_dict() for i in infos]},
+        print(json.dumps({"allocators": [r.to_dict() for r in SETUP_TABLE]},
                          indent=2, sort_keys=True))
         return 0
-    table = Table(f"allocator zoo: {len(infos)} registered backends",
+    table = Table(f"allocator zoo: {len(SETUP_TABLE)} registered backends",
                   ["name", "spill style", "diff", "ssa", "description"])
-    for info in infos:
-        table.add_row(info.name, info.spill_style,
-                      "yes" if info.differential else "no",
-                      "yes" if info.needs_ssa else "no", info.description)
+    for row in SETUP_TABLE:
+        table.add_row(row.name, row.spill_style,
+                      "yes" if row.differential else "no",
+                      "yes" if row.needs_ssa else "no", row.description)
     print(table.render())
     return 0
 
@@ -506,11 +482,8 @@ def _cmd_fuzz_run(args) -> int:
     from repro.fuzz.harness import format_failure, shrink_case
     from repro.fuzz.gen import FuzzConfig
 
-    jobs = _resolve_cli_jobs(args)
-    if jobs is None:
-        return 2
     setups = _fuzz_setups(args)
-    report = run_fuzz(args.seed, args.cases, jobs=jobs, setups=setups,
+    report = run_fuzz(args.seed, args.cases, jobs=args.jobs, setups=setups,
                       restarts=args.restarts)
     print(report.summary())
     if report.ok:
@@ -562,10 +535,7 @@ def _cmd_fuzz_moves(args) -> int:
         print(format_moves_failure(outcome))
         return 1
 
-    jobs = _resolve_cli_jobs(args)
-    if jobs is None:
-        return 2
-    report = run_moves_fuzz(args.seed, args.cases, jobs=jobs)
+    report = run_moves_fuzz(args.seed, args.cases, jobs=args.jobs)
     print(report.summary())
     if report.ok:
         return 0
@@ -584,14 +554,11 @@ def _cmd_serve(args) -> int:
     from repro.service.server import ServiceServer
     from repro.service.store import ArtifactStore, default_store_root
 
-    jobs = _resolve_cli_jobs(args)
-    if jobs is None:
-        return 2
     store = ArtifactStore(args.store or default_store_root(),
                           max_bytes=args.cache_bytes,
                           hot_entries=args.hot_entries)
     server = ServiceServer(
-        args.host, args.port, store=store, jobs=jobs,
+        args.host, args.port, store=store, jobs=args.jobs,
         queue_limit=args.queue_limit, request_timeout=args.timeout,
         allow_debug=args.allow_debug, telemetry_path=args.telemetry,
         verbose=args.verbose,
@@ -599,7 +566,7 @@ def _cmd_serve(args) -> int:
 
     def announce(host: str, port: int) -> None:
         print(f"repro service listening on {host}:{port} "
-              f"(jobs={jobs}, store={store.root})", flush=True)
+              f"(jobs={args.jobs}, store={store.root})", flush=True)
         if args.ready_file:
             with open(args.ready_file, "w") as fh:
                 fh.write(f"{host}:{port}\n")
@@ -687,9 +654,8 @@ def _cmd_service_smoke(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser with all subcommands."""
-    from repro.regalloc.zoo import allocator_names
+    from repro.regalloc.pipeline import SETUPS as setup_choices
 
-    setup_choices = allocator_names()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Differential Register Allocation' "
@@ -697,13 +663,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in [
-        ("lowend", "Table 1 and Figures 11-14 (the MiBench study)"),
-        ("table1", "the low-end machine configuration"),
-        ("fig11", "static spill percentage"),
-        ("fig12", "set_last_reg cost percentage"),
-        ("fig13", "code size relative to baseline"),
-        ("fig14", "speedup over baseline"),
+    # the figure commands name the LowEndExperiment method that renders
+    # them; lowend renders them all
+    for name, help_text, figure in [
+        ("lowend", "Table 1 and Figures 11-14 (the MiBench study)", None),
+        ("table1", "the low-end machine configuration", None),
+        ("fig11", "static spill percentage", "fig11_spills"),
+        ("fig12", "set_last_reg cost percentage", "fig12_cost"),
+        ("fig13", "code size relative to baseline", "fig13_codesize"),
+        ("fig14", "speedup over baseline", "fig14_speedup"),
     ]:
         p = sub.add_parser(name, help=help_text)
         if name == "table1":
@@ -722,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="strict: stop at the offending pass; "
                             "warn: record and continue")
         _add_parallel_args(p)
-        p.set_defaults(func=_cmd_lowend)
+        p.set_defaults(func=_cmd_lowend, figure=figure)
 
     p = sub.add_parser("swp", help="Tables 2-3 (the software-pipelining study)")
     p.add_argument("--loops", type=int, default=400,
@@ -782,9 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "bundled workloads")
     p.add_argument("targets", nargs="+",
                    help=".s file path, workload name, or 'all'")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable output (legacy per-target map; "
-                        "prefer --format json)")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="output format; json shares field names with the "
                         "compile-service error envelope")
@@ -982,6 +947,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "parallel", False):
+            args.jobs = _resolve_cli_jobs(args.jobs)
         return args.func(args)
     except ParseError as exc:
         # shared diagnostic formatting: parse errors render like lint
@@ -993,6 +960,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # verification) render their report instead of a traceback
         print(exc, file=sys.stderr)
         return 1
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

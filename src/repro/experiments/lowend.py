@@ -178,8 +178,7 @@ class LowEndExperiment:
 
 def _lowend_workload(w: Workload, *, setups: Sequence[str], base_k: int,
                      reg_n: int, diff_n: int, config: LowEndConfig,
-                     remap_restarts: int, use_ilp: bool,
-                     profile: bool, seed: int,
+                     remap_restarts: int, profile: bool, seed: int,
                      pass_verifier=None) -> List[BenchmarkRow]:
     """One workload through every setup; the grid task of
     :func:`run_lowend_experiment`.
@@ -202,8 +201,8 @@ def _lowend_workload(w: Workload, *, setups: Sequence[str], base_k: int,
     for setup in setups:
         prog: AllocatedProgram = run_setup(
             fn, setup, base_k=base_k, reg_n=reg_n, diff_n=diff_n,
-            remap_restarts=remap_restarts, use_ilp=use_ilp,
-            freq=freq, pass_verifier=pass_verifier, remap_seed=seed,
+            remap_restarts=remap_restarts, freq=freq,
+            pass_verifier=pass_verifier, remap_seed=seed,
         )
         result = interpret_or_derive(prog.final_fn, args, recorded)
         report = timing.time(result.columnar)
@@ -223,7 +222,6 @@ def run_lowend_experiment(workloads: Sequence[Workload] = MIBENCH,
                           base_k: int = 8, reg_n: int = 12, diff_n: int = 8,
                           config: LowEndConfig = LOWEND,
                           remap_restarts: int = 50,
-                          use_ilp: bool = True,
                           profile: bool = True,
                           verify_each_pass: bool = False,
                           lint_mode: str = "strict",
@@ -260,8 +258,7 @@ def run_lowend_experiment(workloads: Sequence[Workload] = MIBENCH,
     task = partial(
         _lowend_workload, setups=tuple(setups), base_k=base_k,
         reg_n=reg_n, diff_n=diff_n, config=config,
-        remap_restarts=remap_restarts, use_ilp=use_ilp, profile=profile,
-        seed=seed,
+        remap_restarts=remap_restarts, profile=profile, seed=seed,
         pass_verifier=pass_verifier)
     rows: List[BenchmarkRow] = []
     for workload_rows in parallel_map(task, list(workloads), jobs=jobs):

@@ -71,7 +71,7 @@ def _sweep_workload(payload) -> List[Tuple[float, float, float, float]]:
     (baseline) point, so evaluation order across workloads — and hence
     the job count — cannot change any number.
     """
-    w, reg_ns, diff_n, config, remap_restarts, use_ilp, remap_seed = payload
+    w, reg_ns, diff_n, config, remap_restarts, remap_seed = payload
     timing = LowEndTimingModel(config)
     fn = w.function()
     args = w.default_args
@@ -84,7 +84,7 @@ def _sweep_workload(payload) -> List[Tuple[float, float, float, float]]:
         setup = "baseline" if reg_n <= diff_n else "select"
         prog = run_setup(fn, setup, base_k=diff_n, reg_n=reg_n,
                          diff_n=diff_n, remap_restarts=remap_restarts,
-                         use_ilp=use_ilp, freq=freq, remap_seed=remap_seed)
+                         freq=freq, remap_seed=remap_seed)
         result = interpret_or_derive(prog.final_fn, args, recorded)
         report = timing.time(result.columnar)
         if base_cycles is None:
@@ -101,7 +101,6 @@ def run_regn_sweep(workloads: Sequence[Workload] = MIBENCH,
                    diff_n: int = 8,
                    config: LowEndConfig = LOWEND,
                    remap_restarts: int = 20,
-                   use_ilp: bool = True,
                    jobs: int = 1,
                    seed: int = 0) -> RegNSweep:
     """Sweep RegN over the kernel suite.
@@ -126,7 +125,7 @@ def run_regn_sweep(workloads: Sequence[Workload] = MIBENCH,
             f"point, got reg_ns[0]={reg_ns[0]} > diff_n={diff_n}"
         )
     payloads = [
-        (w, tuple(reg_ns), diff_n, config, remap_restarts, use_ilp, seed)
+        (w, tuple(reg_ns), diff_n, config, remap_restarts, seed)
         for w in workloads
     ]
     per_workload = parallel_map(_sweep_workload, payloads, jobs=jobs)

@@ -1,8 +1,8 @@
 """Deterministic parallel execution engine.
 
-A process-pool layer used by the remapping search (restart fan-out), the
-experiment harnesses (workload × configuration grids), the fuzz harness
-and the compile service's dispatchers.  Design rules, in order of
+A process-pool layer used by the experiment harnesses (workload ×
+configuration grids), the fuzz harness and the compile service's
+dispatchers.  Design rules, in order of
 priority:
 
 1. **Bit-identical results.**  ``jobs=1`` and ``jobs>1`` must produce
@@ -204,9 +204,11 @@ class WorkerPool:
         broken.shutdown(wait=False, cancel_futures=True)
 
     def warm(self) -> int:
-        """Eagerly spawn the workers (servers call this before accepting
-        traffic, so the first task is not also the slowest).  Returns the
-        number of workers spawned; 0 when the pool runs serially."""
+        """Eagerly spawn the workers by running one no-op task each
+        (servers call this before accepting traffic, so no request pays
+        process start-up).  The no-op imports nothing and fills no cache.
+        Returns the number of workers spawned; 0 when the pool runs
+        serially."""
         if self.max_workers <= 1:
             return 0
         executor = self._ensure_executor()

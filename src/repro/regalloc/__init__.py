@@ -22,9 +22,8 @@ Differential schemes
   top of optimal spilling (Section 7).
 
 :mod:`repro.regalloc.pipeline` wires allocation, remapping and encoding into
-the five experimental setups of Section 10.1, dispatching through the
-allocator zoo (:mod:`repro.regalloc.zoo`) — the pluggable backend registry
-that also hosts :mod:`repro.regalloc.ssa_spill`, the SSA-based
+the five experimental setups of Section 10.1, one table row each, plus a
+sixth row for :mod:`repro.regalloc.ssa_spill`, the SSA-based
 spill-everywhere allocator (``docs/allocators.md``).  Both ILPs, optimal
 spilling's residence model and the exact remap model, are solved through
 :mod:`repro.regalloc.highs`.
@@ -46,9 +45,6 @@ from repro.regalloc.diff_coalesce import differential_coalesce_allocate
 from repro.regalloc.pipeline import (AllocatedProgram, run_setup, SETUPS,
                                      PAPER_SETUPS)
 from repro.regalloc.ssa_spill import ssa_spill_allocate
-from repro.regalloc.zoo import (AllocatorContext, AllocatorInfo,
-                                allocator_names, get_allocator,
-                                list_allocators, register_allocator)
 from repro.regalloc.callconv import (
     CallingConvention,
     check_convention,
@@ -76,10 +72,4 @@ __all__ = [
     "SETUPS",
     "PAPER_SETUPS",
     "ssa_spill_allocate",
-    "AllocatorContext",
-    "AllocatorInfo",
-    "allocator_names",
-    "get_allocator",
-    "list_allocators",
-    "register_allocator",
 ]

@@ -17,20 +17,19 @@ The differential setups allocate with more registers than the 3-bit field
 directly encodes — that is the whole point — and pay ``set_last_reg``
 instructions for it.
 
-Dispatch goes through the allocator zoo (:mod:`repro.regalloc.zoo`):
-this module registers the paper setups — plus the SSA spill-everywhere
-backend (``ssa_spill``, :mod:`repro.regalloc.ssa_spill`) — as backends,
-and :func:`run_setup` looks the requested one up in the registry.
-``SETUPS`` is derived from the registry, so new backends become visible
-to the CLI, the fuzz harness and the compile service by registering;
-``PAPER_SETUPS`` stays pinned to the Section 10.1 five for the figure
-reproductions.
+``SETUP_TABLE`` holds one row per setup: these five plus the SSA
+spill-everywhere allocator (``ssa_spill``, :mod:`repro.regalloc.ssa_spill`).
+A row names the setup's allocator, its checkpoint stage and whether the
+parallel-move resolver runs after it; :func:`run_setup` makes every stage
+boundary itself.  ``SETUPS`` is the table's names, which the CLI, the fuzz
+harness and the compile service accept; ``PAPER_SETUPS`` stays pinned to
+the Section 10.1 five for the figure reproductions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.diagnostics import LintError
 from repro.encoding.config import EncodingConfig
@@ -46,14 +45,12 @@ from repro.regalloc.moves import resolve_move_runs
 from repro.regalloc.optimal_spill import optimal_spill_allocate
 from repro.regalloc.remap import differential_remap
 from repro.regalloc.ssa_spill import ssa_spill_allocate
-from repro.regalloc.zoo import (AllocatorContext, AllocatorInfo,
-                                allocator_names, get_allocator,
-                                register_allocator)
 
 if TYPE_CHECKING:  # the verifier is duck-typed at runtime: regalloc never
     from repro.lint import PassVerifier  # imports lint at module level
 
-__all__ = ["AllocatedProgram", "run_setup", "SETUPS", "PAPER_SETUPS"]
+__all__ = ["AllocatedProgram", "Setup", "SETUP_TABLE", "run_setup", "SETUPS",
+           "PAPER_SETUPS"]
 
 #: the Section 10.1 configurations — the experiment grids that reproduce
 #: the paper's figures iterate exactly these
@@ -147,121 +144,102 @@ def _encode_best(candidates, config: EncodingConfig, freq=None) -> EncodedFuncti
 
 
 # ----------------------------------------------------------------------
-# built-in backends
+# the setup table
 # ----------------------------------------------------------------------
-# Each runner performs exactly the allocation stage of its setup —
-# including the stage checkpoints the pass verifier keys on — and
-# returns the AllocationResult.  The differential encode path (remap
-# candidates + best-encoding selection) is shared by run_setup for
-# every backend whose info says differential=True.
+# Each allocate function calls its allocator through this module's
+# globals at call time, so a wrapper installed on the module attribute
+# (perfbench's layer metrics) sees the call.
 
-def _run_baseline(fn: Function, ctx: AllocatorContext) -> AllocationResult:
-    alloc = iterated_allocate(fn, ctx.base_k, freq=ctx.freq)
-    ctx.checkpoint("alloc:iterated", alloc.fn, allocated=True, k=ctx.base_k,
-                   coloring=alloc.coloring, original=alloc.colored_fn)
-    return alloc
+def _iterated(fn, k, diff_n, order, use_ilp, freq):
+    return iterated_allocate(fn, k, freq=freq)
 
 
-def _run_remapping(fn: Function, ctx: AllocatorContext) -> AllocationResult:
-    alloc = iterated_allocate(fn, ctx.reg_n, freq=ctx.freq)
-    ctx.checkpoint("alloc:iterated", alloc.fn, allocated=True, k=ctx.reg_n,
-                   coloring=alloc.coloring, original=alloc.colored_fn)
-    return alloc
+def _diff_select(fn, k, diff_n, order, use_ilp, freq):
+    selector = DifferentialSelector(k, diff_n, order=order)
+    return iterated_allocate(fn, k, selector=selector, freq=freq)
 
 
-def _run_select(fn: Function, ctx: AllocatorContext) -> AllocationResult:
-    selector = DifferentialSelector(ctx.reg_n, ctx.diff_n,
-                                    order=ctx.access_order)
-    alloc = iterated_allocate(fn, ctx.reg_n, selector=selector, freq=ctx.freq)
-    ctx.checkpoint("alloc:diff_select", alloc.fn, allocated=True, k=ctx.reg_n,
-                   coloring=alloc.coloring, original=alloc.colored_fn)
-    move_stats = resolve_move_runs(alloc.fn, ctx.reg_n)
-    alloc.stats.update(move_stats.as_stats())
-    return alloc
+def _ospill(fn, k, diff_n, order, use_ilp, freq):
+    return optimal_spill_allocate(fn, k, use_ilp=use_ilp, freq=freq)
 
 
-def _run_ospill(fn: Function, ctx: AllocatorContext) -> AllocationResult:
-    alloc = optimal_spill_allocate(fn, ctx.base_k, use_ilp=ctx.use_ilp,
-                                   freq=ctx.freq)
-    ctx.checkpoint("alloc:ospill", alloc.fn, allocated=True, k=ctx.base_k,
-                   coloring=alloc.coloring, original=alloc.colored_fn)
-    return alloc
+def _diff_coalesce(fn, k, diff_n, order, use_ilp, freq):
+    return differential_coalesce_allocate(fn, k, diff_n, order=order,
+                                          use_ilp=use_ilp, freq=freq)
 
 
-def _run_coalesce(fn: Function, ctx: AllocatorContext) -> AllocationResult:
-    alloc = differential_coalesce_allocate(
-        fn, ctx.reg_n, ctx.diff_n, order=ctx.access_order,
-        use_ilp=ctx.use_ilp, freq=ctx.freq,
-    )
-    ctx.checkpoint("alloc:diff_coalesce", alloc.fn, allocated=True,
-                   k=ctx.reg_n, coloring=alloc.coloring,
-                   original=alloc.colored_fn)
-    return alloc
+def _ssa_spill(fn, k, diff_n, order, use_ilp, freq):
+    return ssa_spill_allocate(fn, k, freq=freq)
 
 
-def _run_ssa_spill(fn: Function, ctx: AllocatorContext) -> AllocationResult:
-    alloc = ssa_spill_allocate(fn, ctx.reg_n, freq=ctx.freq)
-    ctx.checkpoint("alloc:ssa_spill", alloc.fn, allocated=True, k=ctx.reg_n,
-                   coloring=alloc.coloring, original=alloc.colored_fn)
-    # phi lowering leaves copy runs the resolver can shorten, same as
-    # the select setup
-    move_stats = resolve_move_runs(alloc.fn, ctx.reg_n)
-    alloc.stats.update(move_stats.as_stats())
-    return alloc
+@dataclass(frozen=True)
+class Setup:
+    """One row of :data:`SETUP_TABLE`: what ``repro allocators`` prints
+    about a setup, plus what :func:`run_setup` needs to run it."""
+
+    name: str
+    description: str
+    #: how the allocator makes spill decisions
+    spill_style: str
+    #: allocates over RegN (not base_k) and feeds the differential encoder
+    differential: bool
+    #: provenance, e.g. the paper section a scheme comes from
+    source: str
+    #: ``(fn, k, diff_n, order, use_ilp, freq) -> AllocationResult``
+    allocate: Callable[..., AllocationResult]
+    #: the ``alloc:<stage>`` checkpoint name
+    stage: str
+    #: builds SSA form internally, so its proof runs against its own
+    #: spill-extended virtual function
+    needs_ssa: bool = False
+    #: run the parallel-move resolver on the allocated function
+    resolve_moves: bool = False
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-ready form (``repro allocators --json``)."""
+        return {"name": self.name, "description": self.description,
+                "spill_style": self.spill_style,
+                "differential": self.differential,
+                "needs_ssa": self.needs_ssa, "source": self.source}
 
 
-register_allocator(AllocatorInfo(
-    name="baseline",
-    description="iterated register coalescing at the directly encodable "
-                "budget (k = base_k)",
-    spill_style="iterated",
-    differential=False,
-    source="George & Appel, iterated register coalescing",
-), _run_baseline)
-register_allocator(AllocatorInfo(
-    name="remapping",
-    description="iterated coalescing over the full file, then "
-                "differential remapping (paper approach 1)",
-    spill_style="iterated",
-    differential=True,
-    source="Zhuang & Pande, Section 5",
-), _run_remapping)
-register_allocator(AllocatorInfo(
-    name="select",
-    description="iterated coalescing with the differential-aware color "
-                "selector (paper approach 2)",
-    spill_style="iterated",
-    differential=True,
-    source="Zhuang & Pande, Section 6",
-), _run_select)
-register_allocator(AllocatorInfo(
-    name="ospill",
-    description="optimal (ILP) spilling at the directly encodable budget",
-    spill_style="optimal-ilp",
-    differential=False,
-    source="Appel & George, optimal spilling",
-), _run_ospill)
-register_allocator(AllocatorInfo(
-    name="coalesce",
-    description="differential coalescing on optimally spilled code "
-                "(paper approach 3)",
-    spill_style="optimal-ilp",
-    differential=True,
-    source="Zhuang & Pande, Section 7",
-), _run_coalesce)
-register_allocator(AllocatorInfo(
-    name="ssa_spill",
-    description="SSA spill-everywhere: Belady furthest-use spilling on "
-                "SSA live ranges, then greedy coloring",
-    spill_style="everywhere",
-    differential=True,
-    needs_ssa=True,
-    source="Bouchez, Darte & Rastello, spill everywhere under SSA",
-), _run_ssa_spill)
+#: every setup ``run_setup`` runs: the paper five first, then ssa_spill
+SETUP_TABLE = (
+    Setup("baseline", "iterated register coalescing at the directly "
+          "encodable budget (k = base_k)",
+          spill_style="iterated", differential=False,
+          source="George & Appel, iterated register coalescing",
+          allocate=_iterated, stage="iterated"),
+    Setup("remapping", "iterated coalescing over the full file, then "
+          "differential remapping (paper approach 1)",
+          spill_style="iterated", differential=True,
+          source="Zhuang & Pande, Section 5",
+          allocate=_iterated, stage="iterated"),
+    Setup("select", "iterated coalescing with the differential-aware color "
+          "selector (paper approach 2)",
+          spill_style="iterated", differential=True,
+          source="Zhuang & Pande, Section 6",
+          allocate=_diff_select, stage="diff_select", resolve_moves=True),
+    Setup("ospill", "optimal (ILP) spilling at the directly encodable budget",
+          spill_style="optimal-ilp", differential=False,
+          source="Appel & George, optimal spilling",
+          allocate=_ospill, stage="ospill"),
+    Setup("coalesce", "differential coalescing on optimally spilled code "
+          "(paper approach 3)",
+          spill_style="optimal-ilp", differential=True,
+          source="Zhuang & Pande, Section 7",
+          allocate=_diff_coalesce, stage="diff_coalesce"),
+    # phi lowering leaves copy runs the resolver can shorten, as select's
+    # join repairs do
+    Setup("ssa_spill", "SSA spill-everywhere: Belady furthest-use spilling "
+          "on SSA live ranges, then greedy coloring",
+          spill_style="everywhere", differential=True,
+          source="Bouchez, Darte & Rastello, spill everywhere under SSA",
+          allocate=_ssa_spill, stage="ssa_spill", needs_ssa=True,
+          resolve_moves=True),
+)
 
-#: every registered backend, registration order: the paper five first,
-#: then the zoo additions
-SETUPS = allocator_names()
+SETUPS = tuple(row.name for row in SETUP_TABLE)
 
 
 def run_setup(fn: Function, setup: str,
@@ -275,13 +253,13 @@ def run_setup(fn: Function, setup: str,
               remap_seed: int = 0,
               setlr_elim: bool = True,
               ) -> AllocatedProgram:
-    """Run one function through one registered allocation setup.
+    """Run one function through one setup of :data:`SETUP_TABLE`.
 
-    ``setup`` names any backend in the allocator zoo (``SETUPS`` lists
-    them; the Section 10.1 five are ``PAPER_SETUPS``).  Differential
-    backends are post-processed identically — remap-candidate encoding,
-    ``setlr`` elimination, decode verification — whatever allocator
-    produced the coloring.
+    ``setup`` names a row (``SETUPS`` lists them; the Section 10.1 five
+    are ``PAPER_SETUPS``).  Differential setups allocate at ``reg_n`` (the
+    others at ``base_k``) and are post-processed identically —
+    remap-candidate encoding, ``setlr`` elimination, decode verification —
+    whatever allocator produced the coloring.
 
     ``base_k`` is the directly encodable register count (the THUMB-like 8);
     ``reg_n``/``diff_n`` parameterise the differential setups.  With
@@ -289,7 +267,7 @@ def run_setup(fn: Function, setup: str,
     it is returned: differential encodings are decode-replayed over every
     CFG path, and the symbolic checker (:mod:`repro.regalloc.checker`)
     proves ``final_fn`` computes what ``fn`` does — for ``needs_ssa``
-    backends, what their spill-extended ``colored_fn`` does, since phi
+    setups, what their spill-extended ``colored_fn`` does, since phi
     destruction changes the block layout.  A failed proof raises
     :class:`~repro.diagnostics.LintError` with the C-series report.
     ``freq`` supplies block
@@ -347,19 +325,17 @@ def run_setup(fn: Function, setup: str,
         )
         return [allocated_fn, freq_remap.fn, static_remap.fn]
 
-    try:
-        entry = get_allocator(setup)
-    except KeyError:
-        raise ValueError(
-            f"unknown setup {setup!r}; expected one of {SETUPS}") from None
+    row = next((r for r in SETUP_TABLE if r.name == setup), None)
+    if row is None:
+        raise ValueError(f"unknown setup {setup!r}; expected one of {SETUPS}")
 
-    ctx = AllocatorContext(
-        base_k=base_k, reg_n=reg_n, diff_n=diff_n, freq=freq,
-        use_ilp=use_ilp, access_order=access_order,
-        checkpoint=checkpoint,
-    )
-    alloc = entry.runner(fn, ctx)
-    if entry.info.differential:
+    k = reg_n if row.differential else base_k
+    alloc = row.allocate(fn, k, diff_n, access_order, use_ilp, freq)
+    checkpoint(f"alloc:{row.stage}", alloc.fn, allocated=True, k=k,
+               coloring=alloc.coloring, original=alloc.colored_fn)
+    if row.resolve_moves:
+        alloc.stats.update(resolve_move_runs(alloc.fn, k).as_stats())
+    if row.differential:
         # "differential remapping can always be invoked after approach 2 or
         # 3" (Section 3); kept only when the real encoding improves
         encoded = _encode_best(remap_candidates(alloc.fn), config, freq)
@@ -377,7 +353,7 @@ def run_setup(fn: Function, setup: str,
     if verify:
         if encoded is not None:
             verify_encoding(encoded)
-        original = alloc.colored_fn if entry.info.needs_ssa else fn
+        original = alloc.colored_fn if row.needs_ssa else fn
         proof = check_allocation_semantics(original, final)
         if not proof.ok:
             raise LintError(

@@ -135,17 +135,16 @@ def pressure_fn():
 
 @pytest.fixture
 def miscompiled_select(monkeypatch):
-    """Swap the select backend for one that reads the wrong register: the
-    first instruction with two distinct register operands reads its
-    second operand twice.  ``run_setup``'s semantics proof must catch it."""
+    """Swap the select row's allocator for one that reads the wrong
+    register: the first instruction with two distinct register operands
+    reads its second operand twice.  ``run_setup``'s semantics proof must
+    catch it."""
     from dataclasses import replace
 
-    from repro.regalloc import zoo
+    from repro.regalloc import pipeline
 
-    select = zoo.get_allocator("select")
-
-    def miscompiled(fn, ctx):
-        alloc = select.runner(fn, ctx)
+    def miscompiled(*args):
+        alloc = select.allocate(*args)
         block, i = next(
             (b, i) for b in alloc.fn.blocks
             for i, ins in enumerate(b.instrs) if len(set(ins.srcs)) == 2)
@@ -153,5 +152,7 @@ def miscompiled_select(monkeypatch):
         block.instrs[i] = replace(ins, srcs=(ins.srcs[1], ins.srcs[1]))
         return alloc
 
-    monkeypatch.setitem(zoo._REGISTRY, "select",
-                        zoo.RegisteredAllocator(select.info, miscompiled))
+    select = next(r for r in pipeline.SETUP_TABLE if r.name == "select")
+    monkeypatch.setattr(pipeline, "SETUP_TABLE", tuple(
+        replace(r, allocate=miscompiled) if r is select else r
+        for r in pipeline.SETUP_TABLE))

@@ -1,11 +1,13 @@
-"""Allocator-zoo tests: registry API and differential equivalence.
+"""Setup-table tests: the rows ``run_setup`` runs, and differential
+equivalence.
 
-The registry contract (register/lookup/capability metadata) plus the
-subsystem's reason to exist: every registered backend, run through the
-shared ``run_setup`` pipeline, must be observationally equivalent to
-``baseline`` — on real kernels and on a seeded fuzz corpus, gated on
-the symbolic checker, the interference lint and the binary round trip
-(all of which :func:`repro.fuzz.run_case` applies per setup).
+The table's contract (names, order, capability metadata, the budget and
+stage boundaries ``run_setup`` applies per row) plus every setup's
+reason to exist: each one, run through the shared ``run_setup``
+pipeline, must be observationally equivalent to ``baseline`` — on real
+kernels and on a seeded fuzz corpus, gated on the symbolic checker, the
+interference lint and the binary round trip (all of which
+:func:`repro.fuzz.run_case` applies per setup).
 """
 
 import pytest
@@ -15,13 +17,11 @@ from repro.fuzz import (FuzzConfig, generate_fuzz_function, knob_matrix,
                         run_case)
 from repro.fuzz.harness import case_seed, default_config
 from repro.ir import FunctionBuilder, Interpreter
+from repro.lint import PassVerifier
 from repro.regalloc import (PAPER_SETUPS, SETUPS, run_setup,
                             ssa_spill_allocate)
 from repro.regalloc.base import AllocationError, check_allocation
-from repro.regalloc.zoo import (AllocatorContext, AllocatorInfo,
-                                allocator_names, get_allocator,
-                                list_allocators, register_allocator,
-                                unregister_allocator)
+from repro.regalloc.pipeline import SETUP_TABLE
 from repro.workloads import MIBENCH
 
 from tests.conftest import make_pressure_fn
@@ -30,100 +30,73 @@ N_FUZZ_SEEDS = 100
 
 
 class TestRegistry:
+    """``SETUP_TABLE``, the one list of setups."""
+
     def test_builtins_registered(self):
-        assert allocator_names() == (
+        assert SETUPS == (
             "baseline", "remapping", "select", "ospill", "coalesce",
             "ssa_spill")
-        assert SETUPS == allocator_names()
+        assert SETUPS == tuple(row.name for row in SETUP_TABLE)
 
     def test_paper_setups_are_a_prefix(self):
         assert PAPER_SETUPS == SETUPS[:len(PAPER_SETUPS)]
         assert "ssa_spill" not in PAPER_SETUPS
 
     def test_capability_metadata(self):
-        by_name = {info.name: info for info in list_allocators()}
+        by_name = {row.name: row for row in SETUP_TABLE}
         assert not by_name["baseline"].differential
         assert by_name["remapping"].differential
         assert by_name["ssa_spill"].needs_ssa
         assert by_name["ssa_spill"].spill_style == "everywhere"
-        for info in by_name.values():
-            doc = info.to_dict()
-            assert doc["name"] == info.name
+        for row in by_name.values():
+            doc = row.to_dict()
+            assert sorted(doc) == ["description", "differential", "name",
+                                   "needs_ssa", "source", "spill_style"]
+            assert doc["name"] == row.name
 
-    def test_get_unknown_names_the_known(self):
-        with pytest.raises(KeyError, match="baseline"):
-            get_allocator("nope")
+    def test_get_unknown_names_the_known(self, sum_fn):
+        with pytest.raises(ValueError, match="baseline"):
+            run_setup(sum_fn, "nope")
 
-    def test_register_and_unregister(self):
-        info = AllocatorInfo(name="zoo_test_dummy", description="d",
-                             spill_style="none", differential=False)
-        register_allocator(info, lambda fn, ctx: None)
-        try:
-            assert "zoo_test_dummy" in allocator_names()
-            assert get_allocator("zoo_test_dummy").info is info
-        finally:
-            unregister_allocator("zoo_test_dummy")
-        assert "zoo_test_dummy" not in allocator_names()
+    @pytest.mark.parametrize("setup,budget", [
+        ("baseline", 7), ("ospill", 7),
+        ("remapping", 11), ("select", 11), ("coalesce", 11),
+        ("ssa_spill", 11),
+    ])
+    def test_run_setup_applies_budgets(self, setup, budget):
+        """Differential rows allocate at ``reg_n``, the others at
+        ``base_k``; the encoding takes ``reg_n``/``diff_n``."""
+        prog = run_setup(make_pressure_fn(seed=4), setup, base_k=7,
+                         reg_n=11, diff_n=6, remap_restarts=2)
+        used = {r.id for r in prog.final_fn.registers() if not r.virtual}
+        assert used and max(used) < budget
+        if prog.encoded is not None:
+            config = prog.encoded.config
+            assert (config.reg_n, config.diff_n) == (11, 6)
+        assert (prog.encoded is not None) == (setup not in ("baseline",
+                                                            "ospill"))
 
-    def test_duplicate_rejected(self):
-        info = AllocatorInfo(name="zoo_test_dup", description="d",
-                             spill_style="none", differential=False)
-        register_allocator(info, lambda fn, ctx: None)
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_allocator(info, lambda fn, ctx: None)
-        finally:
-            unregister_allocator("zoo_test_dup")
-
-    def test_bad_names_rejected(self):
-        for bad in ("", "has space", "has-dash", "ha/sh"):
-            with pytest.raises(ValueError):
-                register_allocator(
-                    AllocatorInfo(name=bad, description="d",
-                                  spill_style="none", differential=False),
-                    lambda fn, ctx: None)
-
-    def test_runner_must_be_callable(self):
-        with pytest.raises(TypeError):
-            register_allocator(
-                AllocatorInfo(name="zoo_test_nc", description="d",
-                              spill_style="none", differential=False),
-                None)
-
-    def test_custom_backend_served_by_run_setup(self, sum_fn):
-        from repro.regalloc.iterated import iterated_allocate
-
-        info = AllocatorInfo(name="zoo_test_live", description="d",
-                             spill_style="iterated", differential=False)
-        register_allocator(
-            info, lambda fn, ctx: iterated_allocate(fn, ctx.reg_n))
-        try:
-            prog = run_setup(sum_fn, "zoo_test_live")
-            ref = Interpreter().run(sum_fn, (5,)).return_value
-            assert Interpreter().run(
-                prog.final_fn, (5,)).return_value == ref
-        finally:
-            unregister_allocator("zoo_test_live")
-
-    def test_context_carries_pipeline_knobs(self):
-        seen = {}
-
-        def runner(fn, ctx):
-            seen["ctx"] = ctx
-            from repro.regalloc.iterated import iterated_allocate
-            return iterated_allocate(fn, ctx.base_k)
-
-        info = AllocatorInfo(name="zoo_test_ctx", description="d",
-                             spill_style="iterated", differential=False)
-        register_allocator(info, runner)
-        try:
-            run_setup(make_pressure_fn(seed=4), "zoo_test_ctx",
-                      base_k=7, reg_n=11, diff_n=6)
-        finally:
-            unregister_allocator("zoo_test_ctx")
-        ctx = seen["ctx"]
-        assert isinstance(ctx, AllocatorContext)
-        assert (ctx.base_k, ctx.reg_n, ctx.diff_n) == (7, 11, 6)
+    def test_stage_names(self):
+        """``run_setup`` checkpoints each row at the same boundaries: the
+        input, the row's allocation stage, then (differential rows) the
+        chosen encoding and, when it deletes a repair, ``setlr_elim``."""
+        alloc_stage = {"baseline": "iterated", "remapping": "iterated",
+                       "select": "diff_select", "ospill": "ospill",
+                       "coalesce": "diff_coalesce", "ssa_spill": "ssa_spill"}
+        for setup in SETUPS:
+            verifier = PassVerifier()
+            run_setup(make_pressure_fn(seed=4), setup, remap_restarts=2,
+                      pass_verifier=verifier, setlr_elim=False)
+            expected = [f"{setup}:input", f"{setup}:alloc:{alloc_stage[setup]}"]
+            if setup not in ("baseline", "ospill"):
+                expected.append(f"{setup}:encode:remap")
+            assert [r.pass_name for r in verifier.history] == expected
+        verifier = PassVerifier()
+        run_setup(make_pressure_fn(seed=4), "select", remap_restarts=2,
+                  pass_verifier=verifier)
+        assert [r.pass_name for r in verifier.history] == [
+            "select:input", "select:alloc:diff_select", "select:encode:remap",
+            "select:encode:setlr_elim"]
 
 
 class TestSSABackendDirect:

@@ -102,10 +102,11 @@ def test_cli_lint_json(tmp_path, capsys):
         "    ldslot r0, slot0\n"
         "    ret r0\n"
     )
-    assert main(["lint", str(path), "--json"]) == 1
+    assert main(["lint", str(path), "--format", "json"]) == 1
     data = json.loads(capsys.readouterr().out)
-    [(name, report)] = data.items()
-    assert name.endswith("broken.s")
+    assert data["ok"] is False
+    [report] = data["targets"]
+    assert report["name"].endswith("broken.s")
     assert report["errors"] == 1
     assert report["diagnostics"][0]["rule"] == "L008"
 

@@ -1,6 +1,6 @@
 """SSA construction/destruction tests (:mod:`repro.analysis.ssa`).
 
-The contract the allocator zoo's ``ssa_spill`` backend leans on:
+The contract the ``ssa_spill`` setup leans on:
 construction produces strict, pruned SSA (every value has exactly one
 definition; phis only where the variable is live), and the round trip
 ``destruct_ssa(construct_ssa(fn))`` is observationally the identity.
