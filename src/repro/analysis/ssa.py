@@ -59,13 +59,6 @@ class Phi:
     args: Tuple[Tuple[str, Reg], ...]
     var: Reg
 
-    def arg_for(self, pred: str) -> Reg:
-        """The value flowing in along the edge from block ``pred``."""
-        for name, value in self.args:
-            if name == pred:
-                return value
-        raise KeyError(f"phi {self.dst} has no argument for edge {pred!r}")
-
 
 @dataclass
 class SSAForm:

@@ -420,7 +420,7 @@ def _cmd_allocators(args) -> int:
         print(json.dumps({"allocators": [r.to_dict() for r in SETUP_TABLE]},
                          indent=2, sort_keys=True))
         return 0
-    table = Table(f"allocator zoo: {len(SETUP_TABLE)} registered backends",
+    table = Table(f"SETUP_TABLE: {len(SETUP_TABLE)} setups run_setup runs",
                   ["name", "spill style", "diff", "ssa", "description"])
     for row in SETUP_TABLE:
         table.add_row(row.name, row.spill_style,
@@ -721,8 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_list)
 
     p = sub.add_parser("allocators",
-                       help="list the registered allocator backends and "
-                            "their capability metadata (the zoo)")
+                       help="list the setups run_setup runs (SETUP_TABLE) "
+                            "and their capability metadata")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output")
     p.set_defaults(func=_cmd_allocators)

@@ -1,10 +1,11 @@
 """Shared diagnostic objects: severities, locations, findings, reports.
 
 This is the bottom layer of the static-analysis stack — pure data plus
-text/JSON renderers, with no IR dependencies — so every producer of
-user-facing findings (the :mod:`repro.lint` rules, the assembly parser,
-the encoder's preconditions) can emit the same objects and every consumer
-(CLI, tests, pass-pipeline instrumentation) can format them uniformly.
+a text renderer and JSON-friendly dicts, with no IR dependencies — so
+every producer of user-facing findings (the :mod:`repro.lint` rules, the
+assembly parser, the encoder's preconditions) can emit the same objects
+and every consumer (CLI, tests, pass-pipeline instrumentation) can format
+them uniformly.
 
 A :class:`Diagnostic` is one finding: a stable rule id (``L002``), a
 human-readable rule name (``def-before-use``), a severity, a location
@@ -18,7 +19,6 @@ that triggered it.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional
 
@@ -188,14 +188,6 @@ class DiagnosticReport:
         lines.append(f"{n_err} error(s), {n_warn} warning(s), "
                      f"{len(self.diagnostics) - n_err - n_warn} note(s)")
         return "\n".join(lines)
-
-    def render_json(self) -> str:
-        """Machine-readable form for tooling."""
-        return json.dumps({
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
-            "errors": len(self.errors),
-            "warnings": len(self.warnings),
-        }, indent=2)
 
 
 class LintError(ValueError):

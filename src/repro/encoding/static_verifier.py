@@ -237,13 +237,6 @@ class StaticAnalysis:
     def n_dead(self) -> int:
         return sum(1 for f in self.setlr_facts if f.dead)
 
-    def fact_for(self, uid: int) -> Optional[SetlrFact]:
-        """The fact of the ``set_last_reg`` with instruction ``uid``."""
-        for f in self.setlr_facts:
-            if f.uid == uid:
-                return f
-        return None
-
 
 def analyze_last_reg(fn: Function, config: EncodingConfig) -> StaticAnalysis:
     """Abstractly interpret the decode stage of ``fn`` (codes-free).

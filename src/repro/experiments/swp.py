@@ -14,6 +14,10 @@ from removed spill memory traffic.
 * **Table 3** — spills remaining in optimised loops and static code growth
   for optimised loops / all loops / all code (loop kernels are a
   configurable fraction of total code, default 30%).
+
+Every kernel the study encodes is proven before its numbers count: its
+permutation is a bijection, and its remapped access sequence decodes back
+to the same registers with exactly the reported repairs in front.
 """
 
 from __future__ import annotations
@@ -21,10 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.diagnostics import LintError
+from repro.encoding.differential import decode_difference, encode_difference
 from repro.experiments.reporting import Table
 from repro.machine.spec import VLIW, VLIWConfig
 from repro.swp.ddg import LoopDDG
-from repro.swp.diffswp import encode_kernel
+from repro.swp.diffswp import (
+    SwpEncodingReport,
+    encode_kernel,
+    kernel_access_sequence,
+)
 from repro.swp.modulo import ScheduleError
 from repro.swp.rotalloc import KernelAllocation, allocate_kernel
 from repro.workloads.spec_loops import LoopSpec, generate_loop_population
@@ -127,6 +137,48 @@ class SwpExperiment:
         return len(self.optimized_loops()) / n if n else 0.0
 
 
+def _prove_kernel(name: str, alloc: KernelAllocation, diff_n: int,
+                  rep: SwpEncodingReport) -> None:
+    """Raise :class:`~repro.diagnostics.LintError` unless ``rep`` encodes
+    ``alloc``'s kernel at ``diff_n``.
+
+    The remapped access sequence is replayed cyclically, as the loop runs
+    it: the decode state entering the body is the last access.  A promoted
+    ``set_last_reg`` at a repaired position sets ``last_reg`` to that
+    field's register.  Every field must lie below DiffN and decode to the
+    remapped register, and every reported repair must be one the replay
+    needs.
+    """
+    reg_n = alloc.reg_n
+    where = f"{name} at RegN={reg_n}"
+    perm = rep.permutation
+    if sorted(perm) != list(range(reg_n)):
+        raise LintError(f"{where}: the kernel permutation is not a "
+                        f"bijection of range({reg_n})")
+    seq = [perm[r] for r in kernel_access_sequence(alloc)]
+    repairs = set(rep.setlr_positions)
+    needed = 0
+    last = seq[-1] if seq else 0
+    for i, n in enumerate(seq):
+        if i in repairs:
+            if encode_difference(n, last, reg_n) >= diff_n:
+                needed += 1
+            last = n
+        diff = encode_difference(n, last, reg_n)
+        if diff >= diff_n:
+            raise LintError(f"{where}: kernel field {i} needs difference "
+                            f"{diff}, not below DiffN={diff_n}, and no "
+                            f"promoted set_last_reg repairs it")
+        last = decode_difference(diff, last, reg_n)
+        if last != n:
+            raise LintError(f"{where}: kernel field {i} decodes to r{last}, "
+                            f"not r{n}")
+    if not needed == rep.n_setlr == rep.n_out_of_range_after:
+        raise LintError(f"{where}: the replay needs {needed} promoted "
+                        f"set_last_reg, the report lists {rep.n_setlr} and "
+                        f"counts {rep.n_out_of_range_after}")
+
+
 def _evaluate_loop(spec: LoopSpec, reg_ns: Sequence[int], diff_n: int,
                    machine: VLIWConfig, remap_restarts: int) -> Optional[LoopResult]:
     cycles: Dict[int, int] = {}
@@ -153,6 +205,7 @@ def _evaluate_loop(spec: LoopSpec, reg_ns: Sequence[int], diff_n: int,
                 rep = None
             else:
                 rep = encode_kernel(alloc, diff_n, restarts=remap_restarts)
+                _prove_kernel(spec.name, alloc, diff_n, rep)
         cycles[reg_n] = alloc.execution_cycles()
         spills[reg_n] = alloc.n_spill_ops
         n_setlr = rep.n_setlr + rep.enable_overhead if rep else 0

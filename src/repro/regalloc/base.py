@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Set
+from typing import Dict, FrozenSet, Mapping, Optional
 
 from repro.analysis.frequency import estimate_block_frequencies
 from repro.analysis.interference import build_interference
@@ -56,12 +56,6 @@ class AllocationResult:
         """Spill instructions over all instructions (the Figure 11 metric)."""
         total = self.fn.num_instructions()
         return self.n_spill_instructions / total if total else 0.0
-
-    def used_registers(self) -> Set[int]:
-        """Distinct physical int register numbers in the allocated code."""
-        return {
-            r.id for r in self.fn.registers() if not r.virtual and r.cls == "int"
-        }
 
 
 def check_allocation(result: AllocationResult, k: Optional[int] = None,

@@ -6,19 +6,15 @@
   MaxLive, spill insertion when pressure exceeds the architected registers,
   and modulo variable expansion statistics.
 * :mod:`repro.swp.diffswp` — differential remapping over the scheduled
-  kernel: counts the promoted ``set_last_reg`` instructions (Section 8.1).
+  kernel: reports the promoted ``set_last_reg`` repairs (Section 8.1).
 """
 
 from repro.swp.ddg import Dep, LoopDDG, LoopOp
 from repro.swp.modulo import ModuloSchedule, ScheduleError, modulo_schedule
 from repro.swp.rotalloc import KernelAllocation, allocate_kernel
 from repro.swp.diffswp import SwpEncodingReport, encode_kernel
-from repro.swp.codegen import PipelinedLoop, PipelinedOp, generate_pipelined_loop
 
 __all__ = [
-    "PipelinedLoop",
-    "PipelinedOp",
-    "generate_pipelined_loop",
     "Dep",
     "LoopDDG",
     "LoopOp",

@@ -10,8 +10,8 @@ loop cycles.
 This module builds the kernel's register access sequence from the schedule
 (ops in issue order; each op reads its data-dependence sources and writes
 its own value register), constructs the adjacency graph, runs the
-Section 5 remapping search, and counts the residual out-of-range
-differences — each one is a promoted ``set_last_reg``.
+Section 5 remapping search, and reports where the residual out-of-range
+differences sit — each one is a promoted ``set_last_reg``.
 """
 
 from __future__ import annotations
@@ -35,11 +35,15 @@ class SwpEncodingReport:
     n_out_of_range_before: int
     n_out_of_range_after: int
     permutation: Tuple[int, ...]
+    # positions in the cyclic kernel access sequence whose field is
+    # repaired: the promoted set_last_reg(n, delay) sets last_reg to the
+    # field's register, so the field encodes difference 0
+    setlr_positions: Tuple[int, ...]
 
     @property
     def n_setlr(self) -> int:
         """Promoted ``set_last_reg`` instructions (static, outside the loop)."""
-        return self.n_out_of_range_after
+        return len(self.setlr_positions)
 
     @property
     def enable_overhead(self) -> int:
@@ -73,6 +77,21 @@ def kernel_access_sequence(alloc: KernelAllocation) -> List[int]:
     return seq
 
 
+def _out_of_range_positions(seq: Sequence[int], perm: Sequence[int],
+                            reg_n: int, diff_n: int) -> Tuple[int, ...]:
+    """The positions :func:`_count_out_of_range` counts."""
+    if not seq:
+        return ()
+    out = []
+    last = perm[seq[-1]]
+    for i, r in enumerate(seq):
+        n = perm[r]
+        if (n - last) % reg_n >= diff_n:
+            out.append(i)
+        last = n
+    return tuple(out)
+
+
 def _count_out_of_range(seq: Sequence[int], perm: Sequence[int],
                         reg_n: int, diff_n: int) -> int:
     """Out-of-range differences over the *cyclic* kernel sequence.
@@ -100,8 +119,8 @@ def encode_kernel(alloc: KernelAllocation, diff_n: int,
 
     Greedy pairwise-swap descent with random restarts over the register
     permutation, minimising the number of out-of-range differences in the
-    kernel's access sequence.  The count after search is the number of
-    promoted ``set_last_reg`` instructions.
+    kernel's access sequence.  The positions left out of range after the
+    search are the promoted ``set_last_reg`` repairs.
     """
     reg_n = alloc.reg_n
     if diff_n > reg_n:
@@ -110,8 +129,8 @@ def encode_kernel(alloc: KernelAllocation, diff_n: int,
     identity = list(range(reg_n))
     before = _count_out_of_range(seq, identity, reg_n, diff_n)
     if diff_n == reg_n or before == 0:
-        return SwpEncodingReport(reg_n, diff_n, len(seq), before, before,
-                                 tuple(identity))
+        return SwpEncodingReport(reg_n, diff_n, len(seq), 0, 0,
+                                 tuple(identity), ())
 
     used = sorted({r for r in seq})
     rng = random.Random(seed)
@@ -151,4 +170,5 @@ def encode_kernel(alloc: KernelAllocation, diff_n: int,
         reg_n=reg_n, diff_n=diff_n, n_fields=len(seq),
         n_out_of_range_before=before, n_out_of_range_after=best_cost,
         permutation=tuple(best_perm),
+        setlr_positions=_out_of_range_positions(seq, best_perm, reg_n, diff_n),
     )

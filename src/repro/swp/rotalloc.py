@@ -52,10 +52,6 @@ class KernelAllocation:
     def max_live(self) -> int:
         return self.schedule.max_live()
 
-    @property
-    def registers_used(self) -> int:
-        return len(set(self.assignment.values()))
-
     def execution_cycles(self, trip_count: Optional[int] = None) -> int:
         """Loop execution time: fill plus II per steady-state iteration."""
         trips = trip_count if trip_count is not None \

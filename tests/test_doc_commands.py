@@ -1,4 +1,5 @@
-"""Every ``python -m repro ...`` line in README.md and docs/*.md parses.
+"""Every ``python -m repro ...`` line in README.md and docs/*.md parses,
+and every documented ``repro`` import resolves.
 
 Each documented command line goes through :func:`repro.cli.build_parser`
 without running, so a renamed command or a deleted flag fails here
@@ -6,6 +7,10 @@ instead of in a reader's shell.  Inline code spans end at their closing
 backtick (which may sit on the next line); code-block lines drop their
 ``#`` comment, a trailing ``&`` and ``\\`` continuations.  A bare
 ``python -m repro`` names the CLI and is skipped.
+
+Each line that starts with ``from repro... import`` or ``import repro``
+is executed as an import statement (a parenthesised name list runs to its
+closing parenthesis), so a deleted module or name fails here too.
 """
 
 import re
@@ -62,3 +67,35 @@ def test_documented_command_parses(argv):
     except SystemExit as exc:
         pytest.fail(f"`{PREFIX} {' '.join(argv)}` does not parse "
                     f"(exit {exc.code})")
+
+
+IMPORT = re.compile(r"^\s*(from repro[\w.]* import |import repro\b)")
+
+
+def _import_lines():
+    """``(file:line, statement)`` for every documented ``repro`` import."""
+    for path in DOCS:
+        lines = path.read_text().splitlines()
+        for no, line in enumerate(lines, 1):
+            if not IMPORT.match(line):
+                continue
+            stmt, follow = line, no
+            while stmt.count("(") > stmt.count(")"):
+                stmt += "\n" + lines[follow]
+                follow += 1
+            yield f"{path.relative_to(REPO)}:{no}", stmt.strip()
+
+
+IMPORTS = list(_import_lines())
+
+
+def test_imports_found():
+    where = {at.split(":")[0] for at, _ in IMPORTS}
+    assert {"README.md", "docs/usage.md"} <= where
+    assert len(IMPORTS) >= 18
+
+
+@pytest.mark.parametrize("stmt", [stmt for _, stmt in IMPORTS],
+                         ids=[at for at, _ in IMPORTS])
+def test_documented_import_resolves(stmt):
+    exec(stmt, {})

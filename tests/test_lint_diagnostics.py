@@ -1,7 +1,5 @@
 """Unit tests for the shared diagnostic core (:mod:`repro.diagnostics`)."""
 
-import json
-
 import pytest
 
 from repro.diagnostics import (
@@ -123,14 +121,6 @@ def test_report_render_text_tally():
     text = _report().render_text()
     assert text.count("\n") == 3  # three findings + tally
     assert text.endswith("1 error(s), 1 warning(s), 1 note(s)")
-
-
-def test_report_render_json_round_trips():
-    data = json.loads(_report().render_json())
-    assert data["errors"] == 1
-    assert data["warnings"] == 1
-    assert len(data["diagnostics"]) == 3
-    assert data["diagnostics"][0]["rule"] == "L002"
 
 
 def test_report_extend_and_iter():

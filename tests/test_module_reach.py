@@ -20,9 +20,6 @@ SRC = REPO / "src"
 KEPT = {
     "repro.machine.decoder":
         "the Section 2.1 decode-hardware estimate (gate delay, transistors)",
-    "repro.swp.codegen":
-        "the materialized pipelined-loop listing whose size tests check "
-        "against kernel_code_size()",
 }
 
 

@@ -36,6 +36,7 @@ class TestEncodeKernel:
     def test_remap_never_increases_cost(self, big_alloc):
         rep = encode_kernel(big_alloc, 32, restarts=4)
         assert rep.n_out_of_range_after <= rep.n_out_of_range_before
+        assert rep.n_setlr == rep.n_out_of_range_after
 
     def test_permutation_valid(self, big_alloc):
         rep = encode_kernel(big_alloc, 32, restarts=2)
