@@ -2,8 +2,7 @@
 
 A process-pool layer used by the experiment harnesses (workload ×
 configuration grids), the fuzz harness and the compile service's
-dispatchers.  Design rules, in order of
-priority:
+compile threads.  Design rules, in order of priority:
 
 1. **Bit-identical results.**  ``jobs=1`` and ``jobs>1`` must produce
    exactly the same outputs.  Tasks are therefore pure functions of their
@@ -204,11 +203,14 @@ class WorkerPool:
         broken.shutdown(wait=False, cancel_futures=True)
 
     def warm(self) -> int:
-        """Eagerly spawn the workers by running one no-op task each
-        (servers call this before accepting traffic, so no request pays
-        process start-up).  The no-op imports nothing and fills no cache.
-        Returns the number of workers spawned; 0 when the pool runs
-        serially."""
+        """Eagerly start the workers by running one no-op task each.
+
+        With the ``fork`` start method the executor forks every worker on
+        its first submit; a server calls this before it starts any thread,
+        so no worker is forked from a multi-threaded process.  It does not
+        make the first real map fast: the no-op imports nothing and fills
+        no cache.  Returns the number of workers started; 0 when the pool
+        runs serially."""
         if self.max_workers <= 1:
             return 0
         executor = self._ensure_executor()

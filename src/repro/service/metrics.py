@@ -1,7 +1,7 @@
 """Service counters, latency percentiles, and the telemetry snapshot.
 
 One :class:`ServiceMetrics` instance lives on the server; handler threads
-and the dispatchers update it under a single lock.  ``/statsz``
+and compile threads update it under a single lock.  ``/statsz``
 serves :meth:`ServiceMetrics.snapshot`, and on shutdown the same snapshot
 persists to a JSON file (the CI smoke job uploads it as an artifact).
 
@@ -25,10 +25,10 @@ _COUNTERS = (
     "responses_ok",        # 200s served (hit or compiled)
     "responses_error",     # error envelopes served
     "store_hits",          # served straight from the artifact store
-    "store_misses",        # had to enter the compile queue
-    "batches",             # compiles dispatched, one request each
-    "batched_requests",    # requests those dispatches carried (= batches)
-    "rejected",            # 429 queue-full rejections
+    "store_misses",        # had to be compiled
+    "batches",             # compiles submitted, one request each
+    "batched_requests",    # requests those compiles carried (= batches)
+    "rejected",            # 429s: queue_limit + jobs misses in flight
     "timeouts",            # per-request deadline expiries
     "drained_refusals",    # 503s while draining
     "worker_crashes",      # compiles lost to a broken pool (SVC13s)
@@ -57,7 +57,7 @@ class ServiceMetrics:
             self._latencies.append(seconds)
 
     def note_queue_depth(self, depth: int) -> None:
-        """Track the high-water mark of the request queue."""
+        """Track the high-water mark of the misses in flight."""
         with self._lock:
             self._max_queue_depth = max(self._max_queue_depth, depth)
 

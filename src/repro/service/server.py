@@ -19,31 +19,32 @@ Request lifecycle (``POST /``):
    error envelope.
 2. The artifact store is consulted.  A hit is served straight from disk —
    the pipeline is never invoked — with ``X-Repro-Cache: hit``.
-3. A miss enters the bounded queue.  A full queue answers 429 with
-   ``Retry-After`` (backpressure); a draining server answers 503.
-4. One dispatcher thread per pool worker takes the next queued miss as
-   soon as it is free and compiles it with :meth:`WorkerPool.run
+3. A miss is admitted if fewer than ``queue_limit`` plus one compile
+   per pool worker are in flight; otherwise it is answered 429 with
+   ``Retry-After`` (backpressure).  A draining server answers 503.
+4. An admitted miss is submitted to a thread executor with one compile
+   thread per pool worker, which compiles it with :meth:`WorkerPool.run
    <repro.parallel.WorkerPool.run>` — inline when ``jobs=1``, on a
-   persistent process pool otherwise.  A success is stored, then handed
-   back to its waiting handler thread.
+   persistent process pool otherwise — and stores a success before the
+   handler thread waiting on its future wakes.
 5. A handler that waits longer than the per-request timeout answers 504;
-   the computed artifact still lands in the store when it finishes, so
-   a retry is a cheap hit.
+   the compile is not cancelled and its artifact still lands in the
+   store when it finishes, so a retry is a cheap hit.
 
 ``SIGTERM``/``SIGINT`` starts a graceful drain: new compiles are
 refused, every accepted request finishes and flushes its response, then
 the listener stops and the telemetry snapshot persists.
 
-Everything is stdlib: ``http.server`` (threading), ``queue``,
+Everything is stdlib: ``http.server`` (threading), ``concurrent.futures``,
 ``signal``.  :func:`execute_request` is module-level and consumes/returns
 plain dicts so it crosses process boundaries for ``--jobs > 1``.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
-import queue
 import signal
 import socket
 import threading
@@ -209,24 +210,6 @@ def execute_request(req: Dict[str, object]) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 
 
-class _Pending:
-    """One queued compile: the request, its key, and the rendezvous."""
-
-    __slots__ = ("request", "key", "event", "body", "response")
-
-    def __init__(self, request: Dict[str, object], key: str) -> None:
-        self.request = request
-        self.key = key
-        self.event = threading.Event()
-        self.body: Optional[bytes] = None
-        self.response: Optional[Dict[str, object]] = None
-
-    def resolve(self, body: bytes, response: Dict[str, object]) -> None:
-        self.body = body
-        self.response = response
-        self.event.set()
-
-
 class _Connections:
     """The open client connections.  Each holds a handler thread that
     ``server_close`` joins, and an idle one waits in a read for up to
@@ -367,16 +350,17 @@ class ServiceServer:
         self.allow_debug = allow_debug
         self.telemetry_path = telemetry_path
         self.verbose = verbose
-        self._queue: "queue.Queue[_Pending]" = queue.Queue(
-            maxsize=queue_limit)
+        self._compiles = concurrent.futures.ThreadPoolExecutor(
+            self.pool.max_workers,
+            thread_name_prefix="repro-service-compile")
+        # admitted misses, compiling or waiting for a compile thread
+        self._capacity = queue_limit + self.pool.max_workers
+        self._in_flight = 0
+        self._in_flight_lock = threading.Lock()
         self._draining = threading.Event()
-        self._stopping = threading.Event()
         self._connections = _Connections()
         self._digests: "OrderedDict[Tuple[str, str], str]" = OrderedDict()
         self._digests_lock = threading.Lock()
-        self._dispatchers = [threading.Thread(
-            target=self._dispatch_loop, name="repro-service-dispatcher",
-            daemon=True) for _ in range(self.pool.max_workers)]
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.service = self  # type: ignore[attr-defined]
         # non-daemon handler threads, so ``server_close`` joins them and
@@ -405,7 +389,7 @@ class ServiceServer:
 
     def statsz(self) -> Dict[str, object]:
         """The ``/statsz`` document: counters + store + pool shape."""
-        doc = self.metrics.snapshot(queue_depth=self._queue.qsize())
+        doc = self.metrics.snapshot(queue_depth=self._in_flight)
         doc["store"] = self.store.stats()
         doc["jobs"] = self.pool.jobs
         doc["pool"] = self.pool.stats()
@@ -440,25 +424,33 @@ class ServiceServer:
         self.metrics.inc("store_misses")
 
         if self._draining.is_set():
-            self.metrics.inc("drained_refusals")
-            response = protocol.error_response(
-                "SVC11", "server is draining; retry against a live "
-                "instance", retry_after=5)
-            return 503, {"Retry-After": "5"}, \
-                protocol.encode_message(response)
+            return self._refuse_draining()
 
-        pending = _Pending(req, key)
-        try:
-            self._queue.put_nowait(pending)
-        except queue.Full:
+        with self._in_flight_lock:
+            admitted = self._in_flight < self._capacity
+            if admitted:
+                self._in_flight += 1
+                depth = self._in_flight
+        if not admitted:
             self.metrics.inc("rejected")
             response = protocol.error_response(
                 "SVC10", "compile queue is full", retry_after=1)
             return 429, {"Retry-After": "1"}, \
                 protocol.encode_message(response)
-        self.metrics.note_queue_depth(self._queue.qsize())
+        try:
+            future = self._compiles.submit(self._compile_and_store, req,
+                                           key)
+        except RuntimeError:  # a drain shut the executor down first
+            self._release()
+            return self._refuse_draining()
+        future.add_done_callback(self._release)
+        self.metrics.note_queue_depth(depth)
+        self.metrics.inc("batches")
+        self.metrics.inc("batched_requests")
 
-        if not pending.event.wait(self.request_timeout):
+        try:
+            status, body = future.result(self.request_timeout)
+        except concurrent.futures.TimeoutError:
             self.metrics.inc("timeouts")
             self.metrics.inc("responses_error")
             response = protocol.error_response(
@@ -468,13 +460,22 @@ class ServiceServer:
             return 504, {"Retry-After": "1", "X-Repro-Key": key}, \
                 protocol.encode_message(response)
 
-        assert pending.body is not None and pending.response is not None
-        status = protocol.http_status(pending.response)
         self.metrics.inc("responses_ok" if status == 200
                          else "responses_error")
         self.metrics.observe_latency(time.monotonic() - t0)
-        return status, {"X-Repro-Cache": "miss", "X-Repro-Key": key}, \
-            pending.body
+        return status, {"X-Repro-Cache": "miss", "X-Repro-Key": key}, body
+
+    def _refuse_draining(self) -> Tuple[int, Dict[str, str], bytes]:
+        self.metrics.inc("drained_refusals")
+        response = protocol.error_response(
+            "SVC11", "server is draining; retry against a live "
+            "instance", retry_after=5)
+        return 503, {"Retry-After": "5"}, protocol.encode_message(response)
+
+    def _release(self, _future=None) -> None:
+        """Free one admission slot."""
+        with self._in_flight_lock:
+            self._in_flight -= 1
 
     def _source_digest(self, source: Dict[str, str]) -> str:
         """The function digest of a normalized source, built and parsed
@@ -499,65 +500,51 @@ class ServiceServer:
         return digest
 
     # ------------------------------------------------------------------
-    # the dispatchers (one background thread per pool worker)
+    # the compile (runs on the executor's compile threads)
     # ------------------------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            try:
-                pending = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                if self._stopping.is_set():
-                    return
-                continue
-            self.metrics.inc("batches")
-            self.metrics.inc("batched_requests")
-            try:
-                response = self.pool.run(execute_request, pending.request)
-            except WorkerCrashError as exc:
-                # the pool retried on fresh workers and is rebuilt, so
-                # only this request fails — later ones compile normally
-                self.metrics.inc("worker_crashes")
-                response = protocol.error_response(
-                    "SVC13", f"worker crashed while compiling this "
-                    f"request: {exc}; the pool has been rebuilt — retry",
-                    retry_after=1)
-            except Exception as exc:  # noqa: BLE001 - e.g. a dead pool
-                response = protocol.error_response(
-                    "SVC12", f"dispatch failed: "
-                    f"{type(exc).__name__}: {exc}")
-            self._finish(pending, response)
-
-    def _finish(self, pending: _Pending, response: Dict[str, object]
-                ) -> None:
-        """Answer one dispatched miss: store a success *before* waking
-        its handler (so the next send is a hit), serve it uncached if the
-        store write fails, and always release its queue slot."""
+    def _compile_and_store(self, req: Dict[str, object], key: str
+                           ) -> Tuple[int, bytes]:
+        """Compile one admitted miss to ``(status, body)``.  A success is
+        stored *before* it is returned (so the next send is a hit), and
+        served uncached if the store write fails."""
         try:
-            body = protocol.encode_message(response)
-            if response.get("ok"):
-                try:
-                    self.store.put(pending.key, body)
-                except OSError:  # e.g. a full disk
-                    self.metrics.inc("store_write_errors")
-            pending.resolve(body, response)
-        finally:
-            self._queue.task_done()
+            response = self.pool.run(execute_request, req)
+        except WorkerCrashError as exc:
+            # the pool retried on fresh workers and is rebuilt, so
+            # only this request fails — later ones compile normally
+            self.metrics.inc("worker_crashes")
+            response = protocol.error_response(
+                "SVC13", f"worker crashed while compiling this "
+                f"request: {exc}; the pool has been rebuilt — retry",
+                retry_after=1)
+        except Exception as exc:  # noqa: BLE001 - e.g. a dead pool
+            response = protocol.error_response(
+                "SVC12", f"compile failed: "
+                f"{type(exc).__name__}: {exc}")
+        body = protocol.encode_message(response)
+        if response.get("ok"):
+            try:
+                self.store.put(key, body)
+            except OSError:  # e.g. a full disk
+                self.metrics.inc("store_write_errors")
+        return protocol.http_status(response), body
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Start the dispatchers (tests drive the HTTP loop separately).
+        """Fork the pool's workers before the listener takes traffic.
 
-        Pre-warms the worker fleet so the first real compile is served by
-        processes that already exist — spawn cost is paid before the
-        listener takes traffic, not inside a request's latency budget.
+        With the ``fork`` start method a process pool forks every worker
+        on its first submit.  Warming here forks them before the server
+        starts a thread of its own; left to the first compile, the fork
+        would happen from a compile thread while handler threads run.
+        It does not make the first compile fast: a warmed worker has
+        imported nothing a compile needs.
         """
         self.pool.warm()
-        for thread in self._dispatchers:
-            thread.start()
 
     def start_background(self) -> threading.Thread:
         """Run the HTTP loop on a daemon thread (tests, embedding)."""
@@ -607,17 +594,13 @@ class ServiceServer:
                          name="repro-service-drain", daemon=True).start()
 
     def _drain_then_stop(self) -> None:
-        self._queue.join()          # every accepted compile resolved
-        self._httpd.shutdown()      # stop the accept loop
+        self._compiles.shutdown(wait=True)  # every accepted compile done
+        self._httpd.shutdown()              # stop the accept loop
 
     def shutdown(self) -> None:
         """Finish in-flight work, flush telemetry, release everything."""
         self._draining.set()
-        self._queue.join()
-        self._stopping.set()
-        for thread in self._dispatchers:
-            if thread.is_alive():
-                thread.join()
+        self._compiles.shutdown(wait=True)
         self._connections.hang_up()
         # joins the handler threads, so no accepted response is lost
         self._httpd.server_close()

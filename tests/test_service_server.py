@@ -174,26 +174,47 @@ class TestCaching:
 
 class TestBackpressure:
     def test_queue_full_answers_429_with_retry_after(self, tmp_path):
-        store = ArtifactStore(str(tmp_path / "store"))
-        server = ServiceServer("127.0.0.1", 0, store=store, jobs=1,
-                               queue_limit=1, request_timeout=0.05)
-        try:
-            # the batch dispatcher is deliberately not running: the first
-            # miss parks in the queue's only slot (and times out of its
-            # wait), so the second miss must bounce with backpressure
-            first = encode_message(build_compile_request(
-                workload="crc32", seed=1, **FAST))
-            status, _headers, _body = server.handle_compile(first)
-            assert status == 504
-            second = encode_message(build_compile_request(
-                workload="crc32", seed=2, **FAST))
-            status, headers, body = server.handle_compile(second)
-            assert status == 429
-            assert headers["Retry-After"] == "1"
-            envelope = json.loads(body)
+        """One compile thread and one queue slot: a slow miss compiles,
+        a second waits for the thread, and a third must bounce with
+        backpressure.  Both slots come back once the slow ones finish,
+        though their handlers timed out (504) long before."""
+        with serving(tmp_path, queue_limit=1, request_timeout=0.1) as (
+                server, client):
+            for seed in (1, 2):
+                slow = client.compile_request(build_compile_request(
+                    workload="crc32", seed=seed, debug_sleep=1.0, **FAST))
+                assert slow.status == 504
+            third = build_compile_request(workload="crc32", seed=3, **FAST)
+            reply = client.compile_request(third)
+            assert reply.status == 429
+            assert reply.headers["retry-after"] == "1"
+            envelope = json.loads(reply.body)
             assert envelope["error"]["code"] == "SVC10"
             assert envelope["error"]["retry_after"] == 1
             assert server.metrics.snapshot()["rejected"] == 1
+            deadline = time.monotonic() + 10
+            while server.statsz()["queue_depth"] and \
+                    time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert server.statsz()["queue_depth"] == 0
+            assert client.compile_request(third).status == 200
+
+    def test_submit_after_the_drain_answers_503_and_frees_its_slot(
+            self, tmp_path):
+        """A miss admitted just before a drain shuts the compile
+        executor down is refused as draining, not left holding a slot."""
+        server = ServiceServer("127.0.0.1", 0,
+                               store=ArtifactStore(str(tmp_path / "store")),
+                               jobs=1)
+        try:
+            server._compiles.shutdown()   # the drain wins the race
+            status, headers, body = server.handle_compile(encode_message(
+                build_compile_request(workload="crc32", **FAST)))
+            assert status == 503
+            assert headers["Retry-After"] == "5"
+            assert json.loads(body)["error"]["code"] == "SVC11"
+            assert server.statsz()["queue_depth"] == 0
+            assert server.metrics.snapshot()["drained_refusals"] == 1
         finally:
             server._httpd.server_close()
             server.pool.close()
@@ -255,7 +276,20 @@ class TestDrain:
         assert doc["store"]["entries"] == 1
 
 
-class TestDispatchRule:
+class TestStart:
+    def test_start_forks_the_workers_before_any_request(self, tmp_path,
+                                                        monkeypatch):
+        """``start`` warms the pool, so its workers are forked before the
+        server runs a thread of its own, not by the first compile."""
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with serving(tmp_path, jobs=2) as (server, _client):
+            assert server.pool.stats()["live"] == 1
+            assert server.metrics.snapshot()["requests"] == 0
+
+
+class TestCompileThreads:
     def test_jobs2_keeps_two_compiles_in_flight(self, tmp_path,
                                                 monkeypatch):
         """With two workers, two slow misses run side by side: together
@@ -322,7 +356,7 @@ class TestStoreFailure:
             self, tmp_path, monkeypatch):
         """A store write that fails (a full disk) costs the cache entry,
         never the answer: both sends compile and answer 200, and the
-        dispatcher lives on to let shutdown finish."""
+        compile thread lives on to let shutdown finish."""
         import errno
 
         def full_disk(self, key, body):
@@ -349,7 +383,7 @@ class TestStoreFailure:
 
 
 class TestWorkerCrash:
-    def test_crashed_batch_answers_svc13_and_dispatcher_survives(
+    def test_crashed_compile_answers_svc13_and_server_survives(
             self, tmp_path, monkeypatch):
         """A worker death fails only the in-flight request (SVC13); the
         pool rebuilds itself and the next request compiles normally."""
@@ -375,7 +409,7 @@ class TestWorkerCrash:
 
     def test_real_worker_crash_rebuilds_pool(self, tmp_path, monkeypatch):
         """With a real multi-process pool, an os._exit in a worker is
-        absorbed: the batch is retried on a fresh pool and succeeds."""
+        absorbed: the compile is retried on a fresh pool and succeeds."""
         import os
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -414,7 +448,7 @@ class TestDispatch:
     def test_server_bytes_match_compile_local(self, tmp_path, monkeypatch,
                                               jobs):
         """Server responses are byte-identical to compile_local, whether
-        they compile on the dispatcher thread (``jobs=1``) or in forked
+        they compile on the compile thread (``jobs=1``) or in forked
         workers (``jobs=2``)."""
         import os
 
