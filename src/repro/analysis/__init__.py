@@ -24,11 +24,7 @@ from repro.analysis.profile import (block_frequencies_from_counts,
                                     profile_block_frequencies)
 from repro.analysis.adjacency import AdjacencyGraph, build_adjacency
 from repro.analysis.batched import prewarm_corpus
-from repro.analysis.cache import (
-    analysis_cache_stats,
-    clear_analysis_cache,
-    set_analysis_cache_enabled,
-)
+from repro.analysis.cache import analysis_cache_stats, clear_analysis_cache
 from repro.analysis.ssa import Phi, SSAForm, construct_ssa, destruct_ssa
 
 __all__ = [
@@ -61,5 +57,4 @@ __all__ = [
     "prewarm_corpus",
     "analysis_cache_stats",
     "clear_analysis_cache",
-    "set_analysis_cache_enabled",
 ]

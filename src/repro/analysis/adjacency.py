@@ -115,27 +115,6 @@ class AdjacencyGraph:
                     total += w
         return total
 
-    def node_cost(self, r: Reg, number: int, assignment: Mapping[Reg, int],
-                  reg_n: int, diff_n: int) -> float:
-        """Cost of the edges incident to ``r`` if ``r`` gets ``number``.
-
-        Only edges whose other endpoint is already assigned are counted —
-        this is the quantity differential select minimises when coloring one
-        node (Section 6).
-        """
-        total = 0.0
-        for v, w in self._out.get(r, {}).items():
-            nv = number if v == r else assignment.get(v)
-            if nv is not None and not edge_satisfied(number, nv, reg_n, diff_n):
-                total += w
-        for u, w in self._in.get(r, {}).items():
-            if u == r:
-                continue  # already counted above
-            nu = assignment.get(u)
-            if nu is not None and not edge_satisfied(nu, number, reg_n, diff_n):
-                total += w
-        return total
-
     # ------------------------------------------------------------------
     # transformation
     # ------------------------------------------------------------------

@@ -39,7 +39,6 @@ __all__ = [
     "MISSING",
     "clear_analysis_cache",
     "analysis_cache_stats",
-    "set_analysis_cache_enabled",
 ]
 
 V = TypeVar("V")
@@ -47,7 +46,6 @@ V = TypeVar("V")
 _MAX_ENTRIES = 256
 _cache: "OrderedDict[Hashable, object]" = OrderedDict()
 _stats: Dict[str, int] = {"hits": 0, "misses": 0}
-_enabled = True
 
 
 def fingerprint_function(fn: Function) -> Tuple:
@@ -126,8 +124,6 @@ def memoize_analysis(key: Hashable, compute: Callable[[], V]) -> V:
     Unhashable keys (exotic ``imm`` payloads) silently bypass the cache —
     correctness first, speed second.
     """
-    if not _enabled:
-        return compute()
     try:
         hit = _cache[key]
     except TypeError:
@@ -152,14 +148,12 @@ MISSING = object()
 def peek_analysis(key: Hashable):
     """The cached value for ``key`` without computing on a miss.
 
-    Returns :data:`MISSING` when the entry is absent, the key is
-    unhashable, or the cache is disabled.  Does not count as a hit and
-    does not refresh LRU order — this is how :func:`repro.analysis.
-    interference.build_interference` tells the canonical memoized
-    liveness from a caller's own.
+    Returns :data:`MISSING` when the entry is absent or the key is
+    unhashable.  Does not count as a hit and does not refresh LRU
+    order — this is how :func:`repro.analysis.interference.
+    build_interference` tells the canonical memoized liveness from a
+    caller's own.
     """
-    if not _enabled:
-        return MISSING
     try:
         return _cache[key]
     except (KeyError, TypeError):
@@ -177,10 +171,3 @@ def analysis_cache_stats() -> Dict[str, int]:
     return {"hits": _stats["hits"], "misses": _stats["misses"],
             "entries": len(_cache)}
 
-
-def set_analysis_cache_enabled(enabled: bool) -> bool:
-    """Toggle the cache (used by tests and A/B timing); returns the old
-    setting.  Disabling does not clear existing entries."""
-    global _enabled
-    old, _enabled = _enabled, bool(enabled)
-    return old

@@ -76,7 +76,6 @@ class FunctionCodec:
     def __init__(self, fn: Function) -> None:
         self.fn = fn
         self.block_names: Tuple[str, ...] = tuple(b.name for b in fn.blocks)
-        self.instr_by_index: List[Instr] = list(fn.instructions())
 
         self.prefixes: List[List[Instr]] = []
         self.prefix_static: List[List[int]] = []
@@ -201,20 +200,6 @@ class ColumnarTrace:
         bins = np.bincount(self.op_code, minlength=len(OP_NAMES))
         return {OP_NAMES[code]: int(bins[code])
                 for code in np.flatnonzero(bins)}
-
-    def to_entries(self) -> List["TraceEntry"]:
-        """Expand to the object-trace form (reference/debug only)."""
-        from repro.ir.interp import TraceEntry
-
-        instrs = self.source.instr_by_index
-        return [
-            TraceEntry(
-                instrs[int(si)],
-                int(si),
-                None if int(ma) == NO_ADDR else int(ma),
-            )
-            for si, ma in zip(self.static_index, self.mem_addr)
-        ]
 
 
 def derive_trace(base: ColumnarTrace, new_fn: Function) -> Optional[ColumnarTrace]:

@@ -3,12 +3,17 @@
 * :mod:`repro.machine.cache` — set-associative LRU caches.
 * :mod:`repro.machine.lowend` — the ARM/THUMB-like 5-stage in-order
   processor of Table 1, as a trace-driven timing model.
+* :mod:`repro.machine.reuse` — one recorded run per input function,
+  re-assembled into every setup's trace.
 * :mod:`repro.machine.spec` — the machine configurations (Table 1 and the
   Section 10.2 VLIW).
+
+The timing model charges decode zero cycles: the paper's Section 2.1
+estimate of the decode hardware (two-gate delay, under 2k transistors)
+is pinned as an analytical model in ``tests/test_decoder_model.py``.
 """
 
 from repro.machine.cache import Cache, CacheStats, access_hit_flags
-from repro.machine.decoder import DecoderCostModel, DecoderEstimate
 from repro.machine.lowend import CycleReport, LowEndTimingModel, simulate
 from repro.machine.reuse import (clear_recorded_runs, derive_execution,
                                  interpret_or_derive, record_and_profile,
@@ -16,8 +21,6 @@ from repro.machine.reuse import (clear_recorded_runs, derive_execution,
 from repro.machine.spec import LOWEND, VLIW, LowEndConfig, VLIWConfig
 
 __all__ = [
-    "DecoderCostModel",
-    "DecoderEstimate",
     "Cache",
     "CacheStats",
     "access_hit_flags",

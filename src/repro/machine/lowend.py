@@ -16,10 +16,9 @@ stream; this model assigns cycles to it:
 ``time`` takes the fast interpreter engine's
 :class:`~repro.ir.trace.ColumnarTrace` and times it with whole-trace
 numpy passes (latency and branch accounting plus the batch LRU of
-:func:`repro.machine.cache.access_hit_flags`).  The original per-entry
-loop over the reference engine's object trace is kept as
-``_time_reference``, the oracle tests compare ``time`` against; both
-return bit-identical :class:`CycleReport` fields.
+:func:`repro.machine.cache.access_hit_flags`).  The per-entry loop it
+replaced lives in ``tests/test_sim_columnar.py`` as the oracle ``time``
+is compared against, field for field.
 
 The absolute numbers are not SimpleScalar's; the relative effects the paper
 measures (spills vs ``set_last_reg`` instructions vs code size) are modelled
@@ -29,15 +28,15 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.ir.function import Function
 from repro.ir.instr import COND_BRANCH_OPS
-from repro.ir.interp import ExecutionResult, Interpreter, TraceEntry
+from repro.ir.interp import ExecutionResult, Interpreter
 from repro.ir.trace import NO_ADDR, OP_CODE, OP_NAMES, ColumnarTrace
-from repro.machine.cache import Cache, access_hit_flags
+from repro.machine.cache import access_hit_flags
 from repro.machine.spec import LOWEND, LowEndConfig
 
 __all__ = ["CycleReport", "LowEndTimingModel", "simulate"]
@@ -139,54 +138,6 @@ class LowEndTimingModel:
             dcache_accesses=dcache_accesses,
             branch_penalties=branch_penalties,
             setlr_executed=int((opc == _SETLR_CODE).sum()),
-            config=cfg,
-        )
-
-    # ------------------------------------------------------------------
-    # reference engine
-    # ------------------------------------------------------------------
-
-    def _time_reference(self, trace: Sequence[TraceEntry]) -> CycleReport:
-        """The original per-entry loop over an object trace: the oracle
-        :meth:`time` is tested against."""
-        cfg = self.config
-        icache = Cache(cfg.icache_size, cfg.icache_line, cfg.icache_assoc)
-        dcache = Cache(cfg.dcache_size, cfg.dcache_line, cfg.dcache_assoc)
-        cycles = 0
-        branch_penalties = 0
-        setlr = 0
-        prev_index: Optional[int] = None
-        prev_was_branch = False
-
-        for entry in trace:
-            instr = entry.instr
-            # redirect penalty when the previous branch was taken
-            if (prev_was_branch and prev_index is not None
-                    and entry.static_index != prev_index + 1):
-                cycles += cfg.taken_branch_penalty
-                branch_penalties += 1
-
-            cycles += 1  # issue slot
-            if not icache.access(entry.static_index * cfg.instr_bytes):
-                cycles += cfg.cache_miss_penalty
-            cycles += cfg.extra_latency.get(instr.op, 0)
-            if entry.mem_addr is not None:
-                if not dcache.access(entry.mem_addr * 4):
-                    cycles += cfg.cache_miss_penalty
-            if instr.op == "setlr":
-                setlr += 1
-
-            prev_index = entry.static_index
-            prev_was_branch = instr.op in COND_BRANCH_OPS or instr.op == "br"
-
-        return CycleReport(
-            cycles=cycles,
-            instructions=len(trace),
-            icache_misses=icache.stats.misses,
-            dcache_misses=dcache.stats.misses,
-            dcache_accesses=dcache.stats.accesses,
-            branch_penalties=branch_penalties,
-            setlr_executed=setlr,
             config=cfg,
         )
 

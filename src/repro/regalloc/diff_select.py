@@ -28,17 +28,15 @@ class DifferentialSelector(ColorSelector):
         reg_n: RegN of the target encoding.
         diff_n: DiffN of the target encoding.
         order: access order used to build the adjacency graph.
-        use_frequency: weight adjacency edges by static block frequency.
     """
 
-    def __init__(self, reg_n: int, diff_n: int, order: str = "src_first",
-                 use_frequency: bool = True) -> None:
+    def __init__(self, reg_n: int, diff_n: int,
+                 order: str = "src_first") -> None:
         if diff_n > reg_n:
             raise ValueError("diff_n cannot exceed reg_n")
         self.reg_n = reg_n
         self.diff_n = diff_n
         self.order = order
-        self.use_frequency = use_frequency
         self._graph: Optional[AdjacencyGraph] = None
         self._assignment: Dict[Reg, int] = {}
 
@@ -47,11 +45,9 @@ class DifferentialSelector(ColorSelector):
     # ------------------------------------------------------------------
 
     def begin_round(self, fn: Function, members: Dict[Reg, Set[Reg]],
-                    freq: Optional[Dict[Reg, float]] = None) -> None:
+                    freq: Optional[Dict[str, float]] = None) -> None:
         """Rebuild the adjacency graph for this allocation round."""
-        if not self.use_frequency:
-            freq = None
-        elif freq is None:
+        if freq is None:
             freq = estimate_block_frequencies(fn)
         self._graph = build_adjacency(fn, order=self.order, freq=freq)
         # physical registers present in the code are already "assigned"

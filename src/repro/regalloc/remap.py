@@ -23,17 +23,18 @@ All restarts of one search descend **in lockstep**
 ``[starts, RegN]`` array, and each round computes every candidate swap's
 cost change for every still-descending start in one integer table, takes
 each row's first maximum (the scan-order tie-break of the O(E)-per-
-candidate :func:`_greedy_descent_reference` it replaces), applies the
-winning swaps and retires rows that found no improving swap.  A swap's
-gain is read off per-register placement tables — the satisfied weight
-of a register's incident edges at every number — built by one circular
-window sum per round.  Edge weights are scaled to exact integers (see
-:data:`_WEIGHT_SCALE`), so every gain equals the difference of two full
-:func:`_perm_cost` evaluations and each start returns the reference's
-permutation and cost bit for bit.  Weights beyond
-:data:`_NUMPY_WEIGHT_LIMIT` descend through the reference itself, one
-start at a time, to the same results.  Results are folded in restart
-order, stopping at the first zero-cost start.
+candidate descent it replaces, which ``tests/test_remap_incremental.py``
+keeps as the reference), applies the winning swaps and retires rows that
+found no improving swap.  A swap's gain is read off per-register
+placement tables — the satisfied weight of a register's incident edges
+at every number — built by one circular window sum per round.  Edge
+weights are scaled to exact integers (see :data:`_WEIGHT_SCALE`), so
+every gain equals the difference of two full :func:`_perm_cost`
+evaluations and each start returns the reference's permutation and cost
+bit for bit.  The tables hold int64 unless a weight reaches
+:data:`_NUMPY_WEIGHT_LIMIT`; then they hold Python ints, which cannot
+overflow.  Results are folded in restart order, stopping at the first
+zero-cost start.
 """
 
 from __future__ import annotations
@@ -71,9 +72,9 @@ Edge = Tuple[int, int, int]
 #: at every step.  Reported costs are divided back.
 _WEIGHT_SCALE = 720720
 
-#: Weights at or above this bound descend through
-#: :func:`_greedy_descent_reference`, whose arbitrary-precision integers
-#: cannot overflow int64 accumulation.
+#: With a weight at or above this bound the lockstep tables hold Python
+#: ints (``dtype=object``): their window sums could overflow int64.  A
+#: 7-deep loop nest at static frequencies reaches it (10**7 * 720720).
 _NUMPY_WEIGHT_LIMIT = 1 << 40
 
 #: Cells of the per-round tables (delta pairs plus the placement window)
@@ -295,17 +296,24 @@ def _lockstep_descent(edges: Sequence[Edge], reg_n: int, diff_n: int,
     the winning swaps and retires rows whose best gain is ``<= 0``.
     Weights are non-negative, so a row at cost 0 is finished and the rows
     after it are dropped — the restart fold stops there — and
-    ``(cost, perm)`` is returned up to that start.
+    ``(cost, perm)`` is returned up to that start: the scaled integer
+    local-minimum cost and a fresh permutation list per start.
+
+    The weight tables (``W``, ``Wm``, ``t_out``, ``t_in``, ``G``) are
+    int64 unless a weight reaches :data:`_NUMPY_WEIGHT_LIMIT`, and Python
+    ints otherwise; the steps and tie-breaks are the same for both.
     """
+    wtype = (np.int64 if all(abs(w) < _NUMPY_WEIGHT_LIMIT
+                             for _, _, w in edges) else object)
     P0 = np.array(starts, dtype=np.int64).reshape(len(starts), reg_n)
-    U, V, W = (np.array([e[i] for e in edges], dtype=np.int64)
-               for i in range(3))
+    U, V = (np.array([e[i] for e in edges], dtype=np.int64) for i in range(2))
+    W = np.array([e[2] for e in edges], dtype=wtype)
     costs = (((P0[:, V] - P0[:, U]) % reg_n >= diff_n) * W).sum(axis=1)
     perms = P0.copy()
     zero = np.flatnonzero(costs == 0)
     limit = int(zero[0]) + 1 if len(zero) else len(starts)
 
-    Wm = np.zeros((reg_n, reg_n), dtype=np.int64)
+    Wm = np.zeros((reg_n, reg_n), dtype=wtype)
     np.add.at(Wm, (U, V), W)
     np.fill_diagonal(Wm, 0)  # self-edges never change under a swap
     link = Wm + Wm.T
@@ -320,9 +328,9 @@ def _lockstep_descent(edges: Sequence[Edge], reg_n: int, diff_n: int,
         return list(zip(costs[:limit].tolist(), perms[:limit].tolist()))
 
     D = min(max(diff_n, 0), reg_n)
-    t_out = np.zeros((reg_n, m + 1), dtype=np.int64)
+    t_out = np.zeros((reg_n, m + 1), dtype=wtype)
     t_out[:, :m] = Wm[used].T        # [partner, r]: weight of r -> partner
-    t_in = np.zeros((reg_n, m + 1), dtype=np.int64)
+    t_in = np.zeros((reg_n, m + 1), dtype=wtype)
     t_in[:, :m] = Wm[:, used]        # [partner, r]: weight of partner -> r
     # in-partners are laid out D - 1 numbers later, so the forward window
     # from x covers their numbers x - D + 1 .. x
@@ -342,7 +350,7 @@ def _lockstep_descent(edges: Sequence[Edge], reg_n: int, diff_n: int,
         Pinv = np.argsort(P, axis=1)  # number -> register
         while len(act):
             k = len(act)
-            G = np.zeros((k, reg_n + D + 1, m + 1), dtype=np.int64)
+            G = np.zeros((k, reg_n + D + 1, m + 1), dtype=wtype)
             np.add(t_out[Pinv], t_in[Pinv[:, shift]], out=G[:, 1:reg_n + 1])
             G[:, reg_n + 1:] = G[:, 1:D + 1]
             np.cumsum(G, axis=1, out=G)
@@ -370,64 +378,6 @@ def _lockstep_descent(edges: Sequence[Edge], reg_n: int, diff_n: int,
             keep = ~done & (act < limit)
             act, P, Pinv, cost = act[keep], P[keep], Pinv[keep], cost[keep]
     return list(zip(costs[:limit].tolist(), perms[:limit].tolist()))
-
-
-def _descend_starts(edges: Sequence[Edge], reg_n: int, diff_n: int,
-                    free: Sequence[int], starts: Sequence[Sequence[int]]
-                    ) -> List[Tuple[int, List[int]]]:
-    """Steepest descent (the paper's Figure 7 loop) from each start, in
-    order, up to and including the first that reaches cost 0.
-
-    Returns ``(cost, perm)`` pairs: the scaled integer local-minimum cost
-    and a fresh permutation list.  The lockstep descent runs unless a
-    weight reaches :data:`_NUMPY_WEIGHT_LIMIT`; then
-    :func:`_descend_starts_reference` descends one start at a time to the
-    same results.
-    """
-    if all(abs(w) < _NUMPY_WEIGHT_LIMIT for _, _, w in edges):
-        return _lockstep_descent(edges, reg_n, diff_n, free, starts)
-    return _descend_starts_reference(edges, reg_n, diff_n, free, starts)
-
-
-def _descend_starts_reference(edges: Sequence[Edge], reg_n: int,
-                              diff_n: int, free: Sequence[int],
-                              starts: Sequence[Sequence[int]]
-                              ) -> List[Tuple[int, List[int]]]:
-    """:func:`_descend_starts` through :func:`_greedy_descent_reference`,
-    one start at a time."""
-    results: List[Tuple[int, List[int]]] = []
-    for start in starts:
-        perm = list(start)
-        results.append((_greedy_descent_reference(perm, edges, reg_n, diff_n,
-                                                  free), perm))
-        if results[-1][0] == 0:
-            break
-    return results
-
-
-def _greedy_descent_reference(perm: List[int], edges: Sequence[Edge],
-                              reg_n: int, diff_n: int,
-                              free: Sequence[int]) -> int:
-    """The original O(E)-per-candidate descent, kept as the ground truth
-    for equivalence tests."""
-    cost = _perm_cost(perm, edges, reg_n, diff_n)
-    while True:
-        best_delta = 0
-        best_swap: Optional[Tuple[int, int]] = None
-        for ai in range(len(free)):
-            for bi in range(ai + 1, len(free)):
-                a, b = free[ai], free[bi]
-                perm[a], perm[b] = perm[b], perm[a]
-                new_cost = _perm_cost(perm, edges, reg_n, diff_n)
-                perm[a], perm[b] = perm[b], perm[a]
-                delta = cost - new_cost
-                if delta > best_delta:
-                    best_delta, best_swap = delta, (a, b)
-        if best_swap is None:
-            return cost
-        a, b = best_swap
-        perm[a], perm[b] = perm[b], perm[a]
-        cost -= best_delta
 
 
 def _start_perms(identity: Sequence[int], free: Sequence[int],
@@ -471,7 +421,7 @@ def differential_remap(fn: Function, reg_n: int, diff_n: int,
     base_cost = _perm_cost(identity, edges, reg_n, diff_n)
 
     starts = _start_perms(identity, free, restarts, seed)
-    outcomes = _descend_starts(edges, reg_n, diff_n, free, starts)
+    outcomes = _lockstep_descent(edges, reg_n, diff_n, free, starts)
     # min returns the first of equal costs: the earliest restart wins ties
     best_cost, best_perm = min(outcomes, key=lambda outcome: outcome[0])
     return RemapResult(

@@ -180,9 +180,9 @@ def run_smoke(out_path: str = "TELEMETRY_service.json",
 
                 with open(out_path) as fh:
                     telemetry = json.load(fh)
-                check(telemetry.get("batches", 0) > 0,
-                      f"telemetry records dispatches "
-                      f"(batches={telemetry.get('batches')})")
+                check(telemetry.get("store_misses", 0) > 0,
+                      f"telemetry records compiles "
+                      f"(store_misses={telemetry.get('store_misses')})")
         finally:
             if proc.poll() is None:
                 proc.kill()

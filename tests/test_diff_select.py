@@ -62,10 +62,3 @@ class TestSelector:
         base = iterated_allocate(fn, 8)
         sel = iterated_allocate(fn, 8, selector=DifferentialSelector(12, 8))
         assert sel.n_spill_instructions == base.n_spill_instructions
-
-    def test_unweighted_mode(self):
-        fn = make_pressure_fn(seed=9)
-        sel = DifferentialSelector(12, 8, use_frequency=False)
-        res = iterated_allocate(fn, 12, selector=sel)
-        ref = Interpreter().run(fn, (3,)).return_value
-        assert Interpreter().run(res.fn, (3,)).return_value == ref

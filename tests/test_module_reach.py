@@ -1,9 +1,8 @@
 """Every ``repro`` module is reached from something users run.
 
 A module that no command, benchmark or example imports is code that no
-result depends on: it is deleted, or it is named
-in ``KEPT`` with the reason it stays.  The set is pinned both ways, so a
-newly unreached module fails here and so does a stale ``KEPT`` entry.
+result depends on, so it is deleted (or, when tests still need it, moved
+into the test module that uses it).  A newly unreached module fails here.
 
 Imports are followed statically with :mod:`ast` from the roots below.
 ``from pkg import name`` resolves through the package ``__init__``
@@ -16,12 +15,6 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
-
-KEPT = {
-    "repro.machine.decoder":
-        "the Section 2.1 decode-hardware estimate (gate delay, transistors)",
-}
-
 
 def _module_files():
     """Every ``repro`` module name mapped to its source file."""
@@ -103,7 +96,4 @@ def reached_modules():
 
 
 def test_every_module_is_reached_or_kept():
-    unreached = set(FILES) - PACKAGES - reached_modules()
-    assert unreached == set(KEPT), (
-        f"unreached but not kept: {sorted(unreached - set(KEPT))}; "
-        f"kept but reached or gone: {sorted(set(KEPT) - unreached)}")
+    assert sorted(set(FILES) - PACKAGES - reached_modules()) == []

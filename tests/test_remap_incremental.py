@@ -1,13 +1,15 @@
 """Remap descent equivalence tests.
 
 The greedy descent runs as one lockstep numpy search over every restart
-(:func:`_lockstep_descent`), or, for weights at or above
-:data:`_NUMPY_WEIGHT_LIMIT`, one start at a time through the retained
-O(E)-per-candidate :func:`_greedy_descent_reference`; both are pinned
-here against that reference.  On exact (integer) edge weights every
+(:func:`_lockstep_descent`), on int64 tables or, for weights at or above
+:data:`_NUMPY_WEIGHT_LIMIT`, on Python-int tables.  Both are pinned here
+against :func:`_greedy_descent_reference`, the original
+O(E)-per-candidate descent.  On exact (integer) edge weights every
 start's (cost, permutation) must match bit for bit, on random graphs and
 on bundled workloads alike.
 """
+
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,13 +18,11 @@ from repro.analysis import estimate_block_frequencies
 from repro.ir import parse_function
 from repro.regalloc import iterated_allocate
 from repro.regalloc import remap
+from repro.regalloc.pipeline import run_setup
 from repro.regalloc.remap import (
     _NUMPY_WEIGHT_LIMIT,
     _WEIGHT_SCALE,
-    _descend_starts,
-    _descend_starts_reference,
     _edge_list,
-    _greedy_descent_reference,
     _lockstep_descent,
     _perm_cost,
     _start_perms,
@@ -33,6 +33,31 @@ from repro.workloads import get_workload
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 REG_N, DIFF_N = 8, 4
+
+
+def _greedy_descent_reference(perm, edges, reg_n, diff_n, free):
+    """The original O(E)-per-candidate steepest descent (the paper's
+    Figure 7 loop): try every swap of two free registers by full-cost
+    evaluation, apply the first best, until no swap improves.  Descends
+    ``perm`` in place and returns its cost."""
+    cost = _perm_cost(perm, edges, reg_n, diff_n)
+    while True:
+        best_delta = 0
+        best_swap = None
+        for ai in range(len(free)):
+            for bi in range(ai + 1, len(free)):
+                a, b = free[ai], free[bi]
+                perm[a], perm[b] = perm[b], perm[a]
+                new_cost = _perm_cost(perm, edges, reg_n, diff_n)
+                perm[a], perm[b] = perm[b], perm[a]
+                delta = cost - new_cost
+                if delta > best_delta:
+                    best_delta, best_swap = delta, (a, b)
+        if best_swap is None:
+            return cost
+        a, b = best_swap
+        perm[a], perm[b] = perm[b], perm[a]
+        cost -= best_delta
 
 
 def _reference(edges, reg_n, diff_n, free, starts):
@@ -93,20 +118,20 @@ class TestDescentEquivalence:
     @settings(max_examples=150, **COMMON)
     def test_lockstep_matches_engine_and_reference(self, problem):
         """Every start of a lockstep search returns the reference's cost
-        and permutation, as does the per-start large-weight route."""
+        and permutation."""
         edges, reg_n, diff_n, free, starts = problem
-        ref = _reference(edges, reg_n, diff_n, free, starts)
-        assert _descend_starts_reference(edges, reg_n, diff_n, free,
-                                         starts) == ref
-        assert _lockstep_descent(edges, reg_n, diff_n, free, starts) == ref
+        assert (_lockstep_descent(edges, reg_n, diff_n, free, starts)
+                == _reference(edges, reg_n, diff_n, free, starts))
 
     @given(search_problem())
     @settings(max_examples=60, **COMMON)
     def test_descend_starts_matches_reference(self, problem):
-        """The dispatching entry point against the reference."""
+        """The same searches with every weight raised past
+        :data:`_NUMPY_WEIGHT_LIMIT`, on the Python-int tables."""
         edges, reg_n, diff_n, free, starts = problem
-        assert (_descend_starts(edges, reg_n, diff_n, free, starts)
-                == _reference(edges, reg_n, diff_n, free, starts))
+        big = [(u, v, _NUMPY_WEIGHT_LIMIT + w) for u, v, w in edges]
+        assert (_lockstep_descent(big, reg_n, diff_n, free, starts)
+                == _reference(big, reg_n, diff_n, free, starts))
 
     @given(search_problem())
     @settings(max_examples=60, **COMMON)
@@ -130,14 +155,15 @@ class TestDescentEquivalence:
         the final permutation — no drift accumulates."""
         edges, perm = gp
         free = list(range(REG_N))
-        [(cost, final)] = _descend_starts(edges, REG_N, DIFF_N, free, [perm])
+        [(cost, final)] = _lockstep_descent(edges, REG_N, DIFF_N, free,
+                                            [perm])
         assert cost == _perm_cost(final, edges, REG_N, DIFF_N)
 
     def test_pinned_free_subset_matches_reference(self):
         edges = [(0, 1, 5), (1, 2, 3), (2, 3, 7), (3, 0, 2), (1, 3, 4)]
         free = [0, 2, 3]  # register 1 pinned
         starts = [[0, 1, 2, 3], [3, 1, 0, 2], [2, 1, 3, 0]]
-        assert (_descend_starts(edges, 4, 2, free, starts)
+        assert (_lockstep_descent(edges, 4, 2, free, starts)
                 == _reference(edges, 4, 2, free, starts))
 
     @pytest.mark.parametrize("diff_n", [0, 3, 8, 9])
@@ -145,8 +171,8 @@ class TestDescentEquivalence:
         """No edges: every start is already a zero-cost local minimum,
         so only the first is descended."""
         starts = _start_perms(list(range(8)), list(range(8)), 5, 1)
-        assert _descend_starts([], 8, diff_n, list(range(8)),
-                               starts) == [(0, starts[0])]
+        assert _lockstep_descent([], 8, diff_n, list(range(8)),
+                                 starts) == [(0, starts[0])]
 
     @pytest.mark.parametrize("edges, used", [
         # no start reaches cost 0: every start descends
@@ -155,28 +181,24 @@ class TestDescentEquivalence:
         # a chain every start can satisfy: only the first descends
         ([(0, 1, 3), (1, 2, 4)], 1),
     ])
-    def test_weights_past_int64_limit_take_reference(self, monkeypatch,
-                                                     edges, used):
-        """Weights at or above the limit descend one start at a time
-        through the reference, never through the int64 lockstep tables,
-        and stop after the first zero-cost start."""
-        def no_lockstep(*args):
-            raise AssertionError("lockstep descent used past the limit")
-
-        big = [(u, v, _NUMPY_WEIGHT_LIMIT + w) for u, v, w in edges]
+    def test_weights_past_int64_limit_match_reference(self, edges, used):
+        """Weights at the limit, and weights past int64 itself,
+        descend on the Python-int tables to the reference's results and
+        stop after the first zero-cost start."""
         starts = _start_perms(list(range(6)), list(range(6)), 8, 3)
-        monkeypatch.setattr(remap, "_lockstep_descent", no_lockstep)
-        got = _descend_starts(big, 6, 3, list(range(6)), starts)
-        assert got == _reference(big, 6, 3, list(range(6)), starts)
-        assert len(got) == used
-        assert (got[-1][0] == 0) == (used < len(starts))
+        for base in (_NUMPY_WEIGHT_LIMIT, 1 << 63):
+            big = [(u, v, base + w) for u, v, w in edges]
+            got = _lockstep_descent(big, 6, 3, list(range(6)), starts)
+            assert got == _reference(big, 6, 3, list(range(6)), starts)
+            assert len(got) == used
+            assert (got[-1][0] == 0) == (used < len(starts))
 
     def test_diff_n_equal_to_reg_n(self):
         """DiffN == RegN satisfies every edge: cost 0 from the start."""
         edges = [(0, 5, 3), (5, 2, 4), (2, 2, 9), (2, 5, 1)]
         starts = _start_perms(list(range(6)), list(range(6)), 4, 2)
-        assert _descend_starts(edges, 6, 6, list(range(6)),
-                               starts) == [(0, starts[0])]
+        assert _lockstep_descent(edges, 6, 6, list(range(6)),
+                                 starts) == [(0, starts[0])]
 
 
 @pytest.mark.parametrize("name", ["sha", "crc32", "stringsearch"])
@@ -190,7 +212,7 @@ def test_workload_descents_match_reference(name):
     edges = _edge_list(fn, 12, "src_first", freq)
     free = list(range(12))
     starts = _start_perms(list(range(12)), free, 10, seed=5)
-    assert (_descend_starts(edges, 12, 8, free, starts)
+    assert (_lockstep_descent(edges, 12, 8, free, starts)
             == _reference(edges, 12, 8, free, starts))
 
 
@@ -215,8 +237,7 @@ class TestRemapResult:
     def test_pure_engine_matches_lockstep(self, monkeypatch, restarts):
         fn = iterated_allocate(get_workload("sha").function(), 12).fn
         fast = differential_remap(fn, 12, 8, restarts=restarts, seed=3)
-        monkeypatch.setattr(remap, "_descend_starts",
-                            _descend_starts_reference)
+        monkeypatch.setattr(remap, "_lockstep_descent", _reference)
         pure = differential_remap(fn, 12, 8, restarts=restarts, seed=3)
         assert self._key(fast) == self._key(pure)
         assert fast.restarts == max(1, restarts)
@@ -226,8 +247,7 @@ class TestRemapResult:
         either descent."""
         fn = parse_function(ZERO_AT_START)
         fast = differential_remap(fn, 8, 4, restarts=20)
-        monkeypatch.setattr(remap, "_descend_starts",
-                            _descend_starts_reference)
+        monkeypatch.setattr(remap, "_lockstep_descent", _reference)
         pure = differential_remap(fn, 8, 4, restarts=20)
         assert fast.cost_before == fast.cost_after == 0
         assert fast.restarts == pure.restarts == 1
@@ -242,11 +262,31 @@ class TestRemapResult:
                                               diff_n, restarts, used):
         fn = iterated_allocate(get_workload(name).function(), 12).fn
         fast = differential_remap(fn, 12, diff_n, restarts=restarts, seed=4)
-        monkeypatch.setattr(remap, "_descend_starts",
-                            _descend_starts_reference)
+        monkeypatch.setattr(remap, "_lockstep_descent", _reference)
         pure = differential_remap(fn, 12, diff_n, restarts=restarts, seed=4)
         assert self._key(fast) == self._key(pure)
         assert fast.restarts == used
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_seven_deep_nest_descends_past_int64_limit():
+    """A 7-deep loop nest at static frequencies scales its innermost
+    edges past :data:`_NUMPY_WEIGHT_LIMIT`, so ``run_setup``'s remapping
+    descends on the Python-int tables; its results are pinned."""
+    fn = parse_function((DATA / "nest7.s").read_text())
+    prog = run_setup(fn, "remapping")
+    allocated = prog.allocation.fn
+    freq = estimate_block_frequencies(allocated)
+    assert max(w for _, _, w in _edge_list(allocated, 12, "src_first", freq)
+               ) >= _NUMPY_WEIGHT_LIMIT
+    result = differential_remap(allocated, 12, 8)
+    assert result.permutation == (10, 3, 2, 1, 4, 0, 11, 5, 8, 9, 6, 7)
+    assert result.cost_before == 55567830.0
+    assert result.cost_after == 40117220.0
+    assert result.restarts == 100
+    assert str(prog.final_fn) == (DATA / "nest7.remapping.s").read_text()
 
 
 class TestEdgeList:

@@ -1,7 +1,6 @@
 """Equivalence properties for the columnar simulation layer.
 
-Three layers, each with a reference implementation kept in-tree, each
-asserted bit-identical to its fast counterpart:
+Three layers, each asserted bit-identical to a reference implementation:
 
 * :func:`repro.machine.cache.access_hit_flags` vs a scalar
   :class:`~repro.machine.cache.Cache` replay, on random address streams
@@ -11,10 +10,11 @@ asserted bit-identical to its fast counterpart:
 * the fast (pre-compiled) interpreter engine vs ``engine="reference"``,
   on random generated programs and the MIBENCH suite — return value,
   step count, dynamic opcode counts, and the fast engine's columnar
-  trace expanded against the reference's object trace;
-* :meth:`LowEndTimingModel.time` on the columns vs the per-entry
-  ``_time_reference`` on the object traces — every :class:`CycleReport`
-  field.
+  trace expanded (:func:`to_entries`) against the reference's object
+  trace;
+* :meth:`LowEndTimingModel.time` on the columns vs the per-entry loop
+  :func:`time_reference` on the object traces — every
+  :class:`CycleReport` field.
 """
 
 import numpy as np
@@ -22,8 +22,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.ir import Interpreter
+from repro.ir.instr import COND_BRANCH_OPS
+from repro.ir.interp import TraceEntry
 from repro.ir.trace import NO_ADDR, OP_NAMES, FunctionCodec
-from repro.machine import LOWEND, Cache, LowEndTimingModel, access_hit_flags
+from repro.machine import (LOWEND, Cache, CycleReport, LowEndTimingModel,
+                           access_hit_flags)
 from repro.workloads import generate_function
 from repro.workloads.mibench import MIBENCH
 
@@ -52,6 +55,63 @@ def report_fields(report):
 
 def entry_fields(entries):
     return [(e.static_index, e.instr.op, e.mem_addr) for e in entries]
+
+
+def to_entries(trace):
+    """Expand a :class:`~repro.ir.trace.ColumnarTrace` to the object-trace
+    form the reference interpreter engine records."""
+    instrs = list(trace.source.fn.instructions())
+    return [
+        TraceEntry(instrs[int(si)], int(si),
+                   None if int(ma) == NO_ADDR else int(ma))
+        for si, ma in zip(trace.static_index, trace.mem_addr)
+    ]
+
+
+def time_reference(cfg, trace):
+    """The per-entry timing loop over an object trace that
+    :meth:`LowEndTimingModel.time` replaced: one issue cycle per entry,
+    scalar I- and D-cache replays, the op's extra latency, and the
+    redirect penalty after a taken branch."""
+    icache = Cache(cfg.icache_size, cfg.icache_line, cfg.icache_assoc)
+    dcache = Cache(cfg.dcache_size, cfg.dcache_line, cfg.dcache_assoc)
+    cycles = 0
+    branch_penalties = 0
+    setlr = 0
+    prev_index = None
+    prev_was_branch = False
+
+    for entry in trace:
+        instr = entry.instr
+        # redirect penalty when the previous branch was taken
+        if (prev_was_branch and prev_index is not None
+                and entry.static_index != prev_index + 1):
+            cycles += cfg.taken_branch_penalty
+            branch_penalties += 1
+
+        cycles += 1  # issue slot
+        if not icache.access(entry.static_index * cfg.instr_bytes):
+            cycles += cfg.cache_miss_penalty
+        cycles += cfg.extra_latency.get(instr.op, 0)
+        if entry.mem_addr is not None:
+            if not dcache.access(entry.mem_addr * 4):
+                cycles += cfg.cache_miss_penalty
+        if instr.op == "setlr":
+            setlr += 1
+
+        prev_index = entry.static_index
+        prev_was_branch = instr.op in COND_BRANCH_OPS or instr.op == "br"
+
+    return CycleReport(
+        cycles=cycles,
+        instructions=len(trace),
+        icache_misses=icache.stats.misses,
+        dcache_misses=dcache.stats.misses,
+        dcache_accesses=dcache.stats.accesses,
+        branch_penalties=branch_penalties,
+        setlr_executed=setlr,
+        config=cfg,
+    )
 
 
 def synth_programs():
@@ -105,7 +165,7 @@ class TestInterpreterEngineEquivalence:
         ops = {e.instr.op for e in ref.trace}
         assert {op: fast.count(op) for op in ops} == \
                {op: ref.count(op) for op in ops}
-        assert entry_fields(fast.columnar.to_entries()) \
+        assert entry_fields(to_entries(fast.columnar)) \
             == entry_fields(ref.trace)
 
     @pytest.mark.parametrize("w", MIBENCH, ids=lambda w: w.name)
@@ -115,7 +175,7 @@ class TestInterpreterEngineEquivalence:
         ref = Interpreter(engine="reference").run(fn, w.default_args)
         assert fast.return_value == ref.return_value
         assert fast.steps == ref.steps
-        assert entry_fields(fast.columnar.to_entries()) \
+        assert entry_fields(to_entries(fast.columnar)) \
             == entry_fields(ref.trace)
 
     @given(fn=synth_programs(), arg=st.integers(min_value=0, max_value=4))
@@ -140,7 +200,7 @@ class TestInterpreterEngineEquivalence:
         assert col.trace == []
         assert obj.columnar is None
         assert len(col.columnar) == col.steps == obj.steps
-        assert entry_fields(col.columnar.to_entries()) \
+        assert entry_fields(to_entries(col.columnar)) \
             == entry_fields(obj.trace)
 
     def test_columnar_counts_match_trace(self, sum_fn):
@@ -162,10 +222,10 @@ class TestTimingEngineEquivalence:
         ref = Interpreter(engine="reference").run(fn, w.default_args)
         fast = Interpreter(engine="fast").run(fn, w.default_args)
         model = LowEndTimingModel(LOWEND)
-        reference = model._time_reference(ref.trace)
+        reference = time_reference(LOWEND, ref.trace)
         assert report_fields(model.time(fast.columnar)) \
             == report_fields(reference)
-        expanded = model._time_reference(fast.columnar.to_entries())
+        expanded = time_reference(LOWEND, to_entries(fast.columnar))
         assert report_fields(expanded) == report_fields(reference)
 
     @given(fn=synth_programs(), arg=st.integers(min_value=0, max_value=4))
@@ -173,7 +233,7 @@ class TestTimingEngineEquivalence:
     def test_engines_agree_on_random_programs(self, fn, arg):
         result = Interpreter(engine="fast").run(fn, (arg,))
         model = LowEndTimingModel(LOWEND)
-        reference = model._time_reference(result.columnar.to_entries())
+        reference = time_reference(LOWEND, to_entries(result.columnar))
         assert report_fields(model.time(result.columnar)) \
             == report_fields(reference)
 
@@ -182,7 +242,7 @@ class TestTimingEngineEquivalence:
         assert len(empty) == 0
         model = LowEndTimingModel(LOWEND)
         assert report_fields(model.time(empty)) == (0, 0, 0, 0, 0, 0, 0)
-        assert report_fields(model._time_reference([])) \
+        assert report_fields(time_reference(LOWEND, [])) \
             == (0, 0, 0, 0, 0, 0, 0)
 
     def test_mem_addr_sentinel_excludes_no_access(self, sum_fn):
