@@ -11,9 +11,13 @@ in select's favour — the paper's separation mechanism, demonstrated.
 from conftest import show
 
 from repro.experiments.reporting import Table, arith_mean
+from repro.fuzz import FuzzConfig, generate_fuzz_function
 from repro.regalloc import run_setup
-from repro.workloads import MIBENCH, generate_function
+from repro.workloads import MIBENCH
 from repro.workloads.compose import concat_functions
+
+
+_PHASE = FuzzConfig(n_regions=3, base_values=7, ops_per_block=6)
 
 
 def _gap(composite):
@@ -25,8 +29,8 @@ def _gap(composite):
         if composite:
             fn = concat_functions(w.name, [
                 fn,
-                generate_function(7000 + 2 * wi, n_regions=3, base_values=7),
-                generate_function(7001 + 2 * wi, n_regions=3, base_values=7),
+                generate_fuzz_function(7000 + 2 * wi, _PHASE),
+                generate_fuzz_function(7001 + 2 * wi, _PHASE),
             ])
         remap = run_setup(fn, "remapping", remap_restarts=10).setlr_fraction
         select = run_setup(fn, "select", remap_restarts=10).setlr_fraction

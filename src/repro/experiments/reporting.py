@@ -88,7 +88,6 @@ numbers — see EXPERIMENTS.md for the per-figure discussion."""
 
 def generate_report(workloads: Optional[Sequence] = None,
                     n_loops: int = 400,
-                    seed: int = 2005,
                     remap_restarts: int = 50,
                     include_sweep: bool = True,
                     include_alternatives: bool = True,
@@ -101,8 +100,6 @@ def generate_report(workloads: Optional[Sequence] = None,
     """
     # imported here because the study modules import this module's Table
     # at load time — a top-level import would be circular
-    import time
-
     from repro.experiments.alternatives import run_alternatives_study
     from repro.experiments.lowend import run_lowend_experiment
     from repro.experiments.sweep import run_regn_sweep
@@ -112,7 +109,6 @@ def generate_report(workloads: Optional[Sequence] = None,
     if workloads is None:
         workloads = MIBENCH
     sections = []
-    t0 = time.time()
 
     sections.append("# Differential Register Allocation — "
                     "reproduction report\n")
@@ -124,7 +120,7 @@ def generate_report(workloads: Optional[Sequence] = None,
     sections.append("\n## Low-end study (Section 10.1)\n")
     sections.append(lowend.render_all())
 
-    swp = run_swp_experiment(n_loops=n_loops, seed=seed, jobs=jobs)
+    swp = run_swp_experiment(n_loops=n_loops, jobs=jobs)
     sections.append("\n## Software-pipelining study (Section 10.2)\n")
     sections.append(
         f"population: {len(swp.loops)} loops; "
@@ -134,7 +130,8 @@ def generate_report(workloads: Optional[Sequence] = None,
 
     if include_alternatives:
         study = run_alternatives_study(workloads=workloads,
-                                       remap_restarts=remap_restarts // 2)
+                                       remap_restarts=remap_restarts // 2,
+                                       jobs=jobs)
         sections.append("\n## Widening fields vs differential (Section 1)\n")
         sections.append(study.table().render())
 
@@ -145,7 +142,4 @@ def generate_report(workloads: Optional[Sequence] = None,
         sections.append("\n## RegN sweep (choosing the paper's 12)\n")
         sections.append(sweep.table().render())
         sections.append(f"cycle-optimal RegN: {sweep.best_reg_n()}")
-
-    sections.append(f"\n(generated in {time.time() - t0:.0f}s, "
-                    "fully deterministic)")
     return "\n".join(sections)

@@ -23,6 +23,7 @@ to the same registers with exactly the reported repairs in front.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.diagnostics import LintError
@@ -217,20 +218,6 @@ def _evaluate_loop(spec: LoopSpec, reg_ns: Sequence[int], diff_n: int,
     )
 
 
-def _evaluate_loop_batch(payload) -> List[Optional[LoopResult]]:
-    """Worker task: evaluate a contiguous chunk of the loop population.
-
-    Module-level and pure in its payload so it pickles into a process
-    pool; loops are independent, so chunk boundaries cannot change any
-    result.
-    """
-    specs, reg_ns, diff_n, machine, remap_restarts = payload
-    return [
-        _evaluate_loop(spec, reg_ns, diff_n, machine, remap_restarts)
-        for spec in specs
-    ]
-
-
 def run_swp_experiment(n_loops: int = 1928, seed: int = 2005,
                        reg_ns: Sequence[int] = REG_NS, diff_n: int = 32,
                        machine: VLIWConfig = VLIW,
@@ -244,24 +231,18 @@ def run_swp_experiment(n_loops: int = 1928, seed: int = 2005,
     smaller population.  Loops whose recurrences cannot be scheduled at all
     are dropped (none occur with the default generator parameters).
 
-    ``jobs`` distributes contiguous chunks of the population over a
-    process pool (``0`` = all cores); every loop is evaluated
-    independently, so results are identical for every job count.
+    ``jobs`` fans the loops out over a process pool (``0`` = all cores),
+    one task per loop; every loop is evaluated independently, so results
+    are identical for every job count.
     """
-    from repro.parallel import chunked, parallel_map, resolve_jobs
+    from repro.parallel import parallel_map
 
     specs = list(population) if population is not None else \
         generate_loop_population(n=n_loops, seed=seed)
-    n_jobs = resolve_jobs(jobs)
-    payloads = [
-        (batch, tuple(reg_ns), diff_n, machine, remap_restarts)
-        for batch in chunked(specs, n_jobs)
-    ]
+    task = partial(_evaluate_loop, reg_ns=tuple(reg_ns), diff_n=diff_n,
+                   machine=machine, remap_restarts=remap_restarts)
     loops: List[LoopResult] = [
-        result
-        for batch_results in parallel_map(_evaluate_loop_batch, payloads,
-                                          jobs=n_jobs)
-        for result in batch_results
+        result for result in parallel_map(task, specs, jobs=jobs)
         if result is not None
     ]
     return SwpExperiment(loops, tuple(reg_ns), diff_n)

@@ -1,10 +1,11 @@
-"""Seeded random IR generator for the fuzzing harness.
+"""Seeded random IR generator: the one source of random programs.
 
-Builds on the same pool discipline as :mod:`repro.workloads.synth` — every
-value an instruction may read is initialised in the entry block or earlier
-on every path — but exposes the full knob set the differential harness
-sweeps: region count, loop nesting depth, register pressure, call density
-and memory-op density.  Output is guaranteed to pass the L001-L009 lint
+The fuzz harness, the property-based tests, the program-scale ablation
+and the compile-service traffic all draw their programs here.  Every
+value an instruction may read is initialised in the entry block or
+earlier on every path (the pool discipline), and the knob set covers
+region count, loop nesting depth, register pressure, call density and
+memory-op density.  Output is guaranteed to pass the L001-L009 lint
 rules *by construction*:
 
 * every block ends before a new one starts and the last block returns
@@ -25,20 +26,14 @@ reproduce a failure found on another machine or under ``--jobs 16``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields, replace
-from typing import Dict, Iterator, List, Optional
+from dataclasses import dataclass, fields
+from typing import Dict, List, Optional
 
 from repro.ir.builder import FunctionBuilder
 from repro.ir.function import Function
 from repro.ir.instr import Instr, Reg
 
-__all__ = [
-    "FuzzConfig",
-    "generate_fuzz_function",
-    "generate_pressure_function",
-    "generate_loop_ddg",
-    "knob_matrix",
-]
+__all__ = ["FuzzConfig", "generate_fuzz_function"]
 
 _ALU_TWO = ("add", "sub", "mul", "xor", "or", "and")
 _ALU_IMM = ("addi", "subi", "muli", "xori", "andi", "shri")
@@ -102,41 +97,6 @@ class FuzzConfig:
                 f"--values {self.base_values} --ops {self.ops_per_block} "
                 f"--trip {self.loop_trip} --fresh-bias {self.fresh_bias} "
                 f"--calls {self.call_density} --mem {self.mem_density}")
-
-
-def knob_matrix() -> List[FuzzConfig]:
-    """A bounded matrix covering every knob at its interesting extremes.
-
-    Each knob is exercised at its minimum, a middle value and a stressed
-    value while the others stay at defaults, plus a handful of corner
-    combinations (everything-minimal, everything-stressed, calls+memory
-    together).  The generator-soundness test runs every entry through
-    strict lint and the interpreter.
-    """
-    base = FuzzConfig()
-    matrix: List[FuzzConfig] = [base]
-    per_knob = {
-        "n_regions": (1, 2, 6),
-        "loop_depth": (0, 2, 3),
-        "base_values": (2, 5, 14),
-        "ops_per_block": (2, 4, 8),
-        "loop_trip": (1, 2, 5),
-        "fresh_bias": (0.0, 0.5, 1.0),
-        "call_density": (0.0, 0.5, 1.0),
-        "mem_density": (0.0, 0.5, 1.0),
-    }
-    for knob, values in per_knob.items():
-        for v in values:
-            cfg = replace(base, **{knob: v})
-            if cfg not in matrix:
-                matrix.append(cfg)
-    matrix.append(FuzzConfig(n_regions=1, loop_depth=0, base_values=2,
-                             ops_per_block=2, loop_trip=1, fresh_bias=0.0))
-    matrix.append(FuzzConfig(n_regions=6, loop_depth=3, base_values=14,
-                             ops_per_block=8, loop_trip=4, fresh_bias=0.6,
-                             call_density=0.5, mem_density=0.5))
-    matrix.append(FuzzConfig(call_density=1.0, mem_density=1.0))
-    return matrix
 
 
 def _emit_alu(fb: FunctionBuilder, rng: random.Random, pool: List[Reg],
@@ -305,74 +265,3 @@ def generate_fuzz_function(seed: int, config: Optional[FuzzConfig] = None,
     """
     config = config or FuzzConfig()
     return _Gen(seed, config, name or f"fuzz{seed}").run()
-
-
-def generate_pressure_function(nvals: int = 14, seed: int = 1,
-                               iters: int = 20,
-                               name: str = "pressure") -> Function:
-    """A loop kernel keeping ``nvals`` values live across iterations.
-
-    The canonical spill-pressure workload: with ``nvals`` above the
-    register count every allocator must spill, which is what the spill
-    mutation classes (dropped reloads, shuffled slots) need to bite on.
-    Previously duplicated as ``make_pressure_fn`` in ``tests/conftest.py``.
-    """
-    rng = random.Random(seed)
-    fb = FunctionBuilder(name)
-    n = fb.vreg()
-    fb.params = (n,)
-    vals = fb.vregs(nvals)
-    fb.block("entry")
-    for j, v in enumerate(vals):
-        fb.li(v, j + 1)
-    i = fb.vreg()
-    fb.li(i, 0)
-    fb.block("loop")
-    for _ in range(iters):
-        a, b = rng.sample(vals, 2)
-        d = rng.choice(vals)
-        fb.add(d, a, b)
-    fb.addi(i, i, 1)
-    fb.blt(i, n, "loop")
-    fb.block("exit")
-    acc = fb.vreg()
-    fb.li(acc, 0)
-    for v in vals:
-        fb.add(acc, acc, v)
-    fb.ret(acc)
-    return fb.build()
-
-
-def generate_loop_ddg(seed: int, max_ops: int = 28):
-    """A random well-formed loop DDG for the software-pipelining suite.
-
-    Acyclic dataflow plus (sometimes) one bounded-latency recurrence —
-    the same shape ``tests/test_swp_properties.py`` used to build inline.
-    Imported lazily so the fuzz layer has no hard dependency on the SWP
-    substrate.
-    """
-    from repro.swp import Dep, LoopDDG, LoopOp
-
-    kinds = [("alu", 1), ("alu", 1), ("mul", 3), ("mem_load", 2),
-             ("mem_store", 2)]
-    rng = random.Random(seed)
-    n = rng.randrange(2, max_ops + 1)
-    ops = []
-    deps = []
-    for i in range(n):
-        kind, lat = rng.choice(kinds)
-        ops.append(LoopOp(i, kind, lat))
-        if i and rng.random() < 0.8:
-            src = rng.randrange(i)
-            if ops[src].produces_value:
-                deps.append(Dep(src, i, 0, is_data=True))
-    if n >= 4 and rng.random() < 0.5:
-        late = rng.randrange(n // 2, n)
-        early = rng.randrange(n // 2)
-        if ops[late].produces_value and late != early:
-            deps.append(Dep(late, early, distance=rng.randint(1, 2),
-                            is_data=True))
-    trip = rng.randrange(4, 50)
-    return LoopDDG(ops, sorted(set(deps),
-                               key=lambda d: (d.src, d.dst, d.distance)),
-                   trip_count=trip)

@@ -32,11 +32,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.fuzz.gen import FuzzConfig, generate_fuzz_function
+from repro.ir.function import Function
 from repro.parallel import derive_seed, parallel_map
 
 __all__ = ["FuzzReport", "default_config", "run_case", "run_fuzz",
            "shrink_config", "shrink_case", "repro_command",
-           "format_failure"]
+           "format_failure", "strip_setlr"]
 
 PROBE_ARGS: Tuple[Tuple[int, ...], ...] = ((0,), (2,), (5,))
 _MAX_STEPS = 500_000
@@ -76,6 +77,15 @@ def _fail(failures: List[Dict[str, str]], oracle: str, setup: str,
     failures.append({"oracle": oracle, "setup": setup, "message": message})
 
 
+def strip_setlr(fn: Function) -> Function:
+    """A copy of ``fn`` without ``setlr`` instructions — what the decoder
+    hands the pipeline ("such instructions are removed after decoding")."""
+    out = fn.copy()
+    for b in out.blocks:
+        b.instrs = [i for i in b.instrs if i.op != "setlr"]
+    return out
+
+
 def run_case(seed: int, config: FuzzConfig,
              setups: Optional[Sequence[str]] = None,
              restarts: int = 2) -> Dict[str, object]:
@@ -90,7 +100,6 @@ def run_case(seed: int, config: FuzzConfig,
     from repro.encoding.encoder import encode_function
     from repro.encoding.setlr_elim import eliminate_redundant_setlr
     from repro.encoding.static_verifier import verify_encoding_static
-    from repro.fuzz.mutate import strip_setlr
     from repro.ir.interp import InterpError, Interpreter
     from repro.ir.printer import format_function
     from repro.lint import LintOptions, run_lint

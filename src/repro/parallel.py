@@ -40,9 +40,8 @@ import os
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
-__all__ = ["resolve_jobs", "derive_seed", "parallel_map", "chunked",
-           "compute_chunksize", "WorkerPool", "WorkerCrashError",
-           "get_fleet", "shutdown_fleet"]
+__all__ = ["resolve_jobs", "derive_seed", "parallel_map", "compute_chunksize",
+           "WorkerPool", "WorkerCrashError", "get_fleet", "shutdown_fleet"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -82,26 +81,6 @@ def derive_seed(base_seed: int, *key: object) -> int:
     """
     digest = hashlib.sha256(repr((base_seed,) + key).encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def chunked(items: Sequence[T], n_chunks: int) -> List[List[T]]:
-    """Split ``items`` into at most ``n_chunks`` contiguous, balanced runs.
-
-    Concatenating the chunks reproduces ``items`` exactly, so order-
-    dependent folds over chunked results match the unchunked fold.
-    """
-    items = list(items)
-    if n_chunks <= 0:
-        raise ValueError(f"n_chunks must be positive, got {n_chunks}")
-    n_chunks = min(n_chunks, len(items)) or 1
-    size, extra = divmod(len(items), n_chunks)
-    out: List[List[T]] = []
-    start = 0
-    for i in range(n_chunks):
-        end = start + size + (1 if i < extra else 0)
-        out.append(items[start:end])
-        start = end
-    return [c for c in out if c]
 
 
 def compute_chunksize(n_tasks: int, workers: int) -> int:

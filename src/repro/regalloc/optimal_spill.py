@@ -55,7 +55,7 @@ from repro.ir.function import Function
 from repro.ir.instr import Instr, Reg
 from repro.regalloc import highs
 from repro.regalloc.base import AllocationResult
-from repro.regalloc.iterated import ColorSelector, iterated_allocate
+from repro.regalloc.iterated import iterated_allocate
 from repro.regalloc.spill import SpillSlotAllocator
 
 if TYPE_CHECKING:
@@ -766,7 +766,6 @@ def apply_residence(fn: Function, plan: ResidencePlan,
 
 
 def optimal_spill_allocate(fn: Function, k: int,
-                           selector: Optional[ColorSelector] = None,
                            use_ilp: bool = True,
                            load_cost: float = 1.0,
                            store_cost: float = 1.0,
@@ -790,8 +789,7 @@ def optimal_spill_allocate(fn: Function, k: int,
 
     def attempt(budget: int, plan: ResidencePlan) -> AllocationResult:
         split_fn, _ = apply_residence(fn, plan)
-        result = iterated_allocate(split_fn, k, selector=selector,
-                                   freq=dict(freq))
+        result = iterated_allocate(split_fn, k, freq=dict(freq))
         result.stats["ospill_objective"] = plan.objective
         result.stats["ospill_solver"] = 1.0 if plan.solver == "ilp" else 0.0
         result.stats["ospill_spilled_ranges"] = float(len(plan.spilled))

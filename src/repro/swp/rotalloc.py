@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.machine.spec import VLIW, VLIWConfig
 from repro.swp.ddg import LoopDDG
-from repro.swp.modulo import ModuloSchedule, ScheduleError, modulo_schedule
+from repro.swp.modulo import ModuloSchedule, modulo_schedule
 
 __all__ = ["KernelAllocation", "allocate_kernel"]
 
@@ -40,7 +40,7 @@ class KernelAllocation:
     assignment: Dict[int, int]  # value (producer op id) -> register number
     spilled_values: Tuple[int, ...] = ()
     n_spill_ops: int = 0
-    derated: bool = False   # see allocate_kernel(derate_on_failure=...)
+    derated: bool = False   # see allocate_kernel's derated estimate
     ii_override: Optional[int] = None
 
     @property
@@ -100,27 +100,21 @@ def _assign_registers(schedule: ModuloSchedule, reg_n: int) -> Dict[int, int]:
 
 def allocate_kernel(ddg: LoopDDG, reg_n: int,
                     machine: VLIWConfig = VLIW,
-                    reserved: int = 0,
-                    max_spills: int = 64,
-                    derate_on_failure: bool = True) -> KernelAllocation:
+                    max_spills: int = 64) -> KernelAllocation:
     """Schedule ``ddg`` and fit its values into ``reg_n`` registers.
 
-    ``reserved`` registers are withheld (loop control, base addresses).
     Victims are chosen to relieve the hottest kernel slot, then the loop
     reschedules; when spilling stalls, the II is raised instead (both
     alternatives the paper discusses in Section 10.2).
 
     A few percent of extreme loops resist both (their reload bursts keep
-    the memory ports saturated around the pressure peak).  With
-    ``derate_on_failure`` the allocator returns a *derated* estimate built
-    from the best schedule found: each register of residual overshoot costs
-    15% of the II — the midpoint of what converged heavy-spill cases pay —
-    and three memory ops of code, with ``derated=True`` marking the
-    approximation.  Otherwise a :class:`ScheduleError` is raised.
+    the memory ports saturated around the pressure peak), as does any
+    loop once ``max_spills`` rounds are spent.  The allocator then returns
+    a *derated* estimate built from the best schedule found: each register
+    of residual overshoot costs 15% of the II — the midpoint of what
+    converged heavy-spill cases pay — and three memory ops of code, with
+    ``derated=True`` marking the approximation.
     """
-    budget = reg_n - reserved
-    if budget < 1:
-        raise ValueError("no registers available after reservation")
     current = ddg
     next_id = max((op.id for op in ddg.ops), default=0) + 1
     spilled: List[int] = []
@@ -135,15 +129,15 @@ def allocate_kernel(ddg: LoopDDG, reg_n: int,
         if best is None or schedule.max_live() < best.max_live():
             best = schedule
             best_spill_ops = n_spill_ops
-        if schedule.max_live() <= budget:
+        if schedule.max_live() <= reg_n:
             return KernelAllocation(
                 schedule=schedule,
                 reg_n=reg_n,
-                assignment=_assign_registers(schedule, budget),
+                assignment=_assign_registers(schedule, reg_n),
                 spilled_values=tuple(spilled),
                 n_spill_ops=n_spill_ops,
             )
-        excess = schedule.max_live() - budget
+        excess = schedule.max_live() - reg_n
         victims = _spill_victims(schedule, set(spilled),
                                  batch=max(1, excess // 2))
         if not victims:
@@ -168,20 +162,15 @@ def allocate_kernel(ddg: LoopDDG, reg_n: int,
             spilled.append(victim)
             n_spill_ops += 1 + n_consumers  # a store + loads for consumers
 
-    if derate_on_failure and best is not None:
-        overshoot = best.max_live() - budget
-        return KernelAllocation(
-            schedule=best,
-            reg_n=reg_n,
-            assignment=_assign_registers(best, budget),
-            spilled_values=tuple(spilled),
-            n_spill_ops=best_spill_ops + 3 * overshoot,
-            derated=True,
-            ii_override=int(best.ii * (1 + 0.15 * overshoot)) + 1,
-        )
-    raise ScheduleError(
-        f"{ddg.name}: cannot fit MaxLive into {reg_n} registers "
-        f"after {max_spills} spills"
+    overshoot = best.max_live() - reg_n
+    return KernelAllocation(
+        schedule=best,
+        reg_n=reg_n,
+        assignment=_assign_registers(best, reg_n),
+        spilled_values=tuple(spilled),
+        n_spill_ops=best_spill_ops + 3 * overshoot,
+        derated=True,
+        ii_override=int(best.ii * (1 + 0.15 * overshoot)) + 1,
     )
 
 

@@ -2,21 +2,19 @@
 
 * :mod:`repro.workloads.mibench` — ten executable IR kernels modelled on the
   MiBench programs the paper evaluates (Section 10.1).
-* :mod:`repro.workloads.synth` — seeded random program generator used by
-  property-based tests and population studies.
 * :mod:`repro.workloads.spec_loops` — the synthetic population of SPEC2000-
   like innermost loops for the software-pipelining study (Section 10.2).
+
+Random test programs come from :mod:`repro.fuzz.gen`.
 """
 
 from repro.workloads.mibench import MIBENCH, Workload, get_workload
-from repro.workloads.synth import generate_function
 from repro.workloads.spec_loops import LoopSpec, generate_loop_population
 
 __all__ = [
     "MIBENCH",
     "Workload",
     "get_workload",
-    "generate_function",
     "LoopSpec",
     "generate_loop_population",
 ]

@@ -1,56 +1,97 @@
 """Shared fixtures and hypothesis strategies for the whole suite.
 
 Canonical programs (``sum_fn``, ``diamond_fn``, ``pressure_fn``) stay here
-as plain fixtures; the *random-program* machinery lives in
-:mod:`repro.fuzz.gen` and is exposed to tests through the strategy
-helpers below, so the property suites and the fuzz harness draw from the
+as plain fixtures; random programs come from the one generator users run,
+:func:`repro.fuzz.gen.generate_fuzz_function`, and random loops from the
+Section 10.2 population's :func:`repro.workloads.spec_loops.generate_loop`,
+so the property suites, the fuzz harness and the studies draw from the
 same generators:
 
-* :func:`synth_programs` — arbitrary well-formed executable functions
-  (the allocation/encoding property suites' workhorse);
-* :func:`fuzz_programs` — the same, but sweeping the full fuzz knob set
-  including call and memory density;
+* :func:`fuzz_programs` — arbitrary well-formed executable functions over
+  the fuzz knob set, optionally with calls (the allocation/encoding
+  property suites' workhorse);
 * :func:`loop_ddgs` — random well-formed loop DDGs for the
-  software-pipelining suites.
-
-``make_pressure_fn`` is kept as a thin alias of
-:func:`repro.fuzz.gen.generate_pressure_function` because many test
-modules import it by name.
+  software-pipelining suites;
+* :func:`knob_matrix` — every fuzz knob at its interesting extremes;
+* :func:`make_pressure_fn` — the canonical spill-pressure loop kernel.
 """
+
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import strategies as st
 
-from repro.fuzz.gen import (
-    FuzzConfig,
-    generate_fuzz_function,
-    generate_loop_ddg,
-    generate_pressure_function,
-)
+from repro.fuzz.gen import FuzzConfig, generate_fuzz_function
 from repro.ir import FunctionBuilder, parse_function
-from repro.workloads import generate_function
+from repro.workloads.spec_loops import generate_loop
 
 
 def make_pressure_fn(nvals=14, seed=1, iters=20, name="pressure"):
-    """A loop kernel keeping ``nvals`` values live across iterations."""
-    return generate_pressure_function(nvals=nvals, seed=seed, iters=iters,
-                                      name=name)
+    """A loop kernel keeping ``nvals`` values live across iterations.
 
-
-def synth_programs():
-    """Strategy: random well-formed, always-terminating functions.
-
-    Draws from :func:`repro.workloads.generate_function` — region-chained
-    control flow, bounded loops, optional memory traffic — the program
-    shape every allocator/encoder property must hold on.
+    With ``nvals`` above the register count every allocator must spill,
+    which is what the spill mutation classes (dropped reloads, shuffled
+    slots) need to bite on.
     """
-    return st.builds(
-        generate_function,
-        seed=st.integers(min_value=0, max_value=10_000),
-        n_regions=st.integers(min_value=1, max_value=5),
-        base_values=st.integers(min_value=3, max_value=12),
-        with_memory=st.booleans(),
-    )
+    rng = random.Random(seed)
+    fb = FunctionBuilder(name)
+    n = fb.vreg()
+    fb.params = (n,)
+    vals = fb.vregs(nvals)
+    fb.block("entry")
+    for j, v in enumerate(vals):
+        fb.li(v, j + 1)
+    i = fb.vreg()
+    fb.li(i, 0)
+    fb.block("loop")
+    for _ in range(iters):
+        a, b = rng.sample(vals, 2)
+        d = rng.choice(vals)
+        fb.add(d, a, b)
+    fb.addi(i, i, 1)
+    fb.blt(i, n, "loop")
+    fb.block("exit")
+    acc = fb.vreg()
+    fb.li(acc, 0)
+    for v in vals:
+        fb.add(acc, acc, v)
+    fb.ret(acc)
+    return fb.build()
+
+
+def knob_matrix():
+    """A bounded matrix covering every knob at its interesting extremes.
+
+    Each knob is exercised at its minimum, a middle value and a stressed
+    value while the others stay at defaults, plus a handful of corner
+    combinations (everything-minimal, everything-stressed, calls+memory
+    together).
+    """
+    base = FuzzConfig()
+    matrix = [base]
+    per_knob = {
+        "n_regions": (1, 2, 6),
+        "loop_depth": (0, 2, 3),
+        "base_values": (2, 5, 14),
+        "ops_per_block": (2, 4, 8),
+        "loop_trip": (1, 2, 5),
+        "fresh_bias": (0.0, 0.5, 1.0),
+        "call_density": (0.0, 0.5, 1.0),
+        "mem_density": (0.0, 0.5, 1.0),
+    }
+    for knob, values in per_knob.items():
+        for v in values:
+            cfg = replace(base, **{knob: v})
+            if cfg not in matrix:
+                matrix.append(cfg)
+    matrix.append(FuzzConfig(n_regions=1, loop_depth=0, base_values=2,
+                             ops_per_block=2, loop_trip=1, fresh_bias=0.0))
+    matrix.append(FuzzConfig(n_regions=6, loop_depth=3, base_values=14,
+                             ops_per_block=8, loop_trip=4, fresh_bias=0.6,
+                             call_density=0.5, mem_density=0.5))
+    matrix.append(FuzzConfig(call_density=1.0, mem_density=1.0))
+    return matrix
 
 
 def _fuzz_program(seed, n_regions, loop_depth, base_values, fresh_bias,
@@ -81,14 +122,12 @@ def fuzz_programs(calls=False):
     )
 
 
-def loop_ddgs(max_ops=28):
-    """Strategy: random well-formed loop DDGs (acyclic dataflow plus a
-    bounded-latency recurrence), for the software-pipelining properties."""
-    return st.builds(
-        generate_loop_ddg,
-        seed=st.integers(min_value=0, max_value=10_000),
-        max_ops=st.just(max_ops),
-    )
+def loop_ddgs():
+    """Strategy: DDGs of small Section 10.2 population loops (local
+    dataflow plus accumulator recurrences), for the software-pipelining
+    properties."""
+    return st.integers(min_value=0, max_value=10_000).map(
+        lambda seed: generate_loop(seed, big=False).ddg)
 
 
 @pytest.fixture

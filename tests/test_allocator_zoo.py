@@ -13,8 +13,7 @@ interference lint and the binary round trip (all of which
 import pytest
 
 from repro.analysis.ssa import construct_ssa, destruct_ssa
-from repro.fuzz import (FuzzConfig, generate_fuzz_function, knob_matrix,
-                        run_case)
+from repro.fuzz import FuzzConfig, generate_fuzz_function, run_case
 from repro.fuzz.harness import case_seed, default_config
 from repro.ir import FunctionBuilder, Interpreter
 from repro.lint import PassVerifier
@@ -24,7 +23,7 @@ from repro.regalloc.base import AllocationError, check_allocation
 from repro.regalloc.pipeline import SETUP_TABLE
 from repro.workloads import MIBENCH
 
-from tests.conftest import make_pressure_fn
+from tests.conftest import knob_matrix, make_pressure_fn
 
 N_FUZZ_SEEDS = 100
 

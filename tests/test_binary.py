@@ -9,9 +9,10 @@ from repro.encoding import (
     pack_function,
     unpack_function,
 )
+from repro.fuzz import FuzzConfig, generate_fuzz_function
 from repro.ir import Instr, format_function, parse_function, phys
 from repro.regalloc import iterated_allocate
-from repro.workloads import MIBENCH, generate_function
+from repro.workloads import MIBENCH
 
 
 def roundtrip(fn, reg_n=12, diff_n=8, **cfg_kw):
@@ -48,7 +49,8 @@ exit:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_synthetic_programs(self, seed):
-        fn = iterated_allocate(generate_function(seed), 12).fn
+        fn = iterated_allocate(
+            generate_fuzz_function(seed, FuzzConfig(ops_per_block=6)), 12).fn
         packed, decoded = roundtrip(fn)
         assert format_function(decoded) == format_function(fn)
 

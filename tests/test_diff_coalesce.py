@@ -4,7 +4,7 @@ import pytest
 
 from repro.ir import Interpreter, parse_function
 from repro.regalloc import check_allocation, differential_coalesce_allocate
-from repro.regalloc.diff_coalesce import coalesce_pass, split_at_joins
+from repro.regalloc.diff_coalesce import coalesce_pass
 
 from tests.conftest import make_pressure_fn
 
@@ -70,79 +70,6 @@ entry:
         assert Interpreter().run(out, (9,)).return_value == 9
 
 
-class TestSplitAtJoins:
-    def test_splits_are_semantics_preserving(self, diamond_fn):
-        out, n = split_at_joins(diamond_fn, 8)
-        ref = Interpreter().run(diamond_fn, (3,)).return_value
-        assert Interpreter().run(out, (3,)).return_value == ref
-
-    def test_no_split_without_headroom(self, pressure_fn):
-        out, n = split_at_joins(pressure_fn, 6)
-        # pressure is far above 6: nothing should be split
-        ref = Interpreter().run(pressure_fn, (3,)).return_value
-        assert Interpreter().run(out, (3,)).return_value == ref
-
-    def test_k_zero_splits_nothing(self, diamond_fn):
-        out, n = split_at_joins(diamond_fn, 0)
-        assert n == 0
-        ref = Interpreter().run(diamond_fn, (3,)).return_value
-        assert Interpreter().run(out, (3,)).return_value == ref
-
-    def test_critical_edge_into_loop_header(self):
-        # the entry->loop edge is critical (entry also falls to exit via
-        # the guard) and loop is a join (entry + back edge): the pred-end
-        # copies must land before each terminator and stay correct
-        fn = parse_function("""
-func f(v0):
-entry:
-    li v1, 0
-    li v2, 1
-    blt v0, v1, exit, loop
-loop:
-    add v2, v2, v1
-    addi v1, v1, 1
-    blt v1, v0, loop, exit
-exit:
-    add v3, v2, v1
-    ret v3
-""")
-        out, n = split_at_joins(fn, 8)
-        assert n > 0
-        out.validate()
-        for args in ((0,), (1,), (5,)):
-            assert (Interpreter().run(out, args).return_value
-                    == Interpreter().run(fn, args).return_value)
-
-    def test_self_loop_join(self):
-        # a block that is its own predecessor: the split copy is inserted
-        # into the joining block itself, feeding its own next iteration
-        fn = parse_function("""
-func f(v0):
-entry:
-    li v1, 0
-    li v2, 3
-    br loop
-loop:
-    add v2, v2, v2
-    addi v1, v1, 1
-    blt v1, v0, loop, exit
-exit:
-    ret v2
-""")
-        out, n = split_at_joins(fn, 8)
-        out.validate()
-        for args in ((0,), (1,), (4,)):
-            assert (Interpreter().run(out, args).return_value
-                    == Interpreter().run(fn, args).return_value)
-
-    def test_split_counts_and_fresh_names_are_consistent(self, diamond_fn):
-        base_max = diamond_fn.max_vreg_id()
-        out, n = split_at_joins(diamond_fn, 8)
-        fresh = {r.id for i in out.instructions() for r in i.defs()
-                 if r.virtual and r.id > base_max}
-        assert len(fresh) == n
-
-
 class TestEndToEnd:
     @pytest.mark.parametrize("use_ilp", [True, False])
     def test_full_pipeline(self, pressure_fn, use_ilp):
@@ -162,9 +89,3 @@ class TestEndToEnd:
         ref = Interpreter().run(fn, (4,)).return_value
         res = differential_coalesce_allocate(fn, 12, 8)
         assert Interpreter().run(res.fn, (4,)).return_value == ref
-
-    def test_join_splitting_path(self, diamond_fn):
-        res = differential_coalesce_allocate(diamond_fn, 8, 4,
-                                             join_splitting=True)
-        ref = Interpreter().run(diamond_fn, (3,)).return_value
-        assert Interpreter().run(res.fn, (3,)).return_value == ref

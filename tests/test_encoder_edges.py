@@ -3,10 +3,10 @@
 import pytest
 
 from repro.encoding import EncodingConfig, encode_function, verify_encoding
+from repro.fuzz import FuzzConfig, generate_fuzz_function
 from repro.ir import Interpreter, parse_function
 from repro.regalloc import iterated_allocate
 from repro.regalloc.base import check_allocation
-from repro.workloads import generate_function
 
 
 class TestEmptyFieldBlocks:
@@ -81,11 +81,12 @@ out:
     def test_tight_diff_budget_still_verifies(self):
         """DiffN=2 over 12 registers: almost everything needs repair,
         correctness must survive regardless."""
-        fn = iterated_allocate(generate_function(7, n_regions=4), 12).fn
+        config = FuzzConfig(n_regions=4, ops_per_block=6)
+        fn = iterated_allocate(generate_fuzz_function(7, config), 12).fn
         enc = encode_function(fn, EncodingConfig(reg_n=12, diff_n=2))
         verify_encoding(enc)
         ref = Interpreter().run(
-            iterated_allocate(generate_function(7, n_regions=4), 12).fn, (2,)
+            iterated_allocate(generate_fuzz_function(7, config), 12).fn, (2,)
         ).return_value
         assert Interpreter().run(enc.fn, (2,)).return_value == ref
 

@@ -12,10 +12,11 @@ individually.
 
 import pytest
 
+from repro.fuzz import FuzzConfig, generate_fuzz_function
 from repro.ir import Instr, Reg, parse_function
 from repro.regalloc.checker import check_allocation_semantics
 from repro.regalloc.pipeline import SETUPS, run_setup
-from repro.workloads import MIBENCH, generate_function
+from repro.workloads import MIBENCH
 
 
 def _simple_pair():
@@ -47,7 +48,8 @@ class TestPositive:
         run_setup(fn, setup, remap_restarts=1, remap_seed=7, use_ilp=False)
 
     def test_identity_allocation_checks_clean(self):
-        fn = generate_function(seed=5, n_regions=3, base_values=6)
+        fn = generate_fuzz_function(5, FuzzConfig(
+            n_regions=3, base_values=6, ops_per_block=6))
         assert check_allocation_semantics(fn, fn.copy()).ok
 
 

@@ -9,11 +9,13 @@ rather than trusting any single default configuration.
 
 import pytest
 
+from repro.analysis import compute_liveness
 from repro.diagnostics import Severity
-from repro.fuzz import FuzzConfig, generate_fuzz_function, knob_matrix
-from repro.fuzz.gen import generate_pressure_function
+from repro.fuzz import FuzzConfig, generate_fuzz_function
 from repro.ir import Interpreter, format_function
 from repro.lint import LintOptions, run_lint
+
+from tests.conftest import knob_matrix, make_pressure_fn
 
 MATRIX = knob_matrix()
 SEEDS = (0, 11)
@@ -58,9 +60,22 @@ class TestDeterminism:
         assert len(texts) > 1
 
     def test_pressure_function_stable(self):
-        a = generate_pressure_function(nvals=12, seed=3)
-        b = generate_pressure_function(nvals=12, seed=3)
+        a = make_pressure_fn(nvals=12, seed=3)
+        b = make_pressure_fn(nvals=12, seed=3)
         assert format_function(a) == format_function(b)
+
+
+class TestKnobs:
+    def test_base_values_control_pressure(self):
+        low = generate_fuzz_function(5, FuzzConfig(base_values=4))
+        high = generate_fuzz_function(5, FuzzConfig(base_values=16))
+        assert (compute_liveness(high).max_pressure()
+                > compute_liveness(low).max_pressure())
+
+    def test_region_count_controls_size(self):
+        small = generate_fuzz_function(7, FuzzConfig(n_regions=2))
+        big = generate_fuzz_function(7, FuzzConfig(n_regions=8))
+        assert big.num_instructions() > small.num_instructions()
 
 
 class TestFuzzConfig:

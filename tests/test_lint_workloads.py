@@ -10,10 +10,10 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.fuzz import FuzzConfig, generate_fuzz_function
 from repro.ir.printer import format_function
 from repro.lint import Severity, run_lint
 from repro.workloads.mibench import MIBENCH
-from repro.workloads.synth import generate_function
 
 
 @pytest.mark.parametrize("workload", MIBENCH, ids=lambda w: w.name)
@@ -26,7 +26,8 @@ def test_every_workload_lints_clean(workload):
 
 @pytest.mark.parametrize("seed", [1, 7, 42])
 def test_synthetic_functions_lint_clean(seed):
-    fn = generate_function(seed, n_regions=3, base_values=7)
+    fn = generate_fuzz_function(seed, FuzzConfig(
+        n_regions=3, base_values=7, ops_per_block=6))
     report = run_lint(fn)
     assert report.ok, report.render_text()
 

@@ -86,11 +86,3 @@ class TestNegativePaths:
         ddg = LoopDDG([LoopOp(0, latency=10)], [Dep(0, 0, distance=1)])
         with pytest.raises(ScheduleError):
             modulo_schedule(ddg, max_ii=5)
-
-    def test_allocate_kernel_reserved_all(self):
-        from repro.swp import allocate_kernel
-        from repro.workloads.spec_loops import generate_loop
-
-        ddg = generate_loop(1).ddg
-        with pytest.raises(ValueError):
-            allocate_kernel(ddg, 4, reserved=4)

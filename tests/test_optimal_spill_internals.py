@@ -191,7 +191,7 @@ def _always_solving_decide(fn, k, freq, use_ilp=True, load_cost=1.0,
     return _solve_greedy(fn, k, pts, freq, forced)
 
 
-def _serial_optimal_spill_allocate(fn, k, selector=None, use_ilp=True,
+def _serial_optimal_spill_allocate(fn, k, use_ilp=True,
                                    load_cost=1.0, store_cost=1.0,
                                    freq=None):
     """The serial O-spill pipeline: solve k, allocate, and only then solve
@@ -204,8 +204,7 @@ def _serial_optimal_spill_allocate(fn, k, selector=None, use_ilp=True,
                                       load_cost=load_cost,
                                       store_cost=store_cost)
         split_fn, _ = apply_residence(fn, plan)
-        result = iterated_allocate(split_fn, k, selector=selector,
-                                   freq=dict(freq))
+        result = iterated_allocate(split_fn, k, freq=dict(freq))
         result.stats["ospill_objective"] = plan.objective
         result.stats["ospill_solver"] = 1.0 if plan.solver == "ilp" else 0.0
         result.stats["ospill_spilled_ranges"] = float(len(plan.spilled))

@@ -7,7 +7,7 @@ for every experiment grid built on it.
 
 import pytest
 
-from repro.parallel import chunked, derive_seed, parallel_map, resolve_jobs
+from repro.parallel import derive_seed, parallel_map, resolve_jobs
 from repro.workloads import MIBENCH
 
 
@@ -40,26 +40,6 @@ class TestDeriveSeed:
         seeds = {derive_seed(0), derive_seed(1), derive_seed(0, "x"),
                  derive_seed(0, "y"), derive_seed(0, "x", 2)}
         assert len(seeds) == 5
-
-
-class TestChunked:
-    def test_concatenation_preserves_order(self):
-        items = list(range(17))
-        for n in (1, 2, 3, 5, 16, 17, 40):
-            chunks = chunked(items, n)
-            assert [x for c in chunks for x in c] == items
-            assert len(chunks) <= n
-
-    def test_balanced(self):
-        sizes = [len(c) for c in chunked(list(range(10)), 4)]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_empty(self):
-        assert chunked([], 4) == []
-
-    def test_bad_chunk_count(self):
-        with pytest.raises(ValueError):
-            chunked([1, 2], 0)
 
 
 class TestParallelMap:

@@ -13,7 +13,7 @@ The big ones:
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tests.conftest import fuzz_programs, synth_programs
+from tests.conftest import fuzz_programs
 from repro.analysis import build_interference
 from repro.encoding import (
     EncodingConfig,
@@ -54,7 +54,7 @@ class TestDifferentialArithmetic:
 
 
 class TestAllocatorSemantics:
-    @given(fn=synth_programs(), k=st.integers(min_value=5, max_value=16),
+    @given(fn=fuzz_programs(), k=st.integers(min_value=5, max_value=16),
            arg=st.integers(min_value=0, max_value=4))
     @settings(max_examples=40, **COMMON)
     def test_iterated_preserves_semantics(self, fn, k, arg):
@@ -64,14 +64,14 @@ class TestAllocatorSemantics:
         assert all(not r.virtual for r in res.fn.registers())
         assert all(r.id < k for r in res.fn.registers())
 
-    @given(fn=synth_programs(), arg=st.integers(min_value=0, max_value=3))
+    @given(fn=fuzz_programs(), arg=st.integers(min_value=0, max_value=3))
     @settings(max_examples=12, **COMMON)
     def test_optimal_spill_preserves_semantics(self, fn, arg):
         ref = Interpreter().run(fn, (arg,)).return_value
         res = optimal_spill_allocate(fn, 8)
         assert Interpreter().run(res.fn, (arg,)).return_value == ref
 
-    @given(fn=synth_programs(), k=st.integers(min_value=5, max_value=16),
+    @given(fn=fuzz_programs(), k=st.integers(min_value=5, max_value=16),
            arg=st.integers(min_value=0, max_value=4))
     @settings(max_examples=25, **COMMON)
     def test_linear_scan_preserves_semantics(self, fn, k, arg):
@@ -85,7 +85,7 @@ class TestAllocatorSemantics:
 
 class TestEncodingSoundness:
     @given(
-        fn=synth_programs(),
+        fn=fuzz_programs(),
         diff_n=st.integers(min_value=2, max_value=12),
         policy=st.sampled_from(["block_entry", "pred_end"]),
         order=st.sampled_from(["src_first", "dst_first"]),
@@ -102,7 +102,7 @@ class TestEncodingSoundness:
         verify_encoding(enc)
         assert Interpreter().run(enc.fn, (arg,)).return_value == ref
 
-    @given(fn=synth_programs(), seed=st.integers(min_value=0, max_value=99))
+    @given(fn=fuzz_programs(), seed=st.integers(min_value=0, max_value=99))
     @settings(max_examples=15, **COMMON)
     def test_remap_preserves_validity_and_semantics(self, fn, seed):
         ref = Interpreter().run(fn, (2,)).return_value
@@ -111,7 +111,7 @@ class TestEncodingSoundness:
         assert sorted(remapped.permutation) == list(range(12))
         assert Interpreter().run(remapped.fn, (2,)).return_value == ref
 
-    @given(fn=synth_programs(), arg=st.integers(min_value=0, max_value=3))
+    @given(fn=fuzz_programs(), arg=st.integers(min_value=0, max_value=3))
     @settings(max_examples=20, **COMMON)
     def test_printer_parser_roundtrip(self, fn, arg):
         from repro.ir import format_function, parse_function
@@ -122,7 +122,7 @@ class TestEncodingSoundness:
         assert (Interpreter().run(reparsed, (arg,)).return_value
                 == Interpreter().run(fn, (arg,)).return_value)
 
-    @given(fn=synth_programs(),
+    @given(fn=fuzz_programs(),
            diff_n=st.integers(min_value=3, max_value=12),
            order=st.sampled_from(["src_first", "dst_first"]))
     @settings(max_examples=20, **COMMON)
@@ -150,7 +150,7 @@ class TestEncodingSoundness:
         assert Interpreter().run(res.fn, (arg,)).return_value == ref
         assert check_allocation_semantics(fn, res.fn).ok
 
-    @given(fn=synth_programs())
+    @given(fn=fuzz_programs())
     @settings(max_examples=15, **COMMON)
     def test_select_coloring_is_proper(self, fn):
         res = iterated_allocate(fn, 12, selector=DifferentialSelector(12, 8))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import generate_report
+from repro.experiments.reporting import Table
 from repro.workloads import MIBENCH
 
 
@@ -25,18 +26,34 @@ class TestReport:
         assert "17.24" in report  # the paper's Table 2 endpoint
 
     def test_deterministic(self):
-        import re
-
-        def normalize(text):
-            return re.sub(r"generated in \d+s", "generated in Xs", text)
-
         a = generate_report(workloads=MIBENCH[:1], n_loops=6,
                             remap_restarts=2, include_sweep=False,
                             include_alternatives=False)
         b = generate_report(workloads=MIBENCH[:1], n_loops=6,
                             remap_restarts=2, include_sweep=False,
                             include_alternatives=False)
-        assert normalize(a) == normalize(b)
+        assert a == b
+
+    def test_jobs_reach_alternatives_study(self, monkeypatch):
+        import repro.experiments.alternatives as alternatives_mod
+
+        seen = {}
+
+        class Study:
+            def table(self):
+                return Table("alternatives table", ["option"])
+
+        def fake_study(**kw):
+            seen.update(kw)
+            return Study()
+
+        monkeypatch.setattr(alternatives_mod, "run_alternatives_study",
+                            fake_study)
+        text = generate_report(workloads=MIBENCH[:1], n_loops=2,
+                               remap_restarts=2, include_sweep=False,
+                               jobs=2)
+        assert seen["jobs"] == 2
+        assert "alternatives table" in text
 
     def test_deprecated_report_alias_is_gone(self):
         """``repro.experiments.report`` completed its deprecation cycle;

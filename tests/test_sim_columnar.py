@@ -27,8 +27,9 @@ from repro.ir.interp import TraceEntry
 from repro.ir.trace import NO_ADDR, OP_NAMES, FunctionCodec
 from repro.machine import (LOWEND, Cache, CycleReport, LowEndTimingModel,
                            access_hit_flags)
-from repro.workloads import generate_function
 from repro.workloads.mibench import MIBENCH
+
+from tests.conftest import fuzz_programs
 
 COMMON = dict(
     deadline=None,
@@ -114,16 +115,6 @@ def time_reference(cfg, trace):
     )
 
 
-def synth_programs():
-    return st.builds(
-        generate_function,
-        seed=st.integers(min_value=0, max_value=10_000),
-        n_regions=st.integers(min_value=1, max_value=5),
-        base_values=st.integers(min_value=3, max_value=12),
-        with_memory=st.booleans(),
-    )
-
-
 class TestCacheBatchEquivalence:
     @given(data=st.data())
     @settings(max_examples=120, **COMMON)
@@ -155,7 +146,7 @@ class TestCacheBatchEquivalence:
 
 
 class TestInterpreterEngineEquivalence:
-    @given(fn=synth_programs(), arg=st.integers(min_value=0, max_value=4))
+    @given(fn=fuzz_programs(), arg=st.integers(min_value=0, max_value=4))
     @settings(max_examples=40, **COMMON)
     def test_fast_matches_reference(self, fn, arg):
         fast = Interpreter(engine="fast").run(fn, (arg,))
@@ -178,7 +169,7 @@ class TestInterpreterEngineEquivalence:
         assert entry_fields(to_entries(fast.columnar)) \
             == entry_fields(ref.trace)
 
-    @given(fn=synth_programs(), arg=st.integers(min_value=0, max_value=4))
+    @given(fn=fuzz_programs(), arg=st.integers(min_value=0, max_value=4))
     @settings(max_examples=25, **COMMON)
     def test_count_without_trace_recording(self, fn, arg):
         recorded = Interpreter(engine="fast").run(fn, (arg,))
@@ -228,7 +219,7 @@ class TestTimingEngineEquivalence:
         expanded = time_reference(LOWEND, to_entries(fast.columnar))
         assert report_fields(expanded) == report_fields(reference)
 
-    @given(fn=synth_programs(), arg=st.integers(min_value=0, max_value=4))
+    @given(fn=fuzz_programs(), arg=st.integers(min_value=0, max_value=4))
     @settings(max_examples=30, **COMMON)
     def test_engines_agree_on_random_programs(self, fn, arg):
         result = Interpreter(engine="fast").run(fn, (arg,))

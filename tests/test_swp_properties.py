@@ -1,6 +1,6 @@
 """Property-based tests for the software-pipelining substrate.
 
-Random DDGs (acyclic dataflow plus bounded-latency recurrences) must always
+Random DDGs (small loops of the Section 10.2 population) must always
 yield schedules that satisfy every dependence and every modulo resource
 limit; kernel allocation must always respect the register budget or flag
 itself as derated.
@@ -14,9 +14,6 @@ from repro.swp import allocate_kernel, modulo_schedule
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
-# random well-formed loop DDGs, shared with the fuzz layer
-ddgs = loop_ddgs
-
 
 def machine_configs():
     return st.builds(
@@ -27,7 +24,7 @@ def machine_configs():
 
 
 class TestSchedulerProperties:
-    @given(ddg=ddgs(), machine=machine_configs())
+    @given(ddg=loop_ddgs(), machine=machine_configs())
     @settings(max_examples=60, **COMMON)
     def test_schedule_respects_dependences_and_resources(self, ddg, machine):
         s = modulo_schedule(ddg, machine)
@@ -44,14 +41,14 @@ class TestSchedulerProperties:
         assert max(fu) <= machine.n_functional_units
         assert max(mem, default=0) <= machine.n_memory_ports
 
-    @given(ddg=ddgs())
+    @given(ddg=loop_ddgs())
     @settings(max_examples=40, **COMMON)
     def test_ii_at_least_both_bounds(self, ddg):
         s = modulo_schedule(ddg)
         assert s.ii >= ddg.res_mii()
         assert s.ii >= ddg.rec_mii()
 
-    @given(ddg=ddgs())
+    @given(ddg=loop_ddgs())
     @settings(max_examples=40, **COMMON)
     def test_times_nonnegative_and_maxlive_positive(self, ddg):
         s = modulo_schedule(ddg)
@@ -61,7 +58,7 @@ class TestSchedulerProperties:
 
 
 class TestAllocationProperties:
-    @given(ddg=ddgs(), reg_n=st.integers(min_value=8, max_value=48))
+    @given(ddg=loop_ddgs(), reg_n=st.integers(min_value=8, max_value=48))
     @settings(max_examples=40, **COMMON)
     def test_budget_respected_or_derated(self, ddg, reg_n):
         alloc = allocate_kernel(ddg, reg_n)
@@ -69,7 +66,7 @@ class TestAllocationProperties:
             assert alloc.max_live <= reg_n
         assert all(0 <= r < reg_n for r in alloc.assignment.values())
 
-    @given(ddg=ddgs())
+    @given(ddg=loop_ddgs())
     @settings(max_examples=25, **COMMON)
     def test_spill_transform_keeps_ddg_well_formed(self, ddg):
         victims = [op.id for op in ddg.ops if op.produces_value][:2]

@@ -1,4 +1,4 @@
-"""Workload tests: MiBench kernels, the random generator, loop population."""
+"""Workload tests: MiBench kernels, the loop population, composition."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.analysis import compute_liveness
 from repro.ir import Interpreter
 from repro.workloads import (
     MIBENCH,
-    generate_function,
     generate_loop_population,
     get_workload,
 )
@@ -51,32 +50,6 @@ class TestMiBenchKernels:
         small = Interpreter().run(w.function(), (4,)).steps
         large = Interpreter().run(w.function(), (16,)).steps
         assert large > small
-
-
-class TestSynthGenerator:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_generated_functions_run(self, seed):
-        fn = generate_function(seed, with_memory=(seed % 2 == 0))
-        r = Interpreter().run(fn, (3,))
-        assert isinstance(r.return_value, int)
-
-    def test_deterministic(self):
-        a = generate_function(42)
-        b = generate_function(42)
-        assert str(a) == str(b)
-
-    def test_seeds_differ(self):
-        assert str(generate_function(1)) != str(generate_function(2))
-
-    def test_base_values_control_pressure(self):
-        low = compute_liveness(generate_function(5, base_values=4)).max_pressure()
-        high = compute_liveness(generate_function(5, base_values=16)).max_pressure()
-        assert high > low
-
-    def test_region_count_controls_size(self):
-        small = generate_function(7, n_regions=2).num_instructions()
-        big = generate_function(7, n_regions=8).num_instructions()
-        assert big > small
 
 
 class TestLoopPopulation:
